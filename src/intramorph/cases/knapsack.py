@@ -96,36 +96,45 @@ def _check_search_budget(instance: KnapsackInstance) -> None:
 
 
 def knapsack_exhaustive(instance: KnapsackInstance) -> KnapsackSolution:
-    """Recursively explore every feasible multiset; maximal by construction.
+    """Search every feasible multiset for the most valuable one.
 
     At each index the search branches on including one more copy of the item
-    (index unchanged, unbounded copies) or moving past it. Exponential;
-    guarded by the search budget.
+    (index unchanged, unbounded copies) or moving past it. The best packing
+    of the remaining capacity from a state depends only on
+    ``(capacity, index)``, so each state is solved once and memoized for
+    the duration of the call: at most items x capacity states, further
+    guarded by the search budget. Exclusion wins ties: when including one
+    more copy is no more valuable than moving past the item, the search
+    moves past it.
     """
     _check_search_budget(instance)
     items = instance.items
     count = len(items)
+    empty = (0, 0, None)
+    memo: dict[tuple[int, int], tuple] = {}
 
-    def explore(capacity, index, cum_value, cum_weight, packed):
-        # packed is a cons chain (name, parent) to avoid per-branch copies
+    def best_suffix(capacity, index):
+        # (value, weight, names) of the best packing of the remaining
+        # capacity; names is a cons chain (name, rest) to share tails
         if capacity <= 0 or index >= count:
-            return cum_value, cum_weight, packed
-        name, value, weight = items[index]
-        fits = weight <= capacity
-        if fits:
-            included = explore(capacity - weight, index,
-                               cum_value + value, cum_weight + weight, (name, packed))
-        excluded = explore(capacity, index + 1, cum_value, cum_weight, packed)
-        if fits and included[0] > excluded[0]:
-            return included
-        return excluded
+            return empty
+        key = (capacity, index)
+        best = memo.get(key)
+        if best is None:
+            name, value, weight = items[index]
+            best = best_suffix(capacity, index + 1)
+            if weight <= capacity:
+                sub_value, sub_weight, sub_names = best_suffix(capacity - weight, index)
+                if value + sub_value > best[0]:
+                    best = (value + sub_value, weight + sub_weight, (name, sub_names))
+            memo[key] = best
+        return best
 
-    cum_value, cum_weight, chain = explore(instance.capacity, 0, 0, 0, None)
+    cum_value, cum_weight, chain = best_suffix(instance.capacity, 0)
     names: list[str] = []
     while chain is not None:
         names.append(chain[0])
         chain = chain[1]
-    names.reverse()
     return KnapsackSolution(tuple(names), cum_value, cum_weight, instance.capacity)
 
 

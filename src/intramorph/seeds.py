@@ -18,6 +18,11 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
+# Elements per pass of SeededSource.unit_block: its two uint64 working
+# buffers take 256 KiB each, small enough to stay in cache between the
+# mixing steps.
+UNIT_BLOCK_CHUNK = 32_768
+
 T = TypeVar("T")
 
 
@@ -78,19 +83,43 @@ class SeededSource:
         """``count`` consecutive :meth:`unit` draws as one vectorized batch.
 
         splitmix64's state is an arithmetic progression, so the block is
-        computed from ``state + i * gamma`` directly. Bit-identical to
-        calling ``unit()`` ``count`` times; the scalar loop is the reference
-        and the test suite pins the equivalence.
+        computed from ``state + i * gamma`` directly. The work runs in place
+        over chunks of :data:`UNIT_BLOCK_CHUNK` elements: one ``uint64``
+        buffer holds the chunk's states and advances by a whole chunk each
+        pass, a second holds the values being mixed, and the chunk's slice of
+        the preallocated ``float64`` result serves as scratch until the
+        finished draws are written into it. Bit-identical to calling
+        ``unit()`` ``count`` times; the scalar loop is the reference and the
+        test suite pins the equivalence, across chunk boundaries too.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        idx = np.arange(1, count + 1, dtype=np.uint64)
-        z = np.uint64(self._state) + idx * np.uint64(_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-        z ^= z >> np.uint64(31)
+        out = np.empty(count, dtype=np.float64)
+        # states[i] is the state that the chunk's i-th draw mixes
+        states = np.arange(1, min(count, UNIT_BLOCK_CHUNK) + 1, dtype=np.uint64)
+        states *= np.uint64(_GAMMA)
+        states += np.uint64(self._state)
+        z = np.empty_like(states)
+        chunk_advance = np.uint64((UNIT_BLOCK_CHUNK * _GAMMA) & _MASK64)
+        for start in range(0, count, UNIT_BLOCK_CHUNK):
+            n = min(UNIT_BLOCK_CHUNK, count - start)
+            zc = z[:n]
+            # the result slice doubles as the scratch buffer until it is written
+            dest = out[start:start + n]
+            scratch = dest.view(np.uint64)
+            np.right_shift(states[:n], np.uint64(30), out=zc)
+            zc ^= states[:n]
+            zc *= np.uint64(_MIX_A)
+            np.right_shift(zc, np.uint64(27), out=scratch)
+            zc ^= scratch
+            zc *= np.uint64(_MIX_B)
+            np.right_shift(zc, np.uint64(31), out=scratch)
+            zc ^= scratch
+            zc >>= np.uint64(11)
+            np.multiply(zc, 2.0 ** -53, out=dest)
+            states += chunk_advance
         self._state = (self._state + count * _GAMMA) & _MASK64
-        return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        return out
 
     def choice(self, items: Sequence[T]) -> T:
         return items[self.below(len(items))]

@@ -1,4 +1,5 @@
-"""Knapsack solvers cross-checked against an independent enumeration oracle."""
+"""Knapsack solvers cross-checked against an independent enumeration oracle
+and against the plain (unmemoized) recursive search."""
 
 import itertools
 
@@ -6,14 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intramorph.cases.knapsack import (BudgetExceededError, dp_reference,
-                                       inject_knapsack_mutant, knapsack_exhaustive,
+from intramorph.cases.knapsack import (BudgetExceededError, KnapsackSolution,
+                                       dp_reference, inject_knapsack_mutant,
+                                       knapsack_exhaustive,
                                        knapsack_exhaustive_skip_include,
                                        knapsack_greedy,
                                        knapsack_greedy_capacity_off_by_one,
                                        knapsack_greedy_sorted_ascending, make_instance,
                                        optimality_relation)
+from intramorph.core import generation_source
 from intramorph.generators import random_knapsack_instance
+from intramorph.harness import CampaignConfig, run_campaign
 from intramorph.seeds import SeededSource
 
 # the instance where greedy is provably suboptimal: density picks A first,
@@ -34,6 +38,35 @@ def best_value_by_enumeration(instance):
             value = sum(c * item.value for c, item in zip(counts, items))
             best = max(best, value)
     return best
+
+
+def plain_exhaustive(instance):
+    """Reference search: the same include-or-move-past recursion without a
+    memo, exponential in the capacity. Exclusion wins ties."""
+    items = instance.items
+    count = len(items)
+
+    def explore(capacity, index, cum_value, cum_weight, packed):
+        # packed is a cons chain (name, parent) to avoid per-branch copies
+        if capacity <= 0 or index >= count:
+            return cum_value, cum_weight, packed
+        name, value, weight = items[index]
+        fits = weight <= capacity
+        if fits:
+            included = explore(capacity - weight, index,
+                               cum_value + value, cum_weight + weight, (name, packed))
+        excluded = explore(capacity, index + 1, cum_value, cum_weight, packed)
+        if fits and included[0] > excluded[0]:
+            return included
+        return excluded
+
+    cum_value, cum_weight, chain = explore(instance.capacity, 0, 0, 0, None)
+    names = []
+    while chain is not None:
+        names.append(chain[0])
+        chain = chain[1]
+    names.reverse()
+    return KnapsackSolution(tuple(names), cum_value, cum_weight, instance.capacity)
 
 
 def test_enumeration_oracle_on_ab_instance():
@@ -99,6 +132,7 @@ def test_solvers_against_enumeration_oracle(value_weight_pairs, capacity):
     exhaustive = knapsack_exhaustive(instance)
     greedy = knapsack_greedy(instance)
     assert exhaustive.cum_value == oracle_best
+    assert exhaustive == plain_exhaustive(instance)
     assert dp_reference(instance) == oracle_best
     assert optimality_relation(exhaustive, greedy)
     assert exhaustive.feasible and greedy.feasible
@@ -116,6 +150,41 @@ def test_solution_sums_are_consistent(seed):
         assert solution.cum_value == sum(by_name[n].value for n in solution.packed)
         assert solution.cum_weight == sum(by_name[n].weight for n in solution.packed)
         assert solution.feasible
+
+
+def test_memoized_search_matches_plain_recursion_on_generated_instances():
+    # exact equality: same packed order and the same tie-break, not just value
+    for seed in range(2000):
+        instance = random_knapsack_instance(SeededSource(seed))
+        assert knapsack_exhaustive(instance) == plain_exhaustive(instance), seed
+
+
+def test_tie_break_prefers_exclusion():
+    # A and B are worth the same per unit of capacity: moving past A wins the tie
+    instance = make_instance([("A", 3, 1), ("B", 6, 2)], capacity=4)
+    assert knapsack_exhaustive(instance).packed == ("B", "B")
+
+
+# Iteration 25 of this campaign seed draws six weight-1 items at capacity 48,
+# which the plain recursion cannot search within the 5 s execution budget.
+HEAVY_CAMPAIGN_SEED = 13990579191218416818
+
+
+def test_heavy_generated_instance_agrees_with_dp():
+    instance = random_knapsack_instance(generation_source(HEAVY_CAMPAIGN_SEED, 25))
+    assert instance.capacity == 48
+    assert [item.weight for item in instance.items] == [1] * 6
+    solution = knapsack_exhaustive(instance)
+    assert solution.cum_value == dp_reference(instance)
+    assert solution.feasible
+
+
+def test_heavy_campaign_seed_runs_without_execution_errors():
+    report = run_campaign(CampaignConfig("knapsack-optimality", seed=HEAVY_CAMPAIGN_SEED,
+                                         iterations=30))
+    assert report.iterations_run == 30
+    assert report.execution_errors == 0
+    assert report.violations == 0
 
 
 def test_optimality_relation_reads():

@@ -1,9 +1,10 @@
 """Determinism and independence of the seeded randomness layer."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intramorph.seeds import SeededSource, derive_seed
+from intramorph.seeds import UNIT_BLOCK_CHUNK, SeededSource, derive_seed
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -57,6 +58,20 @@ def test_unit_block_matches_scalar_loop(seed, count):
     assert list(block) == expected
     # both sources must land on the same stream position
     assert scalar.next_u64() == vectorized.next_u64()
+
+
+def test_unit_block_matches_scalar_loop_across_chunk_boundaries():
+    chunk = UNIT_BLOCK_CHUNK
+    for count in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3, 200_000):
+        scalar = SeededSource(20221021)
+        vectorized = SeededSource(20221021)
+        expected = [scalar.unit() for _ in range(count)]
+        block = vectorized.unit_block(count)
+        assert block.shape == (count,)
+        # compare the raw float64 bit patterns, not just the values
+        assert np.array_equal(block.view(np.uint64),
+                              np.array(expected, dtype=np.float64).view(np.uint64)), count
+        assert scalar.next_u64() == vectorized.next_u64(), count
 
 
 @given(seeds)
