@@ -31,12 +31,14 @@ MONTECARLO_DESCRIPTOR = TransformationDescriptor(
     false_alarm_possible=True,
 )
 
+# Median-of-k trials per comparison unless a run overrides k.
+DEFAULT_REPETITIONS = 5
+
 
 @dataclass(frozen=True)
 class SampleBudgetPair:
     n_small: int = 10
     n_large: int = 100_000
-    repetitions: int = 5
 
     def __post_init__(self) -> None:
         if self.n_small < 1:
@@ -44,9 +46,6 @@ class SampleBudgetPair:
         if self.n_small >= self.n_large:
             raise ConfigurationError(
                 f"n_small must be smaller than n_large, got {self.n_small} >= {self.n_large}")
-        if self.repetitions < 1 or self.repetitions % 2 == 0:
-            raise ConfigurationError(
-                f"repetitions must be a positive odd integer, got {self.repetitions}")
 
 
 def _draw_points(n: int, source: SeededSource) -> tuple[np.ndarray, np.ndarray]:
@@ -122,10 +121,11 @@ def make_convergence_relation(repetitions: int) -> IntramorphicRelation:
     )
 
 
-def convergence_relation(budgets: SampleBudgetPair, source: SeededSource) -> RelationOutcome:
+def convergence_relation(budgets: SampleBudgetPair, source: SeededSource,
+                         repetitions: int) -> RelationOutcome:
     """One median-of-k convergence check, with entropy drawn from ``source``."""
     pair = make_estimator_pair()
-    relation = make_convergence_relation(budgets.repetitions)
+    relation = make_convergence_relation(repetitions)
     case = InputCase(budgets, Provenance(seed=source.next_u64(), iteration=0))
     return evaluate_pair(pair, relation, case)
 

@@ -243,7 +243,7 @@ def _build_montecarlo_campaign() -> Campaign:
                      else montecarlo.pi_approximation)
         pair = montecarlo.make_estimator_pair(estimator)
         relation = montecarlo.make_convergence_relation(
-            repetitions if repetitions is not None else DEFAULT_BUDGETS.repetitions)
+            repetitions if repetitions is not None else montecarlo.DEFAULT_REPETITIONS)
         return lambda case: evaluate_pair(pair, relation, case, budget=budget)
 
     return Campaign(
@@ -253,12 +253,11 @@ def _build_montecarlo_campaign() -> Campaign:
         generate=lambda src: DEFAULT_BUDGETS,   # per-iteration entropy comes from provenance
         build_evaluator=build,
         render_payload=lambda budgets: (f"n_small={budgets.n_small}, "
-                                        f"n_large={budgets.n_large}, "
-                                        f"repetitions={budgets.repetitions}"),
+                                        f"n_large={budgets.n_large}"),
         shrink_payload=lambda payload: [],
         descriptor=montecarlo.MONTECARLO_DESCRIPTOR,
         stochastic=True,
-        default_repetitions=DEFAULT_BUDGETS.repetitions,
+        default_repetitions=montecarlo.DEFAULT_REPETITIONS,
         mutants=(
             Mutant("wrong-scale", "estimator returns 2*hits/n and converges to pi/2"),
             Mutant("boundary-strict", "circle test uses < instead of <=",

@@ -162,3 +162,15 @@ def test_run_statistical_k_override(capsys):
                            "--seed", "42", "--iterations", "2", "--k", "1")
     assert code == 0
     assert json.loads(out)["statistical_repetitions"] == 1
+
+
+def test_montecarlo_counterexample_input_does_not_name_a_k(capsys):
+    # k comes from the relation's statistical config, so the rendered input
+    # names only the two sample budgets, whatever --k the run was given
+    code, out, _ = run_cli(capsys, "run", "--campaign", "montecarlo-convergence",
+                           "--mutant", "wrong-scale", "--k", "3", "--seed", "1",
+                           "--iterations", "5")
+    assert code == 1
+    document = json.loads(out)
+    assert document["statistical_repetitions"] == 3
+    assert document["counterexample"]["input"] == "n_small=10, n_large=100000"

@@ -98,8 +98,6 @@ def test_budget_pair_validation():
         SampleBudgetPair(n_small=100, n_large=100)
     with pytest.raises(ConfigurationError):
         SampleBudgetPair(n_small=0)
-    with pytest.raises(ConfigurationError):
-        SampleBudgetPair(repetitions=4)
 
 
 def test_relation_check_is_reflexive_on_equal_outputs():
@@ -117,15 +115,15 @@ def test_relation_check_agrees_with_summary_compare(small_est, large_est):
 
 
 def test_convergence_relation_holds_over_small_run():
-    budgets = SampleBudgetPair(n_small=10, n_large=20_000, repetitions=5)
+    budgets = SampleBudgetPair(n_small=10, n_large=20_000)
     source = SeededSource(42)
     for _ in range(10):
-        assert convergence_relation(budgets, source).status is RelationStatus.HOLDS
+        assert convergence_relation(budgets, source, 5).status is RelationStatus.HOLDS
 
 
 def test_convergence_outcome_carries_median_errors():
-    budgets = SampleBudgetPair(n_small=10, n_large=20_000, repetitions=3)
-    outcome = convergence_relation(budgets, SeededSource(5))
+    budgets = SampleBudgetPair(n_small=10, n_large=20_000)
+    outcome = convergence_relation(budgets, SeededSource(5), 3)
     assert outcome.original_output >= 0.0
     assert outcome.variant_output >= 0.0
 
