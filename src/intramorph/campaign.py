@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from .core import (InputCase, RelationOutcome, TransformationDescriptor,
                    UnknownMutantError)
@@ -18,13 +18,17 @@ EvaluatorFactory = Callable[[Optional[str], Optional[int], Optional[float]], Eva
 class Mutant:
     """One injectable seeded bug, with its expected detectability.
 
-    ``expected_detected`` records whether the owning campaign's oracle should
-    flag it; ``in_matrix`` is False for bugs the oracle provably cannot see
-    per input (they stay runnable but contribute no detection-matrix cell).
+    ``replaces`` maps a component name of the owning campaign to the buggy
+    program that stands in for it; the campaign's evaluator runs with these
+    replacements laid over its default components. ``expected_detected``
+    records whether the campaign's oracle should flag the bug; ``in_matrix``
+    is False for bugs the oracle provably cannot see per input (they stay
+    runnable but contribute no detection-matrix cell).
     """
 
     name: str
     summary: str
+    replaces: Mapping[str, Callable]
     expected_detected: bool = True
     in_matrix: bool = True
     note: str = ""
@@ -41,8 +45,9 @@ class Campaign:
 
     ``oracle_style`` is one of unit / differential / metamorphic /
     intramorphic; intramorphic campaigns must carry a transformation
-    descriptor and are stochastic exactly when that descriptor admits
-    false alarms.
+    descriptor, and a campaign is stochastic exactly when that descriptor
+    admits false alarms. ``components`` names the programs the oracle runs,
+    with their default implementations; mutants may replace only these.
     """
 
     name: str
@@ -52,25 +57,30 @@ class Campaign:
     build_evaluator: EvaluatorFactory
     render_payload: Callable[[Any], str]
     shrink_payload: Callable[[Any], list]
+    components: Mapping[str, Callable]
     render_output: Callable[[Any], str] = str
     descriptor: Optional[TransformationDescriptor] = None
     mutants: tuple[Mutant, ...] = ()
-    stochastic: bool = False
     default_repetitions: Optional[int] = None
 
     def __post_init__(self) -> None:
         names = [mutant.name for mutant in self.mutants]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate mutant names in campaign {self.name}: {names}")
+        for mutant in self.mutants:
+            unknown = sorted(set(mutant.replaces) - set(self.components))
+            if not mutant.replaces or unknown:
+                raise ValueError(
+                    f"mutant {mutant.name!r} of campaign {self.name} must replace some of "
+                    f"the components {sorted(self.components)}, got {sorted(mutant.replaces)}")
         if self.oracle_style == "intramorphic" and self.descriptor is None:
             raise ValueError(f"campaign {self.name} is intramorphic but has no descriptor")
-        if self.descriptor is not None:
-            if self.stochastic != self.descriptor.false_alarm_possible:
-                raise ValueError(
-                    f"campaign {self.name}: stochastic flag must match the descriptor's "
-                    f"false-alarm classification")
         if self.stochastic and self.default_repetitions is None:
             raise ValueError(f"stochastic campaign {self.name} needs default repetitions")
+
+    @property
+    def stochastic(self) -> bool:
+        return self.descriptor is not None and self.descriptor.false_alarm_possible
 
     def mutant(self, name: str) -> Mutant:
         for mutant in self.mutants:
@@ -79,6 +89,13 @@ class Campaign:
         raise UnknownMutantError(
             f"campaign {self.name!r} has no mutant {name!r}; "
             f"known: {[m.name for m in self.mutants]}")
+
+    def programs(self, mutant: Optional[str]) -> dict[str, Callable]:
+        """The default components with the named mutant's replacements laid over."""
+        programs = dict(self.components)
+        if mutant is not None:
+            programs.update(self.mutant(mutant).replaces)
+        return programs
 
     def matrix_mutants(self) -> tuple[Mutant, ...]:
         return tuple(mutant for mutant in self.mutants if mutant.in_matrix)

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from ..core import UnknownMutantError
-
 
 @dataclass(frozen=True)
 class Variable:
@@ -135,18 +133,3 @@ def infix_paren_missing(node: ExprNode) -> str:
         return str(node.value)
     return (infix_paren_missing(node.left) + " " + node.operator + " "
             + infix_paren_missing(node.right))
-
-
-AST_MUTANTS: dict[str, Callable[[ExprNode], str]] = {
-    "paren-left-as-right": infix_paren_left_as_right,
-    "drop-right-operand": infix_drop_right_operand,
-    "paren-missing": infix_paren_missing,
-}
-
-
-def inject_ast_mutant(name: str) -> Callable[[ExprNode], str]:
-    try:
-        return AST_MUTANTS[name]
-    except KeyError:
-        raise UnknownMutantError(
-            f"unknown printer mutant {name!r}; known: {sorted(AST_MUTANTS)}") from None

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from ..core import BudgetExceededError, UnknownMutantError
+from ..core import BudgetExceededError
 
 # Reject searches whose item-count * (capacity / min weight) bound exceeds
 # this; generator defaults stay orders of magnitude below.
@@ -197,21 +197,6 @@ def knapsack_exhaustive_skip_include(instance: KnapsackInstance) -> KnapsackSolu
     is ever explored."""
     _check_search_budget(instance)
     return KnapsackSolution((), 0, 0, instance.capacity)
-
-
-KNAPSACK_MUTANTS: dict[str, Callable[[KnapsackInstance], KnapsackSolution]] = {
-    "greedy-sort-ascending": knapsack_greedy_sorted_ascending,
-    "greedy-capacity-off-by-one": knapsack_greedy_capacity_off_by_one,
-    "exhaustive-skip-include": knapsack_exhaustive_skip_include,
-}
-
-
-def inject_knapsack_mutant(name: str) -> Callable[[KnapsackInstance], KnapsackSolution]:
-    try:
-        return KNAPSACK_MUTANTS[name]
-    except KeyError:
-        raise UnknownMutantError(
-            f"unknown knapsack mutant {name!r}; known: {sorted(KNAPSACK_MUTANTS)}") from None
 
 
 def render_instance(instance: KnapsackInstance) -> str:

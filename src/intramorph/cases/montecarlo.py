@@ -18,7 +18,7 @@ import numpy as np
 from ..core import (ApplicationMode, Automation, ConfigurationError, Granularity,
                     InputCase, IntramorphicRelation, ProgramPair, Provenance,
                     RelationOutcome, StatisticalConfig, TransformationDescriptor,
-                    UnknownMutantError, evaluate_pair)
+                    evaluate_pair)
 from ..seeds import SeededSource
 
 # An existing function gained a sample-count parameter; single trials can
@@ -97,15 +97,11 @@ def error_from_pi(estimate: float) -> float:
     return abs(estimate - math.pi)
 
 
-def make_estimator_pair(large_side: Callable[[int, SeededSource], float]
-                        = pi_approximation) -> ProgramPair:
-    """Pair the small-budget instantiation against the large-budget one.
-
-    Mutants are injected on the large side only; mutating both sides would
-    shift both error distributions together and mask the bug.
-    """
+def make_estimator_pair(small_side: Callable[[int, SeededSource], float],
+                        large_side: Callable[[int, SeededSource], float]) -> ProgramPair:
+    """Pair the small-budget instantiation against the large-budget one."""
     return ProgramPair(
-        original=lambda budgets, src: pi_approximation(budgets.n_small, src),
+        original=lambda budgets, src: small_side(budgets.n_small, src),
         variant=lambda budgets, src: large_side(budgets.n_large, src),
         descriptor=MONTECARLO_DESCRIPTOR,
     )
@@ -124,22 +120,7 @@ def make_convergence_relation(repetitions: int) -> IntramorphicRelation:
 def convergence_relation(budgets: SampleBudgetPair, source: SeededSource,
                          repetitions: int) -> RelationOutcome:
     """One median-of-k convergence check, with entropy drawn from ``source``."""
-    pair = make_estimator_pair()
+    pair = make_estimator_pair(pi_approximation, pi_approximation)
     relation = make_convergence_relation(repetitions)
     case = InputCase(budgets, Provenance(seed=source.next_u64(), iteration=0))
     return evaluate_pair(pair, relation, case)
-
-
-MONTECARLO_MUTANTS: dict[str, Callable[[int, SeededSource], float]] = {
-    "wrong-scale": pi_wrong_scale,
-    "boundary-strict": pi_boundary_strict,
-    "one-coordinate": pi_one_coordinate,
-}
-
-
-def inject_montecarlo_mutant(name: str) -> Callable[[int, SeededSource], float]:
-    try:
-        return MONTECARLO_MUTANTS[name]
-    except KeyError:
-        raise UnknownMutantError(
-            f"unknown estimator mutant {name!r}; known: {sorted(MONTECARLO_MUTANTS)}") from None

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from ..core import UnknownMutantError
-
 
 def bubble_sort(arr: list) -> list:
     length = len(arr)
@@ -103,24 +101,3 @@ def sorted_copy(sort_fn: Callable[[list], list], values: Iterable) -> list:
 def reverse_relation(ascending: list, descending: list) -> bool:
     """True iff reversing the ascending output yields the descending output."""
     return list(reversed(ascending)) == list(descending)
-
-
-SORTING_MUTANTS: dict[str, Callable[[list], list]] = {
-    "swap-index-i": bubble_sort_swap_index,
-    "comparison-flip-reverse": bubble_sort_reverse_swap_index,
-    "sort-ascending-in-reverse": bubble_sort_reverse_not_flipped,
-}
-
-
-def inject_sorting_mutant(name: str) -> Callable[[list], list]:
-    """Return the mutated sort for ``name``.
-
-    For comparison-flip-reverse the returned function is the buggy descending
-    twin; the campaign additionally swaps in the buggy ascending sort, since
-    that twin is by construction derived from it.
-    """
-    try:
-        return SORTING_MUTANTS[name]
-    except KeyError:
-        raise UnknownMutantError(
-            f"unknown sorting mutant {name!r}; known: {sorted(SORTING_MUTANTS)}") from None

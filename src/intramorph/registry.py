@@ -1,271 +1,128 @@
 """The default campaign registry: four case studies, eight runnable oracles.
 
-Each builder wires a generator, an evaluator factory (which swaps mutated
-components in), renderers, and the mutant catalog into one Campaign.
+Each campaign is one row of a declarative table: its default components,
+an oracle over the resolved components, a generator, renderers, a shrinker
+and the mutant catalog. Every mutant is one record naming the components it
+replaces and the buggy programs it puts in their place, so every campaign
+shares one evaluator builder.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Mapping, Optional
 
 from .baselines import (UnitCase, differential_oracle, metamorphic_removal_oracle,
                         unit_oracle)
-from .campaign import Campaign, Mutant
+from .campaign import Campaign, Evaluator, Mutant
 from .cases import ast_printing, knapsack, montecarlo, sorting
-from .core import (ApplicationMode, Automation, Granularity, InputCase,
-                   IntramorphicRelation, ProgramPair, RelationOutcome,
-                   TransformationDescriptor, UnknownCampaignError, equivalence_relation,
-                   evaluate_pair, picker_source)
+from .core import (ApplicationMode, Automation, Granularity, IntramorphicRelation,
+                   ProgramPair, RelationOutcome, TransformationDescriptor,
+                   UnknownCampaignError, equivalence_relation, evaluate_pair,
+                   picker_source)
 from .generators import (DEFAULT_CONFIG, random_array, random_knapsack_instance,
                          random_tree, shrink_knapsack, shrink_payload, shrink_tree)
 
+# oracle(programs, statistical_repetitions, budget_seconds) -> evaluator
+Oracle = Callable[[Mapping[str, Callable], Optional[int], Optional[float]], Evaluator]
+Side = Callable[[Mapping[str, Callable]], Callable]
+
 UNIT_CASE = UnitCase(values=(3, 1, 2), expected=(1, 2, 3))
 
-SORTING_REVERSE_DESCRIPTOR = TransformationDescriptor(
-    granularity=Granularity.OPERATOR,
-    application_mode=ApplicationMode.ADDED_ALONGSIDE,
-    automation=Automation.MANUAL,
-    relation_complete=True,
-    false_alarm_possible=False,
-)
 
-SORTING_EQUIVALENCE_DESCRIPTOR = TransformationDescriptor(
-    granularity=Granularity.ALGORITHM_REPLACED,
-    application_mode=ApplicationMode.ADDED_ALONGSIDE,
-    automation=Automation.MANUAL,
-    relation_complete=True,
-    false_alarm_possible=False,
-)
-
-AST_DESCRIPTOR = TransformationDescriptor(
-    granularity=Granularity.FUNCTION_ADDED,
-    application_mode=ApplicationMode.ADDED_ALONGSIDE,
-    automation=Automation.MANUAL,
-    relation_complete=True,
-    false_alarm_possible=False,
-)
-
-KNAPSACK_DESCRIPTOR = TransformationDescriptor(
-    granularity=Granularity.ALGORITHM_REPLACED,
-    application_mode=ApplicationMode.ADDED_ALONGSIDE,
-    automation=Automation.MANUAL,
-    relation_complete=True,
-    false_alarm_possible=False,
-)
-
-REVERSE_RELATION = IntramorphicRelation(
-    name="reverse-order", check=sorting.reverse_relation)
-
-_SWAP_INDEX_SUMMARY = "ascending sort's swap reads the outer index i instead of j"
+def _added_alongside(granularity: Granularity) -> TransformationDescriptor:
+    """A manual, complete transformation without false alarms whose variant
+    runs beside the original."""
+    return TransformationDescriptor(
+        granularity=granularity, application_mode=ApplicationMode.ADDED_ALONGSIDE,
+        automation=Automation.MANUAL, relation_complete=True, false_alarm_possible=False)
 
 
-def _sort_program(sort_fn):
-    return lambda payload, src: sort_fn(list(payload))
-
-
-def _render_array(payload) -> str:
-    return str(list(payload))
-
-
-def _ascending_sort_for(mutant: Optional[str]):
-    return sorting.bubble_sort_swap_index if mutant == "swap-index-i" else sorting.bubble_sort
-
-
-def _build_sorting_unit() -> Campaign:
-    def build(mutant, repetitions, budget):
-        sort_fn = _ascending_sort_for(mutant)
-
-        def evaluate(case: InputCase) -> RelationOutcome:
-            return unit_oracle(sort_fn, case.payload)
-
-        return evaluate
-
-    return Campaign(
-        name="sorting-unit",
-        case_study="sorting",
-        oracle_style="unit",
-        generate=lambda src: UNIT_CASE,   # a unit test re-checks its fixed case
-        build_evaluator=build,
-        render_payload=lambda case: (f"sort({list(case.values)}) "
-                                     f"== {list(case.expected)}"),
-        shrink_payload=lambda payload: [],
-        render_output=lambda out: str(out),
-        mutants=(Mutant("swap-index-i", _SWAP_INDEX_SUMMARY),),
-    )
-
-
-def _build_sorting_differential() -> Campaign:
-    def build(mutant, repetitions, budget):
-        algorithms = [_ascending_sort_for(mutant), sorting.merge_sort,
-                      sorting.insertion_sort]
-
-        def evaluate(case: InputCase) -> RelationOutcome:
-            return differential_oracle(algorithms, case.payload)
-
-        return evaluate
-
-    return Campaign(
-        name="sorting-differential",
-        case_study="sorting",
-        oracle_style="differential",
-        generate=lambda src: random_array(src, DEFAULT_CONFIG.array),
-        build_evaluator=build,
-        render_payload=_render_array,
-        shrink_payload=shrink_payload,
-        mutants=(Mutant("swap-index-i", _SWAP_INDEX_SUMMARY),),
-    )
-
-
-def _build_sorting_metamorphic() -> Campaign:
-    def build(mutant, repetitions, budget):
-        sort_fn = _ascending_sort_for(mutant)
-
-        def evaluate(case: InputCase) -> RelationOutcome:
-            if len(case.payload) == 0:
-                # removal is undefined on empty input; vacuously holds
-                return RelationOutcome.from_check(True, [], [])
-            return metamorphic_removal_oracle(sort_fn, case.payload,
-                                              picker_source(case.provenance))
-
-        return evaluate
-
-    return Campaign(
-        name="sorting-metamorphic",
-        case_study="sorting",
-        oracle_style="metamorphic",
-        generate=lambda src: random_array(src, DEFAULT_CONFIG.array),
-        build_evaluator=build,
-        render_payload=_render_array,
-        shrink_payload=shrink_payload,
-        mutants=(Mutant("swap-index-i", _SWAP_INDEX_SUMMARY),),
-    )
-
-
-def _build_sorting_intramorphic() -> Campaign:
-    pairs = {
-        None: (sorting.bubble_sort, sorting.bubble_sort_reverse),
-        "swap-index-i": (sorting.bubble_sort_swap_index, sorting.bubble_sort_reverse),
-        # the descending twin is mechanically derived from the buggy ascending
-        # sort, so this mutant leaves BOTH sides buggy
-        "comparison-flip-reverse": (sorting.bubble_sort_swap_index,
-                                    sorting.bubble_sort_reverse_swap_index),
-        "sort-ascending-in-reverse": (sorting.bubble_sort,
-                                      sorting.bubble_sort_reverse_not_flipped),
-    }
-
-    def build(mutant, repetitions, budget):
-        forward, reverse = pairs[mutant]
-        pair = ProgramPair(_sort_program(forward), _sort_program(reverse),
-                           SORTING_REVERSE_DESCRIPTOR)
-        return lambda case: evaluate_pair(pair, REVERSE_RELATION, case, budget=budget)
-
-    return Campaign(
-        name="sorting-intramorphic",
-        case_study="sorting",
-        oracle_style="intramorphic",
-        generate=lambda src: random_array(src, DEFAULT_CONFIG.array),
-        build_evaluator=build,
-        render_payload=_render_array,
-        shrink_payload=shrink_payload,
-        descriptor=SORTING_REVERSE_DESCRIPTOR,
-        mutants=(
-            Mutant("swap-index-i", _SWAP_INDEX_SUMMARY),
-            Mutant("comparison-flip-reverse",
-                   "descending twin inherits the swap-index bug (both sides buggy)"),
-            Mutant("sort-ascending-in-reverse",
-                   "descending twin forgot to flip the comparison"),
-        ),
-    )
-
-
-def _build_sorting_equivalence() -> Campaign:
-    def build(mutant, repetitions, budget):
-        pair = ProgramPair(_sort_program(_ascending_sort_for(mutant)),
-                           _sort_program(sorting.merge_sort),
-                           SORTING_EQUIVALENCE_DESCRIPTOR)
-        relation = equivalence_relation()
-        return lambda case: evaluate_pair(pair, relation, case, budget=budget)
-
-    return Campaign(
-        name="sorting-equivalence",
-        case_study="sorting",
-        oracle_style="intramorphic",
-        generate=lambda src: random_array(src, DEFAULT_CONFIG.array),
-        build_evaluator=build,
-        render_payload=_render_array,
-        shrink_payload=shrink_payload,
-        descriptor=SORTING_EQUIVALENCE_DESCRIPTOR,
-        mutants=(Mutant("swap-index-i", _SWAP_INDEX_SUMMARY),),
-    )
-
-
-TOKEN_RELATION = IntramorphicRelation(
-    name="token-multiset",
-    check=lambda infix_text, pp: ast_printing.token_texts_match(infix_text, pp[0], pp[1]))
-
-
-def _build_ast_campaign() -> Campaign:
-    def build(mutant, repetitions, budget):
-        infix = ast_printing.inject_ast_mutant(mutant) if mutant else ast_printing.as_string_infix
-        pair = ProgramPair(
-            original=lambda tree, src: infix(tree),
-            variant=lambda tree, src: (ast_printing.as_string_prefix(tree),
-                                       ast_printing.as_string_postfix(tree)),
-            descriptor=AST_DESCRIPTOR)
-        return lambda case: evaluate_pair(pair, TOKEN_RELATION, case, budget=budget)
-
-    return Campaign(
-        name="ast-token-multiset",
-        case_study="ast",
-        oracle_style="intramorphic",
-        generate=lambda src: random_tree(src, DEFAULT_CONFIG.tree),
-        build_evaluator=build,
-        render_payload=ast_printing.render_tree,
-        shrink_payload=shrink_tree,
-        descriptor=AST_DESCRIPTOR,
-        mutants=(
-            Mutant("paren-left-as-right",
-                   "right operand's parentheses wrap the left operand's text"),
-            Mutant("drop-right-operand", "infix omits the right operand"),
-            Mutant("paren-missing", "parentheses never added",
-                   expected_detected=False,
-                   note="blind spot: the relation strips parentheses before comparing"),
-        ),
-    )
-
+SORTING_REVERSE_DESCRIPTOR = _added_alongside(Granularity.OPERATOR)
+SORTING_EQUIVALENCE_DESCRIPTOR = _added_alongside(Granularity.ALGORITHM_REPLACED)
+AST_DESCRIPTOR = _added_alongside(Granularity.FUNCTION_ADDED)
+KNAPSACK_DESCRIPTOR = _added_alongside(Granularity.ALGORITHM_REPLACED)
 
 DEFAULT_BUDGETS = montecarlo.SampleBudgetPair()
 
 
-def _build_montecarlo_campaign() -> Campaign:
-    def build(mutant, repetitions, budget):
-        estimator = (montecarlo.inject_montecarlo_mutant(mutant) if mutant
-                     else montecarlo.pi_approximation)
-        pair = montecarlo.make_estimator_pair(estimator)
-        relation = montecarlo.make_convergence_relation(
-            repetitions if repetitions is not None else montecarlo.DEFAULT_REPETITIONS)
+def _campaign(oracle: Oracle, **fields) -> Campaign:
+    """One table row as a Campaign. Its evaluator builder, the same for every
+    campaign, lays the mutant's replacements over the default components and
+    hands them to the row's oracle."""
+    def build_evaluator(mutant, repetitions, budget):
+        if repetitions is None:
+            repetitions = campaign.default_repetitions
+        return oracle(campaign.programs(mutant), repetitions, budget)
+
+    campaign = Campaign(build_evaluator=build_evaluator, **fields)
+    return campaign
+
+
+def _pair_oracle(descriptor: TransformationDescriptor, relation: IntramorphicRelation,
+                 original: Side, variant: Side) -> Oracle:
+    """Oracle for a program pair; ``original`` and ``variant`` turn the
+    resolved components into the two (payload, source) programs."""
+    def oracle(programs, repetitions, budget):
+        pair = ProgramPair(original(programs), variant(programs), descriptor)
         return lambda case: evaluate_pair(pair, relation, case, budget=budget)
 
-    return Campaign(
-        name="montecarlo-convergence",
-        case_study="montecarlo",
-        oracle_style="intramorphic",
-        generate=lambda src: DEFAULT_BUDGETS,   # per-iteration entropy comes from provenance
-        build_evaluator=build,
-        render_payload=lambda budgets: (f"n_small={budgets.n_small}, "
-                                        f"n_large={budgets.n_large}"),
-        shrink_payload=lambda payload: [],
-        descriptor=montecarlo.MONTECARLO_DESCRIPTOR,
-        stochastic=True,
-        default_repetitions=montecarlo.DEFAULT_REPETITIONS,
-        mutants=(
-            Mutant("wrong-scale", "estimator returns 2*hits/n and converges to pi/2"),
-            Mutant("boundary-strict", "circle test uses < instead of <=",
-                   expected_detected=False,
-                   note="blind spot: the boundary has probability zero"),
-            Mutant("one-coordinate", "only x is tested, estimate pegs at 4"),
-        ),
-    )
+    return oracle
+
+
+def _sorts(name: str) -> Side:
+    """Side that sorts a private copy of the payload with the named component."""
+    def side(programs):
+        sort = programs[name]
+        return lambda payload, src: sort(list(payload))
+
+    return side
+
+
+def _applies(name: str) -> Side:
+    """Side that applies the named component to the payload."""
+    def side(programs):
+        program = programs[name]
+        return lambda payload, src: program(payload)
+
+    return side
+
+
+def _prefix_and_postfix(programs):
+    prefix, postfix = programs["prefix"], programs["postfix"]
+    return lambda tree, src: (prefix(tree), postfix(tree))
+
+
+def _unit_oracle(programs, repetitions, budget):
+    sort_fn = programs["ascending"]
+    return lambda case: unit_oracle(sort_fn, case.payload)
+
+
+def _differential_oracle(programs, repetitions, budget):
+    algorithms = [programs["ascending"], programs["merge"], programs["insertion"]]
+    return lambda case: differential_oracle(algorithms, case.payload)
+
+
+def _metamorphic_oracle(programs, repetitions, budget):
+    sort_fn = programs["ascending"]
+
+    def evaluate(case):
+        if len(case.payload) == 0:
+            # removal is undefined on empty input; vacuously holds
+            return RelationOutcome.from_check(True, [], [])
+        return metamorphic_removal_oracle(sort_fn, case.payload,
+                                          picker_source(case.provenance))
+
+    return evaluate
+
+
+def _convergence_oracle(programs, repetitions, budget):
+    pair = montecarlo.make_estimator_pair(programs["small"], programs["large"])
+    relation = montecarlo.make_convergence_relation(repetitions)
+    return lambda case: evaluate_pair(pair, relation, case, budget=budget)
+
+
+def _render_array(payload) -> str:
+    return str(list(payload))
 
 
 def _knapsack_check(greedy_solution, exhaustive_solution) -> bool:
@@ -274,45 +131,132 @@ def _knapsack_check(greedy_solution, exhaustive_solution) -> bool:
             and knapsack.optimality_relation(exhaustive_solution, greedy_solution))
 
 
-KNAPSACK_RELATION = IntramorphicRelation(
-    name="replacement-at-least-as-good", check=_knapsack_check)
-
-
-def _build_knapsack_campaign() -> Campaign:
-    def build(mutant, repetitions, budget):
-        greedy_fn = knapsack.knapsack_greedy
-        exhaustive_fn = knapsack.knapsack_exhaustive
-        if mutant == "exhaustive-skip-include":
-            exhaustive_fn = knapsack.inject_knapsack_mutant(mutant)
-        elif mutant is not None:
-            greedy_fn = knapsack.inject_knapsack_mutant(mutant)
-        pair = ProgramPair(
-            original=lambda instance, src: greedy_fn(instance),
-            variant=lambda instance, src: exhaustive_fn(instance),
-            descriptor=KNAPSACK_DESCRIPTOR)
-        return lambda case: evaluate_pair(pair, KNAPSACK_RELATION, case, budget=budget)
-
-    return Campaign(
-        name="knapsack-optimality",
-        case_study="knapsack",
-        oracle_style="intramorphic",
-        generate=lambda src: random_knapsack_instance(src, DEFAULT_CONFIG.knapsack),
-        build_evaluator=build,
-        render_payload=knapsack.render_instance,
-        shrink_payload=shrink_knapsack,
-        render_output=knapsack.render_solution,
-        descriptor=KNAPSACK_DESCRIPTOR,
-        mutants=(
-            Mutant("exhaustive-skip-include",
-                   "exhaustive search never takes the include branch, packs nothing"),
-            Mutant("greedy-capacity-off-by-one",
-                   "greedy fill admits one weight unit beyond the capacity"),
-            Mutant("greedy-sort-ascending",
-                   "greedy considers the worst value density first",
-                   expected_detected=False, in_matrix=False,
-                   note="per-input relation still holds (greedy only loses value); "
-                        "surfaces only as a higher strictly-better rate"),
-        ),
+def _campaign_table() -> tuple[Campaign, ...]:
+    """The eight campaigns. Case-study functions are read from their modules
+    here, when the registry is built, not when this module is imported."""
+    swap_index = Mutant("swap-index-i",
+                        "ascending sort's swap reads the outer index i instead of j",
+                        {"ascending": sorting.bubble_sort_swap_index})
+    array_fields = dict(case_study="sorting",
+                        generate=lambda src: random_array(src, DEFAULT_CONFIG.array),
+                        render_payload=_render_array, shrink_payload=shrink_payload)
+    estimator = montecarlo.pi_approximation
+    return (
+        _campaign(
+            _unit_oracle, name="sorting-unit", case_study="sorting", oracle_style="unit",
+            components={"ascending": sorting.bubble_sort},
+            generate=lambda src: UNIT_CASE,   # a unit test re-checks its fixed case
+            render_payload=lambda case: (f"sort({list(case.values)}) "
+                                         f"== {list(case.expected)}"),
+            shrink_payload=lambda payload: [],
+            mutants=(swap_index,)),
+        _campaign(
+            _differential_oracle, name="sorting-differential", oracle_style="differential",
+            components={"ascending": sorting.bubble_sort, "merge": sorting.merge_sort,
+                        "insertion": sorting.insertion_sort},
+            mutants=(swap_index,), **array_fields),
+        _campaign(
+            _metamorphic_oracle, name="sorting-metamorphic", oracle_style="metamorphic",
+            components={"ascending": sorting.bubble_sort},
+            mutants=(swap_index,), **array_fields),
+        _campaign(
+            _pair_oracle(SORTING_REVERSE_DESCRIPTOR,
+                         IntramorphicRelation("reverse-order", sorting.reverse_relation),
+                         _sorts("ascending"), _sorts("descending")),
+            name="sorting-intramorphic", oracle_style="intramorphic",
+            components={"ascending": sorting.bubble_sort,
+                        "descending": sorting.bubble_sort_reverse},
+            descriptor=SORTING_REVERSE_DESCRIPTOR,
+            mutants=(
+                swap_index,
+                # the descending twin is mechanically derived from the buggy
+                # ascending sort, so this mutant leaves BOTH sides buggy
+                Mutant("comparison-flip-reverse",
+                       "descending twin inherits the swap-index bug (both sides buggy)",
+                       {"ascending": sorting.bubble_sort_swap_index,
+                        "descending": sorting.bubble_sort_reverse_swap_index}),
+                Mutant("sort-ascending-in-reverse",
+                       "descending twin forgot to flip the comparison",
+                       {"descending": sorting.bubble_sort_reverse_not_flipped}),
+            ), **array_fields),
+        _campaign(
+            _pair_oracle(SORTING_EQUIVALENCE_DESCRIPTOR, equivalence_relation(),
+                         _sorts("ascending"), _sorts("merge")),
+            name="sorting-equivalence", oracle_style="intramorphic",
+            components={"ascending": sorting.bubble_sort, "merge": sorting.merge_sort},
+            descriptor=SORTING_EQUIVALENCE_DESCRIPTOR,
+            mutants=(swap_index,), **array_fields),
+        _campaign(
+            _pair_oracle(
+                AST_DESCRIPTOR,
+                IntramorphicRelation("token-multiset", lambda infix_text, pp: (
+                    ast_printing.token_texts_match(infix_text, pp[0], pp[1]))),
+                _applies("infix"), _prefix_and_postfix),
+            name="ast-token-multiset", case_study="ast", oracle_style="intramorphic",
+            components={"infix": ast_printing.as_string_infix,
+                        "prefix": ast_printing.as_string_prefix,
+                        "postfix": ast_printing.as_string_postfix},
+            generate=lambda src: random_tree(src, DEFAULT_CONFIG.tree),
+            render_payload=ast_printing.render_tree, shrink_payload=shrink_tree,
+            descriptor=AST_DESCRIPTOR,
+            mutants=(
+                Mutant("paren-left-as-right",
+                       "right operand's parentheses wrap the left operand's text",
+                       {"infix": ast_printing.infix_paren_left_as_right}),
+                Mutant("drop-right-operand", "infix omits the right operand",
+                       {"infix": ast_printing.infix_drop_right_operand}),
+                Mutant("paren-missing", "parentheses never added",
+                       {"infix": ast_printing.infix_paren_missing},
+                       expected_detected=False,
+                       note="blind spot: the relation strips parentheses before comparing"),
+            )),
+        _campaign(
+            _convergence_oracle, name="montecarlo-convergence", case_study="montecarlo",
+            oracle_style="intramorphic",
+            # mutants replace the large-budget side only: mutating both sides
+            # would shift both error distributions together and mask the bug
+            components={"small": estimator, "large": estimator},
+            generate=lambda src: DEFAULT_BUDGETS,   # entropy comes from provenance
+            render_payload=lambda budgets: (f"n_small={budgets.n_small}, "
+                                            f"n_large={budgets.n_large}"),
+            shrink_payload=lambda payload: [],
+            descriptor=montecarlo.MONTECARLO_DESCRIPTOR,
+            default_repetitions=montecarlo.DEFAULT_REPETITIONS,
+            mutants=(
+                Mutant("wrong-scale", "estimator returns 2*hits/n and converges to pi/2",
+                       {"large": montecarlo.pi_wrong_scale}),
+                Mutant("boundary-strict", "circle test uses < instead of <=",
+                       {"large": montecarlo.pi_boundary_strict},
+                       expected_detected=False,
+                       note="blind spot: the boundary has probability zero"),
+                Mutant("one-coordinate", "only x is tested, estimate pegs at 4",
+                       {"large": montecarlo.pi_one_coordinate}),
+            )),
+        _campaign(
+            _pair_oracle(
+                KNAPSACK_DESCRIPTOR,
+                IntramorphicRelation("replacement-at-least-as-good", _knapsack_check),
+                _applies("greedy"), _applies("exhaustive")),
+            name="knapsack-optimality", case_study="knapsack", oracle_style="intramorphic",
+            components={"greedy": knapsack.knapsack_greedy,
+                        "exhaustive": knapsack.knapsack_exhaustive},
+            generate=lambda src: random_knapsack_instance(src, DEFAULT_CONFIG.knapsack),
+            render_payload=knapsack.render_instance, shrink_payload=shrink_knapsack,
+            render_output=knapsack.render_solution, descriptor=KNAPSACK_DESCRIPTOR,
+            mutants=(
+                Mutant("exhaustive-skip-include",
+                       "exhaustive search never takes the include branch, packs nothing",
+                       {"exhaustive": knapsack.knapsack_exhaustive_skip_include}),
+                Mutant("greedy-capacity-off-by-one",
+                       "greedy fill admits one weight unit beyond the capacity",
+                       {"greedy": knapsack.knapsack_greedy_capacity_off_by_one}),
+                Mutant("greedy-sort-ascending",
+                       "greedy considers the worst value density first",
+                       {"greedy": knapsack.knapsack_greedy_sorted_ascending},
+                       expected_detected=False, in_matrix=False,
+                       note="per-input relation still holds (greedy only loses value); "
+                            "surfaces only as a higher strictly-better rate"),
+            )),
     )
 
 
@@ -322,17 +266,7 @@ _REGISTRY: Optional[dict[str, Campaign]] = None
 def default_registry() -> dict[str, Campaign]:
     global _REGISTRY
     if _REGISTRY is None:
-        campaigns = (
-            _build_sorting_unit(),
-            _build_sorting_differential(),
-            _build_sorting_metamorphic(),
-            _build_sorting_intramorphic(),
-            _build_sorting_equivalence(),
-            _build_ast_campaign(),
-            _build_montecarlo_campaign(),
-            _build_knapsack_campaign(),
-        )
-        _REGISTRY = {campaign.name: campaign for campaign in campaigns}
+        _REGISTRY = {campaign.name: campaign for campaign in _campaign_table()}
     return _REGISTRY
 
 

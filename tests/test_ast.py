@@ -8,11 +8,12 @@ from intramorph.cases.ast_printing import (Constant, Operation, Variable,
                                            as_string_infix, as_string_postfix,
                                            as_string_prefix, infix_drop_right_operand,
                                            infix_paren_left_as_right,
-                                           infix_paren_missing, inject_ast_mutant,
+                                           infix_paren_missing,
                                            node_count, render_tree,
                                            token_multiset_relation)
 from intramorph.core import UnknownMutantError
 from intramorph.generators import DEFAULT_CONFIG, random_tree
+from intramorph.registry import get_campaign
 from intramorph.seeds import SeededSource
 
 EXAMPLE = Operation("*", Operation("+", Variable("a"), Constant(3)), Constant(2))
@@ -101,9 +102,11 @@ def test_paren_missing_differs_textually():
 
 
 def test_inject_ast_mutant_lookup():
-    assert inject_ast_mutant("paren-left-as-right") is infix_paren_left_as_right
+    campaign = get_campaign("ast-token-multiset")
+    assert campaign.mutant("paren-left-as-right").replaces == {
+        "infix": infix_paren_left_as_right}
     with pytest.raises(UnknownMutantError):
-        inject_ast_mutant("nope")
+        campaign.mutant("nope")
 
 
 def test_render_tree_matches_constructor_shape():

@@ -8,16 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intramorph.cases.knapsack import (BudgetExceededError, KnapsackSolution,
-                                       dp_reference, inject_knapsack_mutant,
-                                       knapsack_exhaustive,
+                                       dp_reference, knapsack_exhaustive,
                                        knapsack_exhaustive_skip_include,
                                        knapsack_greedy,
                                        knapsack_greedy_capacity_off_by_one,
                                        knapsack_greedy_sorted_ascending, make_instance,
                                        optimality_relation)
-from intramorph.core import generation_source
+from intramorph.core import UnknownMutantError, generation_source
 from intramorph.generators import random_knapsack_instance
 from intramorph.harness import CampaignConfig, run_campaign
+from intramorph.registry import get_campaign
 from intramorph.seeds import SeededSource
 
 # the instance where greedy is provably suboptimal: density picks A first,
@@ -260,6 +260,10 @@ def test_sorted_ascending_surfaces_as_strictness_shift():
 
 
 def test_inject_knapsack_mutant_lookup():
-    assert inject_knapsack_mutant("exhaustive-skip-include") is knapsack_exhaustive_skip_include
-    with pytest.raises(Exception):
-        inject_knapsack_mutant("nope")
+    campaign = get_campaign("knapsack-optimality")
+    assert campaign.mutant("exhaustive-skip-include").replaces == {
+        "exhaustive": knapsack_exhaustive_skip_include}
+    assert campaign.mutant("greedy-capacity-off-by-one").replaces == {
+        "greedy": knapsack_greedy_capacity_off_by_one}
+    with pytest.raises(UnknownMutantError):
+        campaign.mutant("nope")

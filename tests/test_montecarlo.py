@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intramorph.cases.montecarlo import (SampleBudgetPair, convergence_relation,
-                                         error_from_pi, inject_montecarlo_mutant,
-                                         make_convergence_relation, pi_approximation,
+                                         error_from_pi, make_convergence_relation,
+                                         pi_approximation,
                                          pi_boundary_strict, pi_one_coordinate,
                                          pi_wrong_scale)
-from intramorph.core import ConfigurationError, RelationStatus
+from intramorph.core import ConfigurationError, RelationStatus, UnknownMutantError
 from intramorph.harness import CampaignConfig, run_campaign
+from intramorph.registry import get_campaign
 from intramorph.seeds import SeededSource
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
@@ -86,9 +87,11 @@ def test_boundary_strict_indistinguishable_at_scale():
 
 
 def test_inject_montecarlo_mutant_lookup():
-    assert inject_montecarlo_mutant("wrong-scale") is pi_wrong_scale
-    with pytest.raises(Exception):
-        inject_montecarlo_mutant("nope")
+    campaign = get_campaign("montecarlo-convergence")
+    # mutants replace the large-budget side only
+    assert campaign.mutant("wrong-scale").replaces == {"large": pi_wrong_scale}
+    with pytest.raises(UnknownMutantError):
+        campaign.mutant("nope")
 
 
 # --- budgets and the relation ---------------------------------------------------

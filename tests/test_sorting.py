@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from intramorph.cases import sorting
 from intramorph.core import UnknownMutantError
 from intramorph.harness import CampaignConfig, run_campaign
+from intramorph.registry import get_campaign
 
 arrays = st.lists(st.integers(min_value=0, max_value=9), max_size=8)
 
@@ -94,16 +95,20 @@ def test_not_flipped_twin_sorts_ascending(values):
 
 
 def test_inject_returns_catalogued_functions():
-    assert sorting.inject_sorting_mutant("swap-index-i") is sorting.bubble_sort_swap_index
-    assert (sorting.inject_sorting_mutant("comparison-flip-reverse")
-            is sorting.bubble_sort_reverse_swap_index)
-    assert (sorting.inject_sorting_mutant("sort-ascending-in-reverse")
-            is sorting.bubble_sort_reverse_not_flipped)
+    campaign = get_campaign("sorting-intramorphic")
+    assert campaign.mutant("swap-index-i").replaces == {
+        "ascending": sorting.bubble_sort_swap_index}
+    # the buggy twin is derived from the buggy ascending sort: both sides change
+    assert campaign.mutant("comparison-flip-reverse").replaces == {
+        "ascending": sorting.bubble_sort_swap_index,
+        "descending": sorting.bubble_sort_reverse_swap_index}
+    assert campaign.mutant("sort-ascending-in-reverse").replaces == {
+        "descending": sorting.bubble_sort_reverse_not_flipped}
 
 
 def test_inject_unknown_name_raises():
     with pytest.raises(UnknownMutantError):
-        sorting.inject_sorting_mutant("made-up")
+        get_campaign("sorting-intramorphic").mutant("made-up")
 
 
 @pytest.mark.parametrize("mutant", ["swap-index-i", "comparison-flip-reverse",
