@@ -10,12 +10,12 @@ from .core import (ApplicationMode, Automation, BudgetExceededError, Configurati
                    Granularity, InputCase, IntramorphicRelation, IntramorphError,
                    ProgramPair, Provenance, RelationOutcome, RelationStatus,
                    StatisticalConfig, TransformationDescriptor, UnknownCampaignError,
-                   UnknownMutantError, equivalence_relation, evaluate_pair)
+                   UnknownMutantError, equivalence_relation, evaluate_pair,
+                   statistical_evaluate)
 from .generators import (ArrayConfig, GeneratorConfig, KnapsackConfig, TreeConfig,
-                         random_array, random_knapsack_instance, random_tree, shrink)
+                         random_array, random_knapsack_instance, random_tree)
 from .harness import (CampaignConfig, CampaignReport, Counterexample, MatrixCell,
-                      MatrixReport, run_campaign, run_detection_matrix,
-                      statistical_evaluate)
+                      MatrixReport, run_campaign, run_detection_matrix)
 from .registry import all_campaigns, default_registry, get_campaign
 from .seeds import SeededSource, derive_seed
 
@@ -30,5 +30,5 @@ __all__ = [
     "derive_seed", "differential_oracle", "equivalence_relation", "evaluate_pair",
     "get_campaign", "metamorphic_removal_oracle", "random_array",
     "random_knapsack_instance", "random_tree", "run_campaign", "run_detection_matrix",
-    "shrink", "statistical_evaluate", "unit_oracle",
+    "statistical_evaluate", "unit_oracle",
 ]

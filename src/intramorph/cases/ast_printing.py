@@ -9,7 +9,7 @@ three renderings after stripping the infix parentheses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 
 @dataclass(frozen=True)
@@ -73,12 +73,6 @@ def token_texts_match(infix_text: str, prefix_text: str, postfix_text: str) -> b
     prefix_tokens = sorted(prefix_text.split(" "))
     postfix_tokens = sorted(postfix_text.split(" "))
     return infix_tokens == prefix_tokens and infix_tokens == postfix_tokens
-
-
-def token_multiset_relation(tree: ExprNode,
-                            infix_printer: Callable[[ExprNode], str] = as_string_infix) -> bool:
-    return token_texts_match(infix_printer(tree), as_string_prefix(tree),
-                             as_string_postfix(tree))
 
 
 def node_count(node: ExprNode) -> int:

@@ -16,9 +16,8 @@ from typing import Callable
 import numpy as np
 
 from ..core import (ApplicationMode, Automation, ConfigurationError, Granularity,
-                    InputCase, IntramorphicRelation, ProgramPair, Provenance,
-                    RelationOutcome, StatisticalConfig, TransformationDescriptor,
-                    evaluate_pair)
+                    IntramorphicRelation, ProgramPair, StatisticalConfig,
+                    TransformationDescriptor)
 from ..seeds import SeededSource
 
 # An existing function gained a sample-count parameter; single trials can
@@ -116,11 +115,3 @@ def make_convergence_relation(repetitions: int) -> IntramorphicRelation:
                                       compare=operator.ge),
     )
 
-
-def convergence_relation(budgets: SampleBudgetPair, source: SeededSource,
-                         repetitions: int) -> RelationOutcome:
-    """One median-of-k convergence check, with entropy drawn from ``source``."""
-    pair = make_estimator_pair(pi_approximation, pi_approximation)
-    relation = make_convergence_relation(repetitions)
-    case = InputCase(budgets, Provenance(seed=source.next_u64(), iteration=0))
-    return evaluate_pair(pair, relation, case)

@@ -7,8 +7,6 @@ the swap statement and the comparison flip.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
-
 
 def bubble_sort(arr: list) -> list:
     length = len(arr)
@@ -91,11 +89,6 @@ def bubble_sort_reverse_not_flipped(arr: list) -> list:
             if arr[j] > arr[j + 1]:
                 arr[j], arr[j + 1] = arr[j + 1], arr[j]
     return arr
-
-
-def sorted_copy(sort_fn: Callable[[list], list], values: Iterable) -> list:
-    """Run an in-place sort on a private copy; callers never alias inputs."""
-    return sort_fn(list(values))
 
 
 def reverse_relation(ascending: list, descending: list) -> bool:

@@ -134,14 +134,11 @@ class StatisticalConfig:
     repetitions: int
     summary: Callable[[Any], float]
     compare: Callable[[float, float], bool]
-    aggregator: str = "median"
 
     def __post_init__(self) -> None:
         if self.repetitions < 1 or self.repetitions % 2 == 0:
             raise ConfigurationError(
                 f"statistical repetitions must be a positive odd integer, got {self.repetitions}")
-        if self.aggregator != "median":
-            raise ConfigurationError(f"unsupported aggregator {self.aggregator!r}")
 
 
 @dataclass(frozen=True)
@@ -151,16 +148,6 @@ class IntramorphicRelation:
     name: str
     check: Callable[[Any, Any], bool]
     statistical: Optional[StatisticalConfig] = None
-
-    def recheck_outputs(self, original_output: Any, variant_output: Any) -> bool:
-        """Re-validate the outputs attached to an outcome.
-
-        For statistical relations the attached outputs are the per-side
-        median summaries, so the median comparison applies, not ``check``.
-        """
-        if self.statistical is not None:
-            return self.statistical.compare(original_output, variant_output)
-        return self.check(original_output, variant_output)
 
 
 @dataclass(frozen=True)
@@ -266,8 +253,7 @@ def evaluate_pair(pair: ProgramPair, relation: IntramorphicRelation, case: Input
             "declares false alarms possible")
     if relation.statistical is None:
         return _evaluate_single(pair, relation, case, budget)
-    return statistical_evaluate(pair, relation, case, relation.statistical.repetitions,
-                                budget=budget)
+    return statistical_evaluate(pair, relation, case, budget=budget)
 
 
 def _evaluate_single(pair: ProgramPair, relation: IntramorphicRelation, case: InputCase,
@@ -285,9 +271,9 @@ def _evaluate_single(pair: ProgramPair, relation: IntramorphicRelation, case: In
 
 
 def statistical_evaluate(pair: ProgramPair, relation: IntramorphicRelation, case: InputCase,
-                         repetitions: int, *,
-                         budget: Optional[float] = DEFAULT_BUDGET_SECONDS) -> RelationOutcome:
-    """Median-of-k evaluation: each side runs k times on derived sub-sources.
+                         *, budget: Optional[float] = DEFAULT_BUDGET_SECONDS) -> RelationOutcome:
+    """Median-of-k evaluation: each side runs k times on derived sub-sources,
+    k being the relation's ``statistical.repetitions``.
 
     The outcome's outputs are the two median summaries (they are what the
     comparison was applied to). With k=1 the verdict coincides with the
@@ -297,13 +283,10 @@ def statistical_evaluate(pair: ProgramPair, relation: IntramorphicRelation, case
     if config is None:
         raise ConfigurationError(
             f"relation {relation.name!r} has no statistical config")
-    if repetitions < 1 or repetitions % 2 == 0:
-        raise ConfigurationError(
-            f"statistical repetitions must be a positive odd integer, got {repetitions}")
 
     original_summaries = []
     variant_summaries = []
-    for trial in range(repetitions):
+    for trial in range(config.repetitions):
         ok, out = _run_program(pair.original, case.payload,
                                original_source(case.provenance, trial), budget)
         if not ok:

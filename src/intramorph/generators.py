@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .cases.ast_printing import Constant, ExprNode, Operation, Variable, node_count
+from .cases.ast_printing import Constant, ExprNode, Operation, Variable
 from .cases.knapsack import KnapsackInstance, KnapsackItem
-from .core import InputCase
 from .seeds import SeededSource
 
 
@@ -122,10 +121,6 @@ def random_knapsack_instance(source: SeededSource,
     return KnapsackInstance(items, capacity)
 
 
-def array_measure(payload: tuple[int, ...]) -> tuple[int, int]:
-    return len(payload), sum(abs(v) for v in payload)
-
-
 def shrink_array(payload: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Single-element deletions first, then per-position magnitude cuts."""
     candidates: list[tuple[int, ...]] = []
@@ -145,10 +140,6 @@ def shrink_array(payload: tuple[int, ...]) -> list[tuple[int, ...]]:
     return candidates
 
 
-def tree_measure(payload: ExprNode) -> int:
-    return node_count(payload)
-
-
 def shrink_tree(payload: ExprNode) -> list[ExprNode]:
     """Replace any operation node by either of its children (one at a time)."""
     if not isinstance(payload, Operation):
@@ -159,10 +150,6 @@ def shrink_tree(payload: ExprNode) -> list[ExprNode]:
     for smaller_right in shrink_tree(payload.right):
         candidates.append(Operation(payload.operator, payload.left, smaller_right))
     return candidates
-
-
-def knapsack_measure(payload: KnapsackInstance) -> tuple[int, int]:
-    return len(payload.items), payload.capacity
 
 
 def shrink_knapsack(payload: KnapsackInstance) -> list[KnapsackInstance]:
@@ -191,8 +178,3 @@ def shrink_payload(payload: Any) -> list[Any]:
         return shrink_knapsack(payload)
     return []
 
-
-def shrink(case: InputCase) -> list[InputCase]:
-    """Shrink candidates as full input cases; provenance is preserved so any
-    randomness embedded in the evaluation stays fixed during shrinking."""
-    return [InputCase(payload, case.provenance) for payload in shrink_payload(case.payload)]

@@ -13,13 +13,12 @@ from typing import Any, Optional, Sequence
 
 from .campaign import Campaign, Evaluator
 from .core import (ConfigurationError, InputCase, Provenance, RelationStatus,
-                   DEFAULT_BUDGET_SECONDS, UnknownCampaignError, generation_source,
-                   statistical_evaluate)
+                   DEFAULT_BUDGET_SECONDS, UnknownCampaignError, generation_source)
 from .registry import default_registry
 
 __all__ = [
     "CampaignConfig", "Counterexample", "CampaignReport", "run_campaign",
-    "MatrixCell", "MatrixReport", "run_detection_matrix", "statistical_evaluate",
+    "MatrixCell", "MatrixReport", "run_detection_matrix",
 ]
 
 _SEED_LIMIT = 1 << 64
@@ -66,15 +65,11 @@ def _validate_config(config: CampaignConfig, campaign: Campaign) -> None:
         raise ConfigurationError(f"iterations must be >= 1, got {config.iterations}")
     if config.mutant is not None:
         campaign.mutant(config.mutant)   # raises UnknownMutantError
-    k = config.statistical_repetitions
-    if k is not None:
-        if not campaign.stochastic:
-            raise ConfigurationError(
-                f"campaign {campaign.name!r} is deterministic; "
-                f"statistical repetitions do not apply")
-        if k < 1 or k % 2 == 0:
-            raise ConfigurationError(
-                f"statistical repetitions must be a positive odd integer, got {k}")
+    # an even or non-positive k is rejected where the relation is built
+    if config.statistical_repetitions is not None and not campaign.stochastic:
+        raise ConfigurationError(
+            f"campaign {campaign.name!r} is deterministic; "
+            f"statistical repetitions do not apply")
 
 
 def _shrink_violation(case: InputCase, outcome, evaluator: Evaluator,

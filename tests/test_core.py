@@ -27,6 +27,15 @@ def plain_descriptor(false_alarms=False):
 REVERSE = IntramorphicRelation("reverse-order", sorting.reverse_relation)
 
 
+def recheck_outputs(relation, original_output, variant_output):
+    """Re-validate the outputs attached to an outcome. For statistical
+    relations they are the per-side median summaries, so the median
+    comparison applies, not ``check``."""
+    if relation.statistical is not None:
+        return relation.statistical.compare(original_output, variant_output)
+    return relation.check(original_output, variant_output)
+
+
 def sort_pair(forward=sorting.bubble_sort, reverse=sorting.bubble_sort_reverse):
     return ProgramPair(
         original=lambda payload, src: forward(list(payload)),
@@ -105,7 +114,7 @@ def test_violated_outputs_are_self_certifying():
     pair = sort_pair(forward=sorting.bubble_sort_swap_index)
     outcome = evaluate_pair(pair, REVERSE, case_for((3, 1, 2)))
     assert outcome.status is RelationStatus.VIOLATED
-    assert REVERSE.recheck_outputs(outcome.original_output, outcome.variant_output) is False
+    assert recheck_outputs(REVERSE, outcome.original_output, outcome.variant_output) is False
 
 
 def test_crash_becomes_execution_error():
@@ -186,7 +195,7 @@ def median_relation(k):
 
 def test_statistical_uses_medians_per_side():
     pair = scripted_pair([1.0, 9.0, 2.0], [5.0, 4.0, 6.0])
-    outcome = statistical_evaluate(pair, median_relation(3), case_for(None), 3)
+    outcome = statistical_evaluate(pair, median_relation(3), case_for(None))
     assert outcome.status is RelationStatus.HOLDS
     assert outcome.original_output == 2.0   # median of 1, 9, 2
     assert outcome.variant_output == 5.0    # median of 5, 4, 6
@@ -195,15 +204,15 @@ def test_statistical_uses_medians_per_side():
 def test_statistical_violation_carries_medians():
     pair = scripted_pair([9.0, 9.0, 9.0], [1.0, 1.0, 1.0])
     relation = median_relation(3)
-    outcome = statistical_evaluate(pair, relation, case_for(None), 3)
+    outcome = statistical_evaluate(pair, relation, case_for(None))
     assert outcome.status is RelationStatus.VIOLATED
-    assert relation.recheck_outputs(outcome.original_output, outcome.variant_output) is False
+    assert recheck_outputs(relation, outcome.original_output, outcome.variant_output) is False
 
 
 @given(st.floats(0, 10), st.floats(0, 10))
 def test_statistical_k1_matches_single_run_verdict(first, second):
     aggregated = statistical_evaluate(scripted_pair([first], [second]),
-                                      median_relation(1), case_for(None), 1)
+                                      median_relation(1), case_for(None))
     plain = evaluate_pair(scripted_pair([first], [second], false_alarms=False),
                           IntramorphicRelation("le", lambda o, v: o <= v),
                           case_for(None))
@@ -211,24 +220,25 @@ def test_statistical_k1_matches_single_run_verdict(first, second):
 
 
 def test_statistical_rejects_even_k():
-    pair = scripted_pair([1.0], [2.0])
-    with pytest.raises(ConfigurationError):
-        statistical_evaluate(pair, median_relation(3), case_for(None), 4)
+    # k lives in the relation's config, which refuses an even value, so no
+    # statistical evaluation can run with one
+    with pytest.raises(ConfigurationError,
+                       match="statistical repetitions must be a positive odd integer, got 4"):
+        median_relation(4)
 
 
 def test_statistical_requires_config():
     pair = scripted_pair([1.0], [2.0])
     with pytest.raises(ConfigurationError):
         statistical_evaluate(pair, IntramorphicRelation("le", lambda o, v: o <= v),
-                             case_for(None), 3)
+                             case_for(None))
 
 
 def test_statistical_config_validates_repetitions():
-    with pytest.raises(ConfigurationError):
-        StatisticalConfig(repetitions=2, summary=float, compare=lambda a, b: a <= b)
-    with pytest.raises(ConfigurationError):
-        StatisticalConfig(repetitions=3, summary=float, compare=lambda a, b: a <= b,
-                          aggregator="mean")
+    for repetitions in (2, 0, -1):
+        with pytest.raises(ConfigurationError):
+            StatisticalConfig(repetitions=repetitions, summary=float,
+                              compare=lambda a, b: a <= b)
 
 
 def test_mismatched_statistical_config_is_rejected():

@@ -1,20 +1,36 @@
 """Generator determinism, range discipline, and shrink well-foundedness."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intramorph.cases.ast_printing import Constant, Operation, Variable, node_count
 from intramorph.cases.knapsack import KnapsackInstance, KnapsackItem
-from intramorph.core import InputCase, Provenance
+from intramorph.core import Provenance
 from intramorph.generators import (ArrayConfig, DEFAULT_CONFIG, KnapsackConfig,
-                                   TreeConfig, array_measure, knapsack_measure,
-                                   random_array, random_knapsack_instance, random_tree,
-                                   shrink, shrink_array, shrink_knapsack, shrink_tree,
-                                   tree_measure)
+                                   TreeConfig, random_array, random_knapsack_instance,
+                                   random_tree, shrink_array, shrink_knapsack,
+                                   shrink_payload, shrink_tree)
+from intramorph.harness import CampaignConfig, run_campaign
+from intramorph.registry import get_campaign
 from intramorph.seeds import SeededSource
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+# size measures each shrinker must strictly decrease
+def array_measure(payload):
+    return len(payload), sum(abs(v) for v in payload)
+
+
+def tree_measure(payload):
+    return node_count(payload)
+
+
+def knapsack_measure(payload):
+    return len(payload.items), payload.capacity
 
 
 # --- arrays -----------------------------------------------------------------
@@ -211,14 +227,32 @@ def test_shrink_chains_terminate(seed):
 
 
 def test_shrink_preserves_provenance():
-    case = InputCase((3, 1, 2), Provenance(seed=9, iteration=4))
-    for candidate in shrink(case):
-        assert candidate.provenance == case.provenance
+    # every candidate the harness evaluates while shrinking keeps the
+    # violating input's provenance, so embedded randomness stays fixed
+    campaign = get_campaign("sorting-metamorphic")
+    seen = []
+
+    def build_evaluator(*args):
+        evaluate = campaign.build_evaluator(*args)
+
+        def recording(case):
+            seen.append(case.provenance)
+            return evaluate(case)
+
+        return recording
+
+    recorded = dataclasses.replace(campaign, build_evaluator=build_evaluator)
+    report = run_campaign(CampaignConfig(campaign=campaign.name, seed=9, iterations=100,
+                                         mutant="swap-index-i"),
+                          registry={campaign.name: recorded})
+    violating = Provenance(9, report.first_violation_iteration)
+    shrink_evaluations = seen[report.first_violation_iteration:]
+    assert shrink_evaluations
+    assert all(provenance == violating for provenance in shrink_evaluations)
 
 
 def test_shrink_unknown_payload_kind_has_no_candidates():
-    case = InputCase(object(), Provenance(seed=1, iteration=1))
-    assert shrink(case) == []
+    assert shrink_payload(object()) == []
 
 
 @given(seeds)

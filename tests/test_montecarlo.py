@@ -7,17 +7,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intramorph.cases.montecarlo import (SampleBudgetPair, convergence_relation,
-                                         error_from_pi, make_convergence_relation,
+from intramorph.cases.montecarlo import (SampleBudgetPair, error_from_pi,
+                                         make_convergence_relation, make_estimator_pair,
                                          pi_approximation,
                                          pi_boundary_strict, pi_one_coordinate,
                                          pi_wrong_scale)
-from intramorph.core import ConfigurationError, RelationStatus, UnknownMutantError
+from intramorph.core import (ConfigurationError, InputCase, Provenance, RelationStatus,
+                             UnknownMutantError, evaluate_pair)
 from intramorph.harness import CampaignConfig, run_campaign
 from intramorph.registry import get_campaign
 from intramorph.seeds import SeededSource
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+def convergence_relation(budgets, source, repetitions):
+    """One median-of-k convergence check, with entropy drawn from ``source``."""
+    pair = make_estimator_pair(pi_approximation, pi_approximation)
+    relation = make_convergence_relation(repetitions)
+    case = InputCase(budgets, Provenance(seed=source.next_u64(), iteration=0))
+    return evaluate_pair(pair, relation, case)
 
 
 class ZeroSource:

@@ -14,31 +14,36 @@ from intramorph.registry import get_campaign
 arrays = st.lists(st.integers(min_value=0, max_value=9), max_size=8)
 
 
+def sorted_copy(sort_fn, values):
+    """Run an in-place sort on a private copy of ``values``."""
+    return sort_fn(list(values))
+
+
 @given(arrays)
 def test_ascending_sorts_agree_with_builtin(values):
     expected = sorted(values)
-    assert sorting.sorted_copy(sorting.bubble_sort, values) == expected
-    assert sorting.sorted_copy(sorting.insertion_sort, values) == expected
-    assert sorting.sorted_copy(sorting.merge_sort, values) == expected
+    assert sorted_copy(sorting.bubble_sort, values) == expected
+    assert sorted_copy(sorting.insertion_sort, values) == expected
+    assert sorted_copy(sorting.merge_sort, values) == expected
 
 
 @given(arrays)
 def test_descending_twin_agrees_with_builtin(values):
-    assert sorting.sorted_copy(sorting.bubble_sort_reverse, values) == sorted(
+    assert sorted_copy(sorting.bubble_sort_reverse, values) == sorted(
         values, reverse=True)
 
 
 def test_sort_examples():
-    assert sorting.sorted_copy(sorting.bubble_sort, [3, 1, 2]) == [1, 2, 3]
-    assert sorting.sorted_copy(sorting.bubble_sort, []) == []
-    assert sorting.sorted_copy(sorting.bubble_sort, [5, 5, 1]) == [1, 5, 5]
-    assert sorting.sorted_copy(sorting.bubble_sort_reverse, [3, 1, 2]) == [3, 2, 1]
-    assert sorting.sorted_copy(sorting.bubble_sort_reverse, [2, 2]) == [2, 2]
+    assert sorted_copy(sorting.bubble_sort, [3, 1, 2]) == [1, 2, 3]
+    assert sorted_copy(sorting.bubble_sort, []) == []
+    assert sorted_copy(sorting.bubble_sort, [5, 5, 1]) == [1, 5, 5]
+    assert sorted_copy(sorting.bubble_sort_reverse, [3, 1, 2]) == [3, 2, 1]
+    assert sorted_copy(sorting.bubble_sort_reverse, [2, 2]) == [2, 2]
 
 
 def test_sorted_copy_leaves_input_alone():
     values = [3, 1, 2]
-    sorting.sorted_copy(sorting.bubble_sort, values)
+    sorted_copy(sorting.bubble_sort, values)
     assert values == [3, 1, 2]
 
 
@@ -50,18 +55,18 @@ def test_reverse_relation_examples():
 
 @given(arrays)
 def test_reverse_relation_links_the_two_sorts(values):
-    ascending = sorting.sorted_copy(sorting.bubble_sort, values)
-    descending = sorting.sorted_copy(sorting.bubble_sort_reverse, values)
+    ascending = sorted_copy(sorting.bubble_sort, values)
+    descending = sorted_copy(sorting.bubble_sort_reverse, values)
     assert sorting.reverse_relation(ascending, descending)
 
 
 def test_swap_index_bug_known_output():
-    assert sorting.sorted_copy(sorting.bubble_sort_swap_index, [3, 1, 2]) == [1, 2, 1]
+    assert sorted_copy(sorting.bubble_sort_swap_index, [3, 1, 2]) == [1, 2, 1]
 
 
 def test_swap_index_bug_silent_on_sorted_input():
     # no swap fires, so the bad index is never read
-    assert sorting.sorted_copy(sorting.bubble_sort_swap_index, [1, 2, 3]) == [1, 2, 3]
+    assert sorted_copy(sorting.bubble_sort_swap_index, [1, 2, 3]) == [1, 2, 3]
 
 
 def test_swap_index_bug_needs_three_elements():
@@ -69,10 +74,10 @@ def test_swap_index_bug_needs_three_elements():
     # with the right one, so the minimal trigger has exactly three elements
     for length in (0, 1, 2):
         for values in itertools.product(range(3), repeat=length):
-            assert sorting.sorted_copy(sorting.bubble_sort_swap_index,
+            assert sorted_copy(sorting.bubble_sort_swap_index,
                                        list(values)) == sorted(values)
     triggers = [values for values in itertools.product(range(3), repeat=3)
-                if sorting.sorted_copy(sorting.bubble_sort_swap_index,
+                if sorted_copy(sorting.bubble_sort_swap_index,
                                        list(values)) != sorted(values)]
     assert triggers, "no length-3 array triggers the bug"
 
@@ -80,8 +85,8 @@ def test_swap_index_bug_needs_three_elements():
 def test_doubly_buggy_pair_behavior_determined_by_execution():
     # with both sides carrying the index bug the outputs still break the
     # reverse relation; the exact values come from running the code
-    buggy_ascending = sorting.sorted_copy(sorting.bubble_sort_swap_index, [3, 1, 2])
-    buggy_descending = sorting.sorted_copy(sorting.bubble_sort_reverse_swap_index,
+    buggy_ascending = sorted_copy(sorting.bubble_sort_swap_index, [3, 1, 2])
+    buggy_descending = sorted_copy(sorting.bubble_sort_reverse_swap_index,
                                            [3, 1, 2])
     assert buggy_ascending == [1, 2, 1]
     assert buggy_descending == [3, 2, 3]
@@ -90,7 +95,7 @@ def test_doubly_buggy_pair_behavior_determined_by_execution():
 
 @given(arrays)
 def test_not_flipped_twin_sorts_ascending(values):
-    assert sorting.sorted_copy(sorting.bubble_sort_reverse_not_flipped,
+    assert sorted_copy(sorting.bubble_sort_reverse_not_flipped,
                                values) == sorted(values)
 
 
