@@ -46,8 +46,15 @@ class Campaign:
     ``oracle_style`` is one of unit / differential / metamorphic /
     intramorphic; intramorphic campaigns must carry a transformation
     descriptor, and a campaign is stochastic exactly when that descriptor
-    admits false alarms. ``components`` names the programs the oracle runs,
-    with their default implementations; mutants may replace only these.
+    admits false alarms.
+
+    ``components()`` maps the name of each program the oracle runs to its
+    default implementation; mutants may replace only these. It is called
+    each time an evaluator is built, so a program patched into its module
+    after the registry was built is the one that runs. ``build_evaluator``
+    is bound to the campaign it was built for: a copy made with
+    ``dataclasses.replace`` keeps it, so new ``components`` or ``mutants``
+    on the copy do not change what the copy's evaluators run.
     """
 
     name: str
@@ -57,7 +64,7 @@ class Campaign:
     build_evaluator: EvaluatorFactory
     render_payload: Callable[[Any], str]
     shrink_payload: Callable[[Any], list]
-    components: Mapping[str, Callable]
+    components: Callable[[], Mapping[str, Callable]]
     render_output: Callable[[Any], str] = str
     descriptor: Optional[TransformationDescriptor] = None
     mutants: tuple[Mutant, ...] = ()
@@ -67,12 +74,12 @@ class Campaign:
         names = [mutant.name for mutant in self.mutants]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate mutant names in campaign {self.name}: {names}")
+        declared = set(self.components())
         for mutant in self.mutants:
-            unknown = sorted(set(mutant.replaces) - set(self.components))
-            if not mutant.replaces or unknown:
+            if not mutant.replaces or not set(mutant.replaces) <= declared:
                 raise ValueError(
                     f"mutant {mutant.name!r} of campaign {self.name} must replace some of "
-                    f"the components {sorted(self.components)}, got {sorted(mutant.replaces)}")
+                    f"the components {sorted(declared)}, got {sorted(mutant.replaces)}")
         if self.oracle_style == "intramorphic" and self.descriptor is None:
             raise ValueError(f"campaign {self.name} is intramorphic but has no descriptor")
         if self.stochastic and self.default_repetitions is None:
@@ -92,7 +99,7 @@ class Campaign:
 
     def programs(self, mutant: Optional[str]) -> dict[str, Callable]:
         """The default components with the named mutant's replacements laid over."""
-        programs = dict(self.components)
+        programs = dict(self.components())
         if mutant is not None:
             programs.update(self.mutant(mutant).replaces)
         return programs

@@ -114,4 +114,3 @@ def make_convergence_relation(repetitions: int) -> IntramorphicRelation:
         statistical=StatisticalConfig(repetitions=repetitions, summary=error_from_pi,
                                       compare=operator.ge),
     )
-

@@ -177,4 +177,3 @@ def shrink_payload(payload: Any) -> list[Any]:
     if isinstance(payload, KnapsackInstance):
         return shrink_knapsack(payload)
     return []
-

@@ -133,18 +133,18 @@ def _knapsack_check(greedy_solution, exhaustive_solution) -> bool:
 
 def _campaign_table() -> tuple[Campaign, ...]:
     """The eight campaigns. Case-study functions are read from their modules
-    here, when the registry is built, not when this module is imported."""
+    when the registry is built (mutant programs) or an evaluator is built
+    (default components), never when this module is imported."""
     swap_index = Mutant("swap-index-i",
                         "ascending sort's swap reads the outer index i instead of j",
                         {"ascending": sorting.bubble_sort_swap_index})
     array_fields = dict(case_study="sorting",
                         generate=lambda src: random_array(src, DEFAULT_CONFIG.array),
                         render_payload=_render_array, shrink_payload=shrink_payload)
-    estimator = montecarlo.pi_approximation
     return (
         _campaign(
             _unit_oracle, name="sorting-unit", case_study="sorting", oracle_style="unit",
-            components={"ascending": sorting.bubble_sort},
+            components=lambda: {"ascending": sorting.bubble_sort},
             generate=lambda src: UNIT_CASE,   # a unit test re-checks its fixed case
             render_payload=lambda case: (f"sort({list(case.values)}) "
                                          f"== {list(case.expected)}"),
@@ -152,20 +152,20 @@ def _campaign_table() -> tuple[Campaign, ...]:
             mutants=(swap_index,)),
         _campaign(
             _differential_oracle, name="sorting-differential", oracle_style="differential",
-            components={"ascending": sorting.bubble_sort, "merge": sorting.merge_sort,
-                        "insertion": sorting.insertion_sort},
+            components=lambda: {"ascending": sorting.bubble_sort, "merge": sorting.merge_sort,
+                                "insertion": sorting.insertion_sort},
             mutants=(swap_index,), **array_fields),
         _campaign(
             _metamorphic_oracle, name="sorting-metamorphic", oracle_style="metamorphic",
-            components={"ascending": sorting.bubble_sort},
+            components=lambda: {"ascending": sorting.bubble_sort},
             mutants=(swap_index,), **array_fields),
         _campaign(
             _pair_oracle(SORTING_REVERSE_DESCRIPTOR,
                          IntramorphicRelation("reverse-order", sorting.reverse_relation),
                          _sorts("ascending"), _sorts("descending")),
             name="sorting-intramorphic", oracle_style="intramorphic",
-            components={"ascending": sorting.bubble_sort,
-                        "descending": sorting.bubble_sort_reverse},
+            components=lambda: {"ascending": sorting.bubble_sort,
+                                "descending": sorting.bubble_sort_reverse},
             descriptor=SORTING_REVERSE_DESCRIPTOR,
             mutants=(
                 swap_index,
@@ -183,7 +183,7 @@ def _campaign_table() -> tuple[Campaign, ...]:
             _pair_oracle(SORTING_EQUIVALENCE_DESCRIPTOR, equivalence_relation(),
                          _sorts("ascending"), _sorts("merge")),
             name="sorting-equivalence", oracle_style="intramorphic",
-            components={"ascending": sorting.bubble_sort, "merge": sorting.merge_sort},
+            components=lambda: {"ascending": sorting.bubble_sort, "merge": sorting.merge_sort},
             descriptor=SORTING_EQUIVALENCE_DESCRIPTOR,
             mutants=(swap_index,), **array_fields),
         _campaign(
@@ -193,9 +193,9 @@ def _campaign_table() -> tuple[Campaign, ...]:
                     ast_printing.token_texts_match(infix_text, pp[0], pp[1]))),
                 _applies("infix"), _prefix_and_postfix),
             name="ast-token-multiset", case_study="ast", oracle_style="intramorphic",
-            components={"infix": ast_printing.as_string_infix,
-                        "prefix": ast_printing.as_string_prefix,
-                        "postfix": ast_printing.as_string_postfix},
+            components=lambda: {"infix": ast_printing.as_string_infix,
+                                "prefix": ast_printing.as_string_prefix,
+                                "postfix": ast_printing.as_string_postfix},
             generate=lambda src: random_tree(src, DEFAULT_CONFIG.tree),
             render_payload=ast_printing.render_tree, shrink_payload=shrink_tree,
             descriptor=AST_DESCRIPTOR,
@@ -215,7 +215,8 @@ def _campaign_table() -> tuple[Campaign, ...]:
             oracle_style="intramorphic",
             # mutants replace the large-budget side only: mutating both sides
             # would shift both error distributions together and mask the bug
-            components={"small": estimator, "large": estimator},
+            components=lambda: {"small": montecarlo.pi_approximation,
+                                "large": montecarlo.pi_approximation},
             generate=lambda src: DEFAULT_BUDGETS,   # entropy comes from provenance
             render_payload=lambda budgets: (f"n_small={budgets.n_small}, "
                                             f"n_large={budgets.n_large}"),
@@ -238,8 +239,8 @@ def _campaign_table() -> tuple[Campaign, ...]:
                 IntramorphicRelation("replacement-at-least-as-good", _knapsack_check),
                 _applies("greedy"), _applies("exhaustive")),
             name="knapsack-optimality", case_study="knapsack", oracle_style="intramorphic",
-            components={"greedy": knapsack.knapsack_greedy,
-                        "exhaustive": knapsack.knapsack_exhaustive},
+            components=lambda: {"greedy": knapsack.knapsack_greedy,
+                                "exhaustive": knapsack.knapsack_exhaustive},
             generate=lambda src: random_knapsack_instance(src, DEFAULT_CONFIG.knapsack),
             render_payload=knapsack.render_instance, shrink_payload=shrink_knapsack,
             render_output=knapsack.render_solution, descriptor=KNAPSACK_DESCRIPTOR,

@@ -174,11 +174,3 @@ def test_montecarlo_counterexample_input_does_not_name_a_k(capsys):
     document = json.loads(out)
     assert document["statistical_repetitions"] == 3
     assert document["counterexample"]["input"] == "n_small=10, n_large=100000"
-
-
-def test_even_k_exits_2_with_the_odd_k_message(capsys):
-    code, out, err = run_cli(capsys, "run", "--campaign", "montecarlo-convergence",
-                             "--seed", "1", "--iterations", "1", "--k", "4")
-    assert code == 2
-    assert out == ""
-    assert "statistical repetitions must be a positive odd integer, got 4" in err

@@ -73,7 +73,8 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         run_campaign(CampaignConfig(campaign="sorting-intramorphic", seed=1,
                                     iterations=1, statistical_repetitions=3))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError,
+                       match="statistical repetitions must be a positive odd integer, got 4"):
         run_campaign(CampaignConfig(campaign="montecarlo-convergence", seed=1,
                                     iterations=1, statistical_repetitions=4))
 

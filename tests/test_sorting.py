@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from intramorph.cases import sorting
-from intramorph.core import UnknownMutantError
+from intramorph.core import InputCase, Provenance, UnknownMutantError
 from intramorph.harness import CampaignConfig, run_campaign
 from intramorph.registry import get_campaign
 
@@ -42,9 +42,13 @@ def test_sort_examples():
 
 
 def test_sorted_copy_leaves_input_alone():
-    values = [3, 1, 2]
-    sorted_copy(sorting.bubble_sort, values)
-    assert values == [3, 1, 2]
+    # every sorting campaign sorts private copies, even of a mutable payload
+    for name in ("sorting-differential", "sorting-metamorphic", "sorting-intramorphic",
+                 "sorting-equivalence"):
+        values = [3, 1, 2]
+        get_campaign(name).build_evaluator(None, None, 5.0)(
+            InputCase(values, Provenance(1, 1)))
+        assert values == [3, 1, 2], name
 
 
 def test_reverse_relation_examples():
