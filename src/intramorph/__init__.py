@@ -10,8 +10,7 @@ from .core import (ApplicationMode, Automation, BudgetExceededError, Configurati
                    Granularity, InputCase, IntramorphicRelation, IntramorphError,
                    ProgramPair, Provenance, RelationOutcome, RelationStatus,
                    StatisticalConfig, TransformationDescriptor, UnknownCampaignError,
-                   UnknownMutantError, equivalence_relation, evaluate_pair,
-                   statistical_evaluate)
+                   UnknownMutantError, equivalence_relation, evaluate_pair)
 from .generators import (ArrayConfig, GeneratorConfig, KnapsackConfig, TreeConfig,
                          random_array, random_knapsack_instance, random_tree)
 from .harness import (CampaignConfig, CampaignReport, Counterexample, MatrixCell,
@@ -30,5 +29,5 @@ __all__ = [
     "derive_seed", "differential_oracle", "equivalence_relation", "evaluate_pair",
     "get_campaign", "metamorphic_removal_oracle", "random_array",
     "random_knapsack_instance", "random_tree", "run_campaign", "run_detection_matrix",
-    "statistical_evaluate", "unit_oracle",
+    "unit_oracle",
 ]

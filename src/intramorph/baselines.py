@@ -1,7 +1,8 @@
 """Black-box comparison oracles: unit, differential, and metamorphic removal.
 
 These are the standard alternatives the harness runs side by side with the
-program-pair oracles, packaged to return the same outcome type.
+program-pair oracles. They return the same outcome type and raise when a
+sort fails; the registry guards them like every other oracle.
 """
 
 from __future__ import annotations
@@ -13,6 +14,14 @@ from .core import RelationOutcome, RelationStatus
 from .seeds import SeededSource
 
 SortFunction = Callable[[list], list]
+
+
+def _sort_copy(sort_fn: SortFunction, values: Sequence[int]) -> list:
+    """Sorts a private copy; a sort that returns no list failed, not answered."""
+    output = sort_fn(list(values))
+    if not isinstance(output, list):
+        raise TypeError(f"sort returned {type(output).__name__}, not a list")
+    return output
 
 
 @dataclass(frozen=True)
@@ -31,10 +40,7 @@ class UnitCase:
 def unit_oracle(sort_fn: SortFunction, case: UnitCase) -> RelationOutcome:
     """Holds iff sorting a copy of the input yields the expected array."""
     expected = list(case.expected)
-    try:
-        actual = sort_fn(list(case.values))
-    except Exception as exc:
-        return RelationOutcome.execution_error(f"{type(exc).__name__}: {exc}")
+    actual = _sort_copy(sort_fn, case.values)
     return RelationOutcome.from_check(actual == expected, expected, actual)
 
 
@@ -43,12 +49,7 @@ def differential_oracle(algorithms: Sequence[SortFunction], values: Sequence[int
     """Holds iff every algorithm's output equals the first algorithm's output."""
     if not algorithms:
         raise ValueError("differential oracle needs at least one algorithm")
-    outputs = []
-    for algorithm in algorithms:
-        try:
-            outputs.append(algorithm(list(values)))
-        except Exception as exc:
-            return RelationOutcome.execution_error(f"{type(exc).__name__}: {exc}")
+    outputs = [_sort_copy(algorithm, values) for algorithm in algorithms]
     all_same = all(output == outputs[0] for output in outputs)
     status = RelationStatus.HOLDS if all_same else RelationStatus.VIOLATED
     return RelationOutcome(status, outputs[0], outputs)
@@ -66,14 +67,11 @@ def metamorphic_removal_oracle(sort_fn: SortFunction, values: Sequence[int],
     """
     if len(values) < 1:
         raise ValueError("removal relation needs a non-empty array")
-    try:
-        sorted_full = sort_fn(list(values))
-        chosen = sorted_full[picker.below(len(sorted_full))]
-        reduced_input = list(values)
-        reduced_input.remove(chosen)
-        expected = list(sorted_full)
-        expected.remove(chosen)
-        actual = sort_fn(reduced_input)
-    except Exception as exc:
-        return RelationOutcome.execution_error(f"{type(exc).__name__}: {exc}")
+    sorted_full = _sort_copy(sort_fn, values)
+    chosen = sorted_full[picker.below(len(sorted_full))]
+    reduced_input = list(values)
+    reduced_input.remove(chosen)
+    expected = list(sorted_full)
+    expected.remove(chosen)
+    actual = _sort_copy(sort_fn, reduced_input)
     return RelationOutcome.from_check(actual == expected, expected, actual)

@@ -183,119 +183,120 @@ def picker_source(provenance: Provenance) -> SeededSource:
     return SeededSource(derive_seed(provenance.seed, provenance.iteration, _SALT_PICKER))
 
 
-class _BudgetExpired(Exception):
-    pass
+class _BudgetExpired(BaseException):
+    """Raised on overrun; not an Exception, so no program can swallow it."""
 
 
-def _call_with_budget(fn: Callable[..., Any], args: tuple, budget: Optional[float]) -> Any:
-    """Run fn(*args), raising _BudgetExpired if it exceeds the wall-clock budget.
+class _ProgramFailed(Exception):
+    """A program raised or overran; carries its side, chains the cause."""
 
-    Uses an interval timer on the main thread (cheap per call); off the main
-    thread it falls back to a daemon worker joined with a timeout. A timed-out
-    worker cannot be killed, only abandoned.
+
+def _on_alarm(signum, frame):
+    raise _BudgetExpired()
+
+
+def _describe(exc: BaseException, budget: Optional[float]) -> str:
+    if isinstance(exc, _ProgramFailed):
+        return f"{exc}: {_describe(exc.__cause__, budget)}"
+    if isinstance(exc, _BudgetExpired):
+        return f"execution budget of {budget}s exceeded"
+    return f"{type(exc).__name__}: {exc}"
+
+
+def guarded_evaluation(body: Callable[[InputCase], RelationOutcome], case: InputCase,
+                       budget: Optional[float]) -> RelationOutcome:
+    """The one evaluation path: run ``body(case)`` under one wall-clock budget.
+
+    The budget covers the whole body: every program call and trial, the
+    relation and any summary. An overrun, or anything the body raises,
+    becomes EXECUTION_ERROR with a detail, prefixed with the side for a
+    program's failure. Off the main thread, where no interval timer can be
+    used, the body runs in a daemon worker that can be abandoned, not killed.
     """
-    if budget is None:
-        return fn(*args)
-
-    if threading.current_thread() is threading.main_thread():
-        def _on_alarm(signum, frame):
-            raise _BudgetExpired()
-
-        previous = signal.signal(signal.SIGALRM, _on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, budget)
-        try:
-            return fn(*args)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
-
-    box: dict = {}
-
-    def _worker():
-        try:
-            box["value"] = fn(*args)
-        except BaseException as exc:  # propagated to the caller below
-            box["error"] = exc
-
-    worker = threading.Thread(target=_worker, daemon=True)
-    worker.start()
-    worker.join(budget)
-    if worker.is_alive():
-        raise _BudgetExpired()
-    if "error" in box:
-        raise box["error"]
-    return box["value"]
-
-
-def _run_program(fn: Callable, payload: Any, source: SeededSource,
-                 budget: Optional[float]) -> tuple[bool, Any]:
-    """Returns (True, output) or (False, error detail)."""
     try:
-        return True, _call_with_budget(fn, (payload, source), budget)
-    except _BudgetExpired:
-        return False, f"execution budget of {budget}s exceeded"
-    except Exception as exc:
-        return False, f"{type(exc).__name__}: {exc}"
+        if budget is None:
+            return body(case)
+        if threading.current_thread() is threading.main_thread():
+            previous = signal.signal(signal.SIGALRM, _on_alarm)
+            try:
+                signal.setitimer(signal.ITIMER_REAL, budget)
+                return body(case)
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0.0)
+                signal.signal(signal.SIGALRM, previous)
+
+        box: dict = {}
+
+        def _worker():
+            try:
+                box["value"] = body(case)
+            except BaseException as exc:  # re-raised on the caller's thread below
+                box["error"] = exc
+
+        worker = threading.Thread(target=_worker, daemon=True)
+        worker.start()
+        worker.join(budget)
+        if worker.is_alive():
+            raise _BudgetExpired()
+        if "error" in box:
+            raise box["error"]
+        return box["value"]
+    except (Exception, _BudgetExpired) as exc:
+        return RelationOutcome.execution_error(_describe(exc, budget))
 
 
-def evaluate_pair(pair: ProgramPair, relation: IntramorphicRelation, case: InputCase,
-                  *, budget: Optional[float] = DEFAULT_BUDGET_SECONDS) -> RelationOutcome:
-    """Run both programs on the input and judge the relation between the outputs.
+def _run_program(side: str, fn: Callable, payload: Any, source: SeededSource) -> Any:
+    """fn(payload, source), with a failure labelled by its side."""
+    try:
+        return fn(payload, source)
+    except (Exception, _BudgetExpired) as exc:
+        raise _ProgramFailed(side) from exc
 
-    Each side receives its own source derived from the case's provenance, so
-    the outcome is a pure function of (pair, relation, case). A relation with
-    a statistical config is aggregated median-of-k; a crash or budget overrun
-    on either side yields EXECUTION_ERROR rather than an exception.
-    """
+
+def pair_evaluation(pair: ProgramPair, relation: IntramorphicRelation
+                    ) -> Callable[[InputCase], RelationOutcome]:
+    """The unguarded body that runs both programs on a case and judges the
+    relation, median-of-k if it has a statistical config. Each side draws
+    from its own source derived from the case's provenance, so the outcome
+    is a pure function of (pair, relation, case)."""
     if (relation.statistical is not None) != pair.descriptor.false_alarm_possible:
         raise ConfigurationError(
             "statistical config must be present exactly when the descriptor "
             "declares false alarms possible")
     if relation.statistical is None:
-        return _evaluate_single(pair, relation, case, budget)
-    return statistical_evaluate(pair, relation, case, budget=budget)
+        return lambda case: _evaluate_single(pair, relation, case)
+    return lambda case: _evaluate_statistical(pair, relation.statistical, case)
 
 
-def _evaluate_single(pair: ProgramPair, relation: IntramorphicRelation, case: InputCase,
-                     budget: Optional[float]) -> RelationOutcome:
-    ok, original_out = _run_program(pair.original, case.payload,
-                                    original_source(case.provenance, 0), budget)
-    if not ok:
-        return RelationOutcome.execution_error(f"original: {original_out}")
-    ok, variant_out = _run_program(pair.variant, case.payload,
-                                   variant_source(case.provenance, 0), budget)
-    if not ok:
-        return RelationOutcome.execution_error(f"variant: {variant_out}")
+def evaluate_pair(pair: ProgramPair, relation: IntramorphicRelation, case: InputCase,
+                  *, budget: Optional[float] = DEFAULT_BUDGET_SECONDS) -> RelationOutcome:
+    """Judge the relation on one case through the guarded evaluation path."""
+    return guarded_evaluation(pair_evaluation(pair, relation), case, budget)
+
+
+def _evaluate_single(pair: ProgramPair, relation: IntramorphicRelation,
+                     case: InputCase) -> RelationOutcome:
+    original_out = _run_program("original", pair.original, case.payload,
+                                original_source(case.provenance, 0))
+    variant_out = _run_program("variant", pair.variant, case.payload,
+                               variant_source(case.provenance, 0))
     return RelationOutcome.from_check(relation.check(original_out, variant_out),
                                       original_out, variant_out)
 
 
-def statistical_evaluate(pair: ProgramPair, relation: IntramorphicRelation, case: InputCase,
-                         *, budget: Optional[float] = DEFAULT_BUDGET_SECONDS) -> RelationOutcome:
-    """Median-of-k evaluation: each side runs k times on derived sub-sources,
-    k being the relation's ``statistical.repetitions``.
-
-    The outcome's outputs are the two median summaries (they are what the
-    comparison was applied to). With k=1 the verdict coincides with the
-    plain single-run evaluation.
-    """
-    config = relation.statistical
-    if config is None:
-        raise ConfigurationError(
-            f"relation {relation.name!r} has no statistical config")
-
+def _evaluate_statistical(pair: ProgramPair, config: StatisticalConfig,
+                          case: InputCase) -> RelationOutcome:
+    """Median-of-k: each side runs k times on derived sub-sources. The
+    outcome's outputs are the two median summaries, which the comparison was
+    applied to; with k=1 the verdict coincides with the single-run one."""
     original_summaries = []
     variant_summaries = []
     for trial in range(config.repetitions):
-        ok, out = _run_program(pair.original, case.payload,
-                               original_source(case.provenance, trial), budget)
-        if not ok:
-            return RelationOutcome.execution_error(f"original trial {trial}: {out}")
+        out = _run_program(f"original trial {trial}", pair.original, case.payload,
+                           original_source(case.provenance, trial))
         original_summaries.append(config.summary(out))
-        ok, out = _run_program(pair.variant, case.payload,
-                               variant_source(case.provenance, trial), budget)
-        if not ok:
-            return RelationOutcome.execution_error(f"variant trial {trial}: {out}")
+        out = _run_program(f"variant trial {trial}", pair.variant, case.payload,
+                           variant_source(case.provenance, trial))
         variant_summaries.append(config.summary(out))
 
     original_median = statistics.median(original_summaries)

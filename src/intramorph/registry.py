@@ -4,7 +4,7 @@ Each campaign is one row of a declarative table: its default components,
 an oracle over the resolved components, a generator, renderers, a shrinker
 and the mutant catalog. Every mutant is one record naming the components it
 replaces and the buggy programs it puts in their place, so every campaign
-shares one evaluator builder.
+shares one evaluator builder, which guards every evaluation.
 """
 
 from __future__ import annotations
@@ -17,13 +17,13 @@ from .campaign import Campaign, Evaluator, Mutant
 from .cases import ast_printing, knapsack, montecarlo, sorting
 from .core import (ApplicationMode, Automation, Granularity, IntramorphicRelation,
                    ProgramPair, RelationOutcome, TransformationDescriptor,
-                   UnknownCampaignError, equivalence_relation, evaluate_pair,
-                   picker_source)
+                   UnknownCampaignError, equivalence_relation, guarded_evaluation,
+                   pair_evaluation, picker_source)
 from .generators import (DEFAULT_CONFIG, random_array, random_knapsack_instance,
                          random_tree, shrink_knapsack, shrink_payload, shrink_tree)
 
-# oracle(programs, statistical_repetitions, budget_seconds) -> evaluator
-Oracle = Callable[[Mapping[str, Callable], Optional[int], Optional[float]], Evaluator]
+# oracle(programs, statistical_repetitions) -> unguarded evaluation body
+Oracle = Callable[[Mapping[str, Callable], Optional[int]], Evaluator]
 Side = Callable[[Mapping[str, Callable]], Callable]
 
 UNIT_CASE = UnitCase(values=(3, 1, 2), expected=(1, 2, 3))
@@ -48,11 +48,12 @@ DEFAULT_BUDGETS = montecarlo.SampleBudgetPair()
 def _campaign(oracle: Oracle, **fields) -> Campaign:
     """One table row as a Campaign. Its evaluator builder, the same for every
     campaign, lays the mutant's replacements over the default components and
-    hands them to the row's oracle."""
+    guards every evaluation of the body the row's oracle returns for them."""
     def build_evaluator(mutant, repetitions, budget):
         if repetitions is None:
             repetitions = campaign.default_repetitions
-        return oracle(campaign.programs(mutant), repetitions, budget)
+        body = oracle(campaign.programs(mutant), repetitions)
+        return lambda case: guarded_evaluation(body, case, budget)
 
     campaign = Campaign(build_evaluator=build_evaluator, **fields)
     return campaign
@@ -62,9 +63,9 @@ def _pair_oracle(descriptor: TransformationDescriptor, relation: IntramorphicRel
                  original: Side, variant: Side) -> Oracle:
     """Oracle for a program pair; ``original`` and ``variant`` turn the
     resolved components into the two (payload, source) programs."""
-    def oracle(programs, repetitions, budget):
-        pair = ProgramPair(original(programs), variant(programs), descriptor)
-        return lambda case: evaluate_pair(pair, relation, case, budget=budget)
+    def oracle(programs, repetitions):
+        return pair_evaluation(
+            ProgramPair(original(programs), variant(programs), descriptor), relation)
 
     return oracle
 
@@ -92,17 +93,17 @@ def _prefix_and_postfix(programs):
     return lambda tree, src: (prefix(tree), postfix(tree))
 
 
-def _unit_oracle(programs, repetitions, budget):
+def _unit_oracle(programs, repetitions):
     sort_fn = programs["ascending"]
     return lambda case: unit_oracle(sort_fn, case.payload)
 
 
-def _differential_oracle(programs, repetitions, budget):
+def _differential_oracle(programs, repetitions):
     algorithms = [programs["ascending"], programs["merge"], programs["insertion"]]
     return lambda case: differential_oracle(algorithms, case.payload)
 
 
-def _metamorphic_oracle(programs, repetitions, budget):
+def _metamorphic_oracle(programs, repetitions):
     sort_fn = programs["ascending"]
 
     def evaluate(case):
@@ -115,10 +116,9 @@ def _metamorphic_oracle(programs, repetitions, budget):
     return evaluate
 
 
-def _convergence_oracle(programs, repetitions, budget):
-    pair = montecarlo.make_estimator_pair(programs["small"], programs["large"])
-    relation = montecarlo.make_convergence_relation(repetitions)
-    return lambda case: evaluate_pair(pair, relation, case, budget=budget)
+def _convergence_oracle(programs, repetitions):
+    return pair_evaluation(montecarlo.make_estimator_pair(programs["small"], programs["large"]),
+                           montecarlo.make_convergence_relation(repetitions))
 
 
 def _render_array(payload) -> str:

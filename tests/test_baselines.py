@@ -1,5 +1,7 @@
 """Unit, differential, and metamorphic oracles against correct and buggy sorts."""
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 from intramorph.baselines import (UnitCase, differential_oracle,
                                   metamorphic_removal_oracle, unit_oracle)
 from intramorph.cases import sorting
-from intramorph.core import RelationStatus
+from intramorph.core import InputCase, Provenance, RelationStatus, guarded_evaluation
+from intramorph.registry import UNIT_CASE, get_campaign
 from intramorph.seeds import SeededSource
 
 arrays = st.lists(st.integers(min_value=0, max_value=9), max_size=8)
@@ -49,9 +52,27 @@ def test_unit_oracle_reports_crash():
     def broken(arr):
         raise IndexError("off the end")
 
-    outcome = unit_oracle(broken, HANDWRITTEN_CASE)
+    outcome = guarded_evaluation(lambda case: unit_oracle(broken, case.payload),
+                                 InputCase(HANDWRITTEN_CASE, Provenance(0, 1)), None)
     assert outcome.status is RelationStatus.EXECUTION_ERROR
     assert "IndexError" in outcome.error_detail
+
+
+@pytest.mark.parametrize("campaign", ["sorting-unit", "sorting-differential",
+                                      "sorting-metamorphic"])
+def test_baseline_evaluation_is_bounded_by_the_budget(campaign, monkeypatch):
+    def sleepy_sort(arr):
+        time.sleep(0.3)
+        return sorted(arr)
+
+    monkeypatch.setattr(sorting, "bubble_sort", sleepy_sort)
+    evaluate = get_campaign(campaign).build_evaluator(None, None, 0.05)
+    payload = UNIT_CASE if campaign == "sorting-unit" else (3, 1, 2)
+    started = time.monotonic()
+    outcome = evaluate(InputCase(payload, Provenance(0, 1)))
+    assert time.monotonic() - started < 0.2
+    assert outcome.status is RelationStatus.EXECUTION_ERROR
+    assert "budget" in outcome.error_detail
 
 
 def test_unit_case_rejects_wrong_expected():

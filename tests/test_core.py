@@ -1,5 +1,6 @@
 """Pair evaluation semantics: verdicts, determinism, budgets, aggregation."""
 
+import signal
 import threading
 import time
 
@@ -8,11 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from intramorph.cases import sorting
+from intramorph.harness import CampaignConfig, run_campaign
 from intramorph.core import (ApplicationMode, Automation, ConfigurationError,
                              Granularity, InputCase, IntramorphicRelation, ProgramPair,
                              Provenance, RelationStatus, StatisticalConfig,
                              TransformationDescriptor, equivalence_relation,
-                             evaluate_pair, statistical_evaluate)
+                             evaluate_pair)
 
 
 def plain_descriptor(false_alarms=False):
@@ -141,7 +143,7 @@ def test_divergence_hits_the_budget_on_main_thread():
     started = time.monotonic()
     outcome = evaluate_pair(pair, equivalence_relation(), case_for((1,)), budget=0.05)
     assert outcome.status is RelationStatus.EXECUTION_ERROR
-    assert "budget" in outcome.error_detail
+    assert outcome.error_detail == "original: execution budget of 0.05s exceeded"
     assert time.monotonic() - started < 2.0
 
 
@@ -163,6 +165,73 @@ def test_divergence_hits_the_budget_off_main_thread():
     worker.start()
     worker.join(10)
     assert box["outcome"].status is RelationStatus.EXECUTION_ERROR
+
+
+def test_relation_failure_becomes_execution_error(monkeypatch):
+    pair = sort_pair(reverse=lambda arr: None)
+    outcome = evaluate_pair(pair, REVERSE, case_for((3, 1, 2)))
+    assert outcome.status is RelationStatus.EXECUTION_ERROR
+    assert outcome.error_detail.startswith("TypeError: ")
+
+    # the same pair inside a campaign: the run completes and counts each error
+    monkeypatch.setattr(sorting, "bubble_sort_reverse", lambda arr: None)
+    report = run_campaign(CampaignConfig(campaign="sorting-intramorphic", seed=3,
+                                         iterations=5))
+    assert (report.execution_errors, report.violations, report.iterations_run) == (5, 0, 5)
+
+
+def sleeping(seconds):
+    def program(payload, src):
+        time.sleep(seconds)
+        return []
+
+    return program
+
+
+def test_budget_covers_both_programs_together():
+    # each side alone fits the budget; the evaluation as a whole does not
+    pair = ProgramPair(original=sleeping(0.03), variant=sleeping(0.03),
+                       descriptor=plain_descriptor())
+    outcome = evaluate_pair(pair, equivalence_relation(), case_for(()), budget=0.05)
+    assert outcome.status is RelationStatus.EXECUTION_ERROR
+    assert "budget" in outcome.error_detail
+
+
+def test_budget_covers_the_relation():
+    def slow_check(original_output, variant_output):
+        time.sleep(5)
+        return True
+
+    slow = IntramorphicRelation("slow", slow_check)
+    started = time.monotonic()
+    outcome = evaluate_pair(sort_pair(), slow, case_for((2, 1)), budget=0.05)
+    assert outcome.status is RelationStatus.EXECUTION_ERROR
+    assert outcome.error_detail == "execution budget of 0.05s exceeded"
+    assert time.monotonic() - started < 2.0
+
+
+def test_guard_restores_the_alarm_handler():
+    before = signal.getsignal(signal.SIGALRM)
+    for budget in (0.05, -1.0):   # setitimer rejects the negative budget
+        evaluate_pair(sort_pair(), REVERSE, case_for((2, 1)), budget=budget)
+        assert signal.getsignal(signal.SIGALRM) is before
+
+
+def test_program_cannot_swallow_the_budget():
+    def stubborn(payload, src):
+        for _ in range(3):
+            try:
+                time.sleep(1)
+            except Exception:
+                pass
+        return []
+
+    pair = ProgramPair(original=stubborn, variant=lambda payload, src: [],
+                       descriptor=plain_descriptor())
+    started = time.monotonic()
+    outcome = evaluate_pair(pair, equivalence_relation(), case_for(()), budget=0.05)
+    assert outcome.error_detail == "original: execution budget of 0.05s exceeded"
+    assert time.monotonic() - started < 0.9
 
 
 # --- statistical aggregation ---------------------------------------------------
@@ -195,24 +264,47 @@ def median_relation(k):
 
 def test_statistical_uses_medians_per_side():
     pair = scripted_pair([1.0, 9.0, 2.0], [5.0, 4.0, 6.0])
-    outcome = statistical_evaluate(pair, median_relation(3), case_for(None))
+    outcome = evaluate_pair(pair, median_relation(3), case_for(None))
     assert outcome.status is RelationStatus.HOLDS
     assert outcome.original_output == 2.0   # median of 1, 9, 2
     assert outcome.variant_output == 5.0    # median of 5, 4, 6
 
 
+def test_statistical_failures_name_the_trial_or_become_errors():
+    def failing_on_second_call():
+        calls = []
+
+        def program(payload, src):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("second trial")
+            return 1.0
+
+        return program
+
+    pair = ProgramPair(original=failing_on_second_call(), variant=Replay([2.0]),
+                       descriptor=plain_descriptor(false_alarms=True))
+    outcome = evaluate_pair(pair, median_relation(3), case_for(None))
+    assert outcome.error_detail == "original trial 1: RuntimeError: second trial"
+
+    # a summary that raises is contained the same way
+    outcome = evaluate_pair(scripted_pair([None], [1.0]), median_relation(3), case_for(None))
+    assert outcome.status is RelationStatus.EXECUTION_ERROR
+    assert outcome.error_detail.startswith("TypeError: ")
+
+
 def test_statistical_violation_carries_medians():
     pair = scripted_pair([9.0, 9.0, 9.0], [1.0, 1.0, 1.0])
     relation = median_relation(3)
-    outcome = statistical_evaluate(pair, relation, case_for(None))
+    outcome = evaluate_pair(pair, relation, case_for(None))
     assert outcome.status is RelationStatus.VIOLATED
     assert recheck_outputs(relation, outcome.original_output, outcome.variant_output) is False
 
 
 @given(st.floats(0, 10), st.floats(0, 10))
 def test_statistical_k1_matches_single_run_verdict(first, second):
-    aggregated = statistical_evaluate(scripted_pair([first], [second]),
-                                      median_relation(1), case_for(None))
+    aggregated = evaluate_pair(scripted_pair([first], [second]),
+                               median_relation(1), case_for(None))
     plain = evaluate_pair(scripted_pair([first], [second], false_alarms=False),
                           IntramorphicRelation("le", lambda o, v: o <= v),
                           case_for(None))
@@ -227,13 +319,6 @@ def test_statistical_rejects_even_k():
         median_relation(4)
 
 
-def test_statistical_requires_config():
-    pair = scripted_pair([1.0], [2.0])
-    with pytest.raises(ConfigurationError):
-        statistical_evaluate(pair, IntramorphicRelation("le", lambda o, v: o <= v),
-                             case_for(None))
-
-
 def test_statistical_config_validates_repetitions():
     for repetitions in (2, 0, -1):
         with pytest.raises(ConfigurationError):
@@ -242,10 +327,14 @@ def test_statistical_config_validates_repetitions():
 
 
 def test_mismatched_statistical_config_is_rejected():
-    # descriptor says false alarms are possible, so a bare relation is an error
+    # descriptor says false alarms are possible, so a bare relation is an
+    # error, and so is a statistical relation on a pair that declares none
     pair = scripted_pair([1.0], [2.0])
     with pytest.raises(ConfigurationError):
         evaluate_pair(pair, IntramorphicRelation("le", lambda o, v: o <= v),
+                      case_for(None))
+    with pytest.raises(ConfigurationError):
+        evaluate_pair(scripted_pair([1.0], [2.0], false_alarms=False), median_relation(1),
                       case_for(None))
 
 

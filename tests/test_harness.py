@@ -1,9 +1,13 @@
 """Campaign loop: replay, shrinking, stop/continue modes, the detection matrix."""
 
 import dataclasses
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from intramorph.cases import montecarlo, sorting
 from intramorph.core import (ConfigurationError, InputCase, Provenance, RelationStatus,
                              UnknownCampaignError, UnknownMutantError,
                              generation_source)
@@ -163,3 +167,49 @@ def test_outside_matrix_mutants_contribute_no_cell():
     report = run_campaign(CampaignConfig(campaign="knapsack-optimality", seed=42,
                                          iterations=200, mutant="greedy-sort-ascending"))
     assert report.violations == 0
+
+
+# One campaign per oracle style, with the module program its default
+# components read when an evaluator is built.
+ONE_CAMPAIGN_PER_STYLE = (
+    ("sorting-unit", sorting, "bubble_sort"),
+    ("sorting-differential", sorting, "bubble_sort"),
+    ("sorting-metamorphic", sorting, "bubble_sort"),
+    ("sorting-intramorphic", sorting, "bubble_sort"),
+    ("montecarlo-convergence", montecarlo, "pi_approximation"),
+)
+
+
+def raising(*args):
+    raise RuntimeError("patched program failed")
+
+
+def returning_none(*args):
+    return None
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(ONE_CAMPAIGN_PER_STYLE), st.sampled_from([raising, returning_none]),
+       st.integers(min_value=0, max_value=2**64 - 1))
+def test_failing_program_is_a_counted_execution_error_in_every_style(target, broken, seed):
+    name, module, program = target
+    iterations = 3
+    with mock.patch.object(module, program, broken):
+        campaign = get_campaign(name)
+        evaluate = campaign.build_evaluator(None, None, 5.0)
+        cases = [InputCase(campaign.generate(generation_source(seed, iteration)),
+                           Provenance(seed, iteration))
+                 for iteration in range(1, iterations + 1)]
+        outcomes = [evaluate(case) for case in cases]
+        report = run_campaign(CampaignConfig(campaign=name, seed=seed, iterations=iterations))
+    for case, outcome in zip(cases, outcomes):
+        if name == "sorting-metamorphic" and not case.payload:
+            # removal is undefined on an empty array, which holds vacuously
+            assert outcome.status is RelationStatus.HOLDS
+        else:
+            assert outcome.status is RelationStatus.EXECUTION_ERROR
+            assert outcome.error_detail
+    assert report.iterations_run == iterations
+    assert report.violations == 0
+    assert report.execution_errors == sum(
+        outcome.status is RelationStatus.EXECUTION_ERROR for outcome in outcomes)
