@@ -7,6 +7,7 @@ evaluation draws its randomness from the input's provenance.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
@@ -63,6 +64,10 @@ def _validate_config(config: CampaignConfig, campaign: Campaign) -> None:
         raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {config.seed}")
     if config.iterations < 1:
         raise ConfigurationError(f"iterations must be >= 1, got {config.iterations}")
+    budget = config.budget_seconds
+    if budget is not None and not 0 < budget < math.inf:   # false for nan as well
+        raise ConfigurationError(
+            f"budget_seconds must be None or a positive finite number, got {budget}")
     if config.mutant is not None:
         campaign.mutant(config.mutant)   # raises UnknownMutantError
     # an even or non-positive k is rejected where the relation is built

@@ -1,6 +1,7 @@
 """Campaign loop: replay, shrinking, stop/continue modes, the detection matrix."""
 
 import dataclasses
+import math
 from unittest import mock
 
 import pytest
@@ -81,6 +82,22 @@ def test_config_validation():
                        match="statistical repetitions must be a positive odd integer, got 4"):
         run_campaign(CampaignConfig(campaign="montecarlo-convergence", seed=1,
                                     iterations=1, statistical_repetitions=4))
+
+
+@pytest.mark.parametrize("budget", [0.0, -1.0, math.nan, math.inf])
+def test_budget_must_be_positive_and_finite(budget):
+    calls = []
+    with mock.patch.object(sorting, "bubble_sort", lambda arr: calls.append(arr) or arr):
+        with pytest.raises(ConfigurationError, match=f"got {budget}$"):
+            run_campaign(CampaignConfig(campaign="sorting-unit", seed=1, iterations=2,
+                                        budget_seconds=budget))
+    assert calls == []   # rejected before any evaluation ran
+
+
+def test_no_budget_still_runs():
+    report = run_campaign(CampaignConfig(campaign="sorting-unit", seed=1, iterations=2,
+                                         budget_seconds=None))
+    assert (report.iterations_run, report.execution_errors) == (2, 0)
 
 
 def test_replay_reproduces_the_report():
