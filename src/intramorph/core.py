@@ -11,9 +11,10 @@ from __future__ import annotations
 import signal
 import statistics
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from .seeds import SeededSource, derive_seed
 
@@ -191,8 +192,40 @@ class _ProgramFailed(Exception):
     """A program raised or overran; carries its side, chains the cause."""
 
 
+# The budget's SIGALRM handler is installed once per alarm scope (a whole
+# campaign run) on the main thread, and each evaluation only arms the timer.
+# Both flags are read and written on the main thread only.
+_scope_depth = 0    # open alarm scopes; the outermost one owns the handler
+_armed = False      # an evaluation's timer is running
+
+
 def _on_alarm(signum, frame):
-    raise _BudgetExpired()
+    # an alarm that arrives while no evaluation is armed is stray: ignore it
+    if _armed:
+        raise _BudgetExpired()
+
+
+@contextmanager
+def alarm_scope() -> Iterator[None]:
+    """Keep the budget's SIGALRM handler installed for the enclosed block.
+
+    The outermost scope on the main thread installs the handler and restores
+    the previous one on exit; nested scopes change nothing. Inside a scope,
+    ``guarded_evaluation`` only arms and disarms the interval timer. Off the
+    main thread, where no signal handler can be set, the scope does nothing.
+    """
+    global _scope_depth
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = signal.signal(signal.SIGALRM, _on_alarm) if _scope_depth == 0 else None
+    _scope_depth += 1
+    try:
+        yield
+    finally:
+        _scope_depth -= 1
+        if _scope_depth == 0:
+            signal.signal(signal.SIGALRM, previous)
 
 
 def _describe(exc: BaseException, budget: Optional[float]) -> str:
@@ -203,6 +236,19 @@ def _describe(exc: BaseException, budget: Optional[float]) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+def _timed(body: Callable[[InputCase], RelationOutcome], case: InputCase,
+           budget: float) -> RelationOutcome:
+    """body(case) with the interval timer armed; needs an open alarm scope."""
+    global _armed
+    _armed = True
+    try:
+        signal.setitimer(signal.ITIMER_REAL, budget)
+        return body(case)
+    finally:
+        _armed = False
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+
+
 def guarded_evaluation(body: Callable[[InputCase], RelationOutcome], case: InputCase,
                        budget: Optional[float]) -> RelationOutcome:
     """The one evaluation path: run ``body(case)`` under one wall-clock budget.
@@ -210,20 +256,20 @@ def guarded_evaluation(body: Callable[[InputCase], RelationOutcome], case: Input
     The budget covers the whole body: every program call and trial, the
     relation and any summary. An overrun, or anything the body raises,
     becomes EXECUTION_ERROR with a detail, prefixed with the side for a
-    program's failure. Off the main thread, where no interval timer can be
-    used, the body runs in a daemon worker that can be abandoned, not killed.
+    program's failure. On the main thread the budget is an interval timer,
+    armed inside the caller's ``alarm_scope`` or, outside one, inside a
+    scope of its own for this one evaluation. Off the main thread, where no
+    interval timer can be used, the body runs in a daemon worker that can be
+    abandoned, not killed.
     """
     try:
         if budget is None:
             return body(case)
         if threading.current_thread() is threading.main_thread():
-            previous = signal.signal(signal.SIGALRM, _on_alarm)
-            try:
-                signal.setitimer(signal.ITIMER_REAL, budget)
-                return body(case)
-            finally:
-                signal.setitimer(signal.ITIMER_REAL, 0.0)
-                signal.signal(signal.SIGALRM, previous)
+            if _scope_depth:
+                return _timed(body, case, budget)
+            with alarm_scope():
+                return _timed(body, case, budget)
 
         box: dict = {}
 

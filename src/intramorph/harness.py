@@ -14,7 +14,8 @@ from typing import Any, Optional, Sequence
 
 from .campaign import Campaign, Evaluator
 from .core import (ConfigurationError, InputCase, Provenance, RelationStatus,
-                   DEFAULT_BUDGET_SECONDS, UnknownCampaignError, generation_source)
+                   DEFAULT_BUDGET_SECONDS, UnknownCampaignError, alarm_scope,
+                   generation_source)
 from .registry import default_registry
 
 __all__ = [
@@ -124,26 +125,29 @@ def run_campaign(config: CampaignConfig, registry: Optional[dict[str, Campaign]]
     counterexample: Optional[Counterexample] = None
     iterations_run = 0
 
-    for iteration in range(1, config.iterations + 1):
-        iterations_run = iteration
-        payload = campaign.generate(generation_source(config.seed, iteration))
-        case = InputCase(payload, Provenance(config.seed, iteration))
-        outcome = evaluator(case)
-        if outcome.status is RelationStatus.EXECUTION_ERROR:
-            execution_errors += 1
-            continue
-        if outcome.status is RelationStatus.VIOLATED:
-            violations += 1
-            if first_violation is None:
-                first_violation = iteration
-                shrunk_case, shrunk_outcome = _shrink_violation(
-                    case, outcome, evaluator, campaign)
-                counterexample = Counterexample(
-                    payload=shrunk_case.payload,
-                    original_output=shrunk_outcome.original_output,
-                    variant_output=shrunk_outcome.variant_output)
-            if config.stop_on_first_violation:
-                break
+    # one SIGALRM handler for the whole run, shrinking included; each
+    # evaluation only re-arms the timer
+    with alarm_scope():
+        for iteration in range(1, config.iterations + 1):
+            iterations_run = iteration
+            payload = campaign.generate(generation_source(config.seed, iteration))
+            case = InputCase(payload, Provenance(config.seed, iteration))
+            outcome = evaluator(case)
+            if outcome.status is RelationStatus.EXECUTION_ERROR:
+                execution_errors += 1
+                continue
+            if outcome.status is RelationStatus.VIOLATED:
+                violations += 1
+                if first_violation is None:
+                    first_violation = iteration
+                    shrunk_case, shrunk_outcome = _shrink_violation(
+                        case, outcome, evaluator, campaign)
+                    counterexample = Counterexample(
+                        payload=shrunk_case.payload,
+                        original_output=shrunk_outcome.original_output,
+                        variant_output=shrunk_outcome.variant_output)
+                if config.stop_on_first_violation:
+                    break
 
     wall_time_ms = int((time.monotonic() - started) * 1000)
     return CampaignReport(

@@ -13,8 +13,8 @@ from intramorph.harness import CampaignConfig, run_campaign
 from intramorph.core import (ApplicationMode, Automation, ConfigurationError,
                              Granularity, InputCase, IntramorphicRelation, ProgramPair,
                              Provenance, RelationStatus, StatisticalConfig,
-                             TransformationDescriptor, equivalence_relation,
-                             evaluate_pair)
+                             TransformationDescriptor, alarm_scope,
+                             equivalence_relation, evaluate_pair)
 
 
 def plain_descriptor(false_alarms=False):
@@ -215,6 +215,49 @@ def test_guard_restores_the_alarm_handler():
     for budget in (0.05, -1.0):   # setitimer rejects the negative budget
         evaluate_pair(sort_pair(), REVERSE, case_for((2, 1)), budget=budget)
         assert signal.getsignal(signal.SIGALRM) is before
+
+
+def test_alarm_scope_installs_once_and_nested_scopes_do_not_restore():
+    before = signal.getsignal(signal.SIGALRM)
+    with alarm_scope():
+        installed = signal.getsignal(signal.SIGALRM)
+        assert installed is not before
+        with alarm_scope():
+            pass
+        # the inner scope left the outer scope's handler in place
+        assert signal.getsignal(signal.SIGALRM) is installed
+        pair = ProgramPair(original=sleeping(5), variant=sleeping(0),
+                           descriptor=plain_descriptor())
+        outcome = evaluate_pair(pair, equivalence_relation(), case_for(()), budget=0.05)
+        assert outcome.error_detail == "original: execution budget of 0.05s exceeded"
+        assert signal.getsignal(signal.SIGALRM) is installed
+    assert signal.getsignal(signal.SIGALRM) is before
+
+
+def test_evaluations_inside_a_scope_only_rearm_the_timer(monkeypatch):
+    calls = []
+    real_signal = signal.signal
+    monkeypatch.setattr(signal, "signal", lambda *args: calls.append(args) or real_signal(*args))
+    monkeypatch.setattr(signal, "getsignal", lambda *args: calls.append(args))
+    # outside a scope each evaluation opens its own: install and restore
+    evaluate_pair(sort_pair(), REVERSE, case_for((2, 1)), budget=0.05)
+    assert len(calls) == 2
+    calls.clear()
+    with alarm_scope():
+        for _ in range(20):
+            assert evaluate_pair(sort_pair(), REVERSE, case_for((2, 1)),
+                                 budget=0.05).status is RelationStatus.HOLDS
+    assert len(calls) == 2
+
+
+def test_stray_alarm_inside_a_scope_is_ignored():
+    with alarm_scope():
+        signal.raise_signal(signal.SIGALRM)
+        # a timer left over from elsewhere expires between evaluations
+        signal.setitimer(signal.ITIMER_REAL, 0.01)
+        time.sleep(0.05)
+        outcome = evaluate_pair(sort_pair(), REVERSE, case_for((2, 1)), budget=0.05)
+    assert outcome.status is RelationStatus.HOLDS
 
 
 def test_program_cannot_swallow_the_budget():

@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import signal
+import threading
+import time
 from unittest import mock
 
 import pytest
@@ -230,3 +233,128 @@ def test_failing_program_is_a_counted_execution_error_in_every_style(target, bro
     assert report.violations == 0
     assert report.execution_errors == sum(
         outcome.status is RelationStatus.EXECUTION_ERROR for outcome in outcomes)
+
+
+# --- the budget's alarm handler is a per-run resource --------------------------
+
+def counting_signal_calls(monkeypatch):
+    """Record every ``signal.signal`` / ``signal.getsignal`` call from now on."""
+    calls = []
+    real_signal, real_getsignal = signal.signal, signal.getsignal
+    monkeypatch.setattr(signal, "signal",
+                        lambda *args: calls.append(("signal", args)) or real_signal(*args))
+    monkeypatch.setattr(signal, "getsignal",
+                        lambda *args: calls.append(("getsignal", args)) or real_getsignal(*args))
+    return calls
+
+
+@pytest.mark.parametrize("mutant, iterations", [
+    ("swap-index-i", 1000),   # detected at iteration 1, then shrinks
+    (None, 50),
+    (None, 500),
+])
+def test_one_handler_install_and_restore_per_run(mutant, iterations, monkeypatch):
+    before = signal.getsignal(signal.SIGALRM)
+    calls = counting_signal_calls(monkeypatch)
+    report = run_campaign(CampaignConfig(campaign="sorting-intramorphic", seed=42,
+                                         iterations=iterations, mutant=mutant))
+    assert (report.counterexample is not None) == (mutant is not None)
+    assert [name for name, _ in calls] == ["signal", "signal"]
+    (_, (_, installed)), (_, (_, restored)) = calls
+    assert installed is not before and restored is before
+    assert signal.getsignal(signal.SIGALRM) is before
+
+
+def test_handler_is_restored_when_generate_raises():
+    def previous(signum, frame):
+        pass
+
+    def failing_generate(src):
+        generated.append(src)
+        if len(generated) == 3:
+            raise RuntimeError("generator failed")
+        return campaign.generate(src)
+
+    campaign = get_campaign("sorting-intramorphic")
+    generated = []
+    registry = {campaign.name: dataclasses.replace(campaign, generate=failing_generate)}
+    original = signal.signal(signal.SIGALRM, previous)
+    try:
+        with pytest.raises(RuntimeError, match="generator failed"):
+            run_campaign(CampaignConfig(campaign=campaign.name, seed=1, iterations=10),
+                         registry=registry)
+        assert signal.getsignal(signal.SIGALRM) is previous
+    finally:
+        signal.signal(signal.SIGALRM, original)
+
+
+def recording(campaign, outcomes):
+    """The campaign with every outcome its evaluators return appended to ``outcomes``."""
+    def build_evaluator(*args):
+        evaluate = campaign.build_evaluator(*args)
+        return lambda case: outcomes.append(evaluate(case)) or outcomes[-1]
+
+    return dataclasses.replace(campaign, build_evaluator=build_evaluator)
+
+
+def test_shrink_candidate_that_overruns_is_an_error_within_the_budget():
+    config = CampaignConfig(campaign="sorting-intramorphic", seed=42, iterations=1000,
+                            mutant="swap-index-i", budget_seconds=0.05)
+    first = run_campaign(config).first_violation_iteration
+    descending = sorting.bubble_sort_reverse
+    calls = []
+
+    def slow_on_first_shrink_candidate(arr):
+        calls.append(arr)
+        if len(calls) == first + 1:   # every later call evaluates a shrink candidate
+            time.sleep(1)
+        return descending(arr)
+
+    outcomes = []
+    registry = {config.campaign: recording(get_campaign(config.campaign), outcomes)}
+    started = time.monotonic()
+    with mock.patch.object(sorting, "bubble_sort_reverse", slow_on_first_shrink_candidate):
+        report = run_campaign(config, registry=registry)
+    assert time.monotonic() - started < 0.8
+    errors = [outcome for outcome in outcomes if outcome.status is RelationStatus.EXECUTION_ERROR]
+    assert [outcome.error_detail for outcome in errors] == [
+        "variant: execution budget of 0.05s exceeded"]
+    assert outcomes.index(errors[0]) == first
+    assert report.first_violation_iteration == first
+    assert report.counterexample is not None
+
+
+@pytest.mark.parametrize("mutant", [None, "swap-index-i"])
+def test_stray_alarm_between_evaluations_leaves_the_report_unchanged(mutant):
+    campaign = get_campaign("sorting-intramorphic")
+
+    def alarming_generate(src):
+        signal.raise_signal(signal.SIGALRM)
+        return campaign.generate(src)
+
+    config = CampaignConfig(campaign=campaign.name, seed=42, iterations=200, mutant=mutant)
+    expected = run_campaign(config)
+    report = run_campaign(config, registry={
+        campaign.name: dataclasses.replace(campaign, generate=alarming_generate)})
+    assert (dataclasses.replace(report, wall_time_ms=0)
+            == dataclasses.replace(expected, wall_time_ms=0))
+
+
+def test_run_off_the_main_thread_is_still_bounded(monkeypatch):
+    calls = counting_signal_calls(monkeypatch)
+    monkeypatch.setattr(sorting, "bubble_sort", lambda arr: time.sleep(0.3) or arr)
+    box = {}
+
+    def run():
+        started = time.monotonic()
+        box["report"] = run_campaign(CampaignConfig(campaign="sorting-unit", seed=1,
+                                                    iterations=1, budget_seconds=0.05))
+        box["elapsed"] = time.monotonic() - started
+
+    runner = threading.Thread(target=run)
+    runner.start()
+    runner.join(5)
+    assert not runner.is_alive()
+    assert box["report"].execution_errors == 1
+    assert box["elapsed"] < 0.25
+    assert calls == []   # no handler is touched off the main thread
