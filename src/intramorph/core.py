@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterator, Optional
 
-from .seeds import SeededSource, derive_seed
+from .seeds import DerivedSource, SeededSource, derive_seed
 
 DEFAULT_BUDGET_SECONDS = 5.0
 
@@ -173,15 +173,15 @@ def generation_source(seed: int, iteration: int) -> SeededSource:
 
 
 def original_source(provenance: Provenance, trial: int) -> SeededSource:
-    return SeededSource(derive_seed(provenance.seed, provenance.iteration, _SALT_ORIGINAL, trial))
+    return DerivedSource(provenance.seed, provenance.iteration, _SALT_ORIGINAL, trial)
 
 
 def variant_source(provenance: Provenance, trial: int) -> SeededSource:
-    return SeededSource(derive_seed(provenance.seed, provenance.iteration, _SALT_VARIANT, trial))
+    return DerivedSource(provenance.seed, provenance.iteration, _SALT_VARIANT, trial)
 
 
 def picker_source(provenance: Provenance) -> SeededSource:
-    return SeededSource(derive_seed(provenance.seed, provenance.iteration, _SALT_PICKER))
+    return DerivedSource(provenance.seed, provenance.iteration, _SALT_PICKER)
 
 
 class _BudgetExpired(BaseException):
@@ -242,7 +242,8 @@ def _timed(body: Callable[[InputCase], RelationOutcome], case: InputCase,
     global _armed
     _armed = True
     try:
-        signal.setitimer(signal.ITIMER_REAL, budget)
+        # repeats until disarmed: a gc callback or __del__ may swallow one alarm
+        signal.setitimer(signal.ITIMER_REAL, budget, budget)
         return body(case)
     finally:
         _armed = False

@@ -73,7 +73,8 @@ class SeededSource:
         """
         if bound <= 0:
             raise ValueError(f"bound must be positive, got {bound}")
-        return self.next_u64() % bound
+        self._state = state = (self._state + _GAMMA) & _MASK64
+        return _mix(state) % bound
 
     def unit(self) -> float:
         """Uniform float in [0.0, 1.0) with 53 random mantissa bits."""
@@ -126,4 +127,23 @@ class SeededSource:
 
     def derive(self, *salts: int) -> "SeededSource":
         """Fresh source for the given salt path, independent of stream position."""
-        return SeededSource(derive_seed(self.seed, *salts))
+        return DerivedSource(self.seed, *salts)
+
+
+class DerivedSource(SeededSource):
+    """``SeededSource(derive_seed(base, *salts))``, derived when first read.
+
+    Same seed, stream and children; a program that never reads its source
+    never pays for the derivation.
+    """
+
+    def __init__(self, base: int, *salts: int):
+        self._path = (base, salts)
+
+    def __getattr__(self, name: str):
+        # reached only until seed and _state are set
+        if name not in ("seed", "_state"):
+            raise AttributeError(name)
+        base, salts = self._path
+        SeededSource.__init__(self, derive_seed(base, *salts))
+        return self.__dict__[name]

@@ -1,6 +1,8 @@
 """Pair evaluation semantics: verdicts, determinism, budgets, aggregation."""
 
+import gc
 import signal
+import sys
 import threading
 import time
 
@@ -8,8 +10,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import intramorph.core as core
+import intramorph.seeds as seeds
 from intramorph.cases import sorting
 from intramorph.harness import CampaignConfig, run_campaign
+from intramorph.registry import get_campaign
 from intramorph.core import (ApplicationMode, Automation, ConfigurationError,
                              Granularity, InputCase, IntramorphicRelation, ProgramPair,
                              Provenance, RelationStatus, StatisticalConfig,
@@ -275,6 +280,58 @@ def test_program_cannot_swallow_the_budget():
     outcome = evaluate_pair(pair, equivalence_relation(), case_for(()), budget=0.05)
     assert outcome.error_detail == "original: execution budget of 0.05s exceeded"
     assert time.monotonic() - started < 0.9
+
+
+def test_alarm_lost_in_a_gc_callback_fires_again(monkeypatch):
+    swallowed = []
+    monkeypatch.setattr(sys, "unraisablehook",
+                        lambda unraisable: swallowed.append(unraisable.exc_type))
+
+    def slow_callback(phase, info):
+        if phase == "start":
+            time.sleep(1)   # the first alarm lands here and the collector swallows it
+
+    def descending(arr):
+        gc.callbacks.append(slow_callback)
+        try:
+            gc.collect()
+        finally:
+            gc.callbacks.remove(slow_callback)
+        time.sleep(1)
+        return sorted(arr, reverse=True)
+
+    started = time.monotonic()
+    outcome = evaluate_pair(sort_pair(reverse=descending), REVERSE, case_for((2, 1)),
+                            budget=0.05)
+    elapsed = time.monotonic() - started
+    # the collector swallowed the first alarm (and any that hit another callback)
+    assert swallowed and set(swallowed) == {core._BudgetExpired}
+    assert outcome.error_detail == "variant: execution budget of 0.05s exceeded"
+    assert elapsed < 0.5
+
+
+def test_sorting_pair_derives_only_the_generation_source(monkeypatch):
+    calls = []
+    real = seeds.derive_seed
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(core, "derive_seed", counting)
+    monkeypatch.setattr(seeds, "derive_seed", counting)
+    campaign = get_campaign("sorting-intramorphic")
+    evaluate = campaign.build_evaluator(None, None, 5.0)
+    payload = campaign.generate(core.generation_source(7, 3))
+    assert evaluate(case_for(payload, seed=7, iteration=3)).status is RelationStatus.HOLDS
+    assert calls == [(7, 3, 0)]
+
+    # a whole run derives one source per iteration: the generation source
+    calls.clear()
+    report = run_campaign(CampaignConfig(campaign="sorting-intramorphic", seed=7,
+                                         iterations=20))
+    assert report.violations == 0
+    assert calls == [(7, iteration, 0) for iteration in range(1, 21)]
 
 
 # --- statistical aggregation ---------------------------------------------------

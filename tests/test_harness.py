@@ -208,20 +208,32 @@ def returning_none(*args):
     return None
 
 
+def sleeping_past_the_budget(*args):
+    time.sleep(1)
+    return None
+
+
+# each broken program with the budget it runs under: the sleeper's is short,
+# so every evaluation of it is an overrun on the main thread
+BROKEN_PROGRAMS = ((raising, 5.0), (returning_none, 5.0), (sleeping_past_the_budget, 0.05))
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.sampled_from(ONE_CAMPAIGN_PER_STYLE), st.sampled_from([raising, returning_none]),
+@given(st.sampled_from(ONE_CAMPAIGN_PER_STYLE), st.sampled_from(BROKEN_PROGRAMS),
        st.integers(min_value=0, max_value=2**64 - 1))
 def test_failing_program_is_a_counted_execution_error_in_every_style(target, broken, seed):
     name, module, program = target
+    broken, budget = broken
     iterations = 3
     with mock.patch.object(module, program, broken):
         campaign = get_campaign(name)
-        evaluate = campaign.build_evaluator(None, None, 5.0)
+        evaluate = campaign.build_evaluator(None, None, budget)
         cases = [InputCase(campaign.generate(generation_source(seed, iteration)),
                            Provenance(seed, iteration))
                  for iteration in range(1, iterations + 1)]
         outcomes = [evaluate(case) for case in cases]
-        report = run_campaign(CampaignConfig(campaign=name, seed=seed, iterations=iterations))
+        report = run_campaign(CampaignConfig(campaign=name, seed=seed, iterations=iterations,
+                                             budget_seconds=budget))
     for case, outcome in zip(cases, outcomes):
         if name == "sorting-metamorphic" and not case.payload:
             # removal is undefined on an empty array, which holds vacuously
@@ -229,6 +241,8 @@ def test_failing_program_is_a_counted_execution_error_in_every_style(target, bro
         else:
             assert outcome.status is RelationStatus.EXECUTION_ERROR
             assert outcome.error_detail
+            if broken is sleeping_past_the_budget:
+                assert outcome.error_detail.endswith(f"budget of {budget}s exceeded")
     assert report.iterations_run == iterations
     assert report.violations == 0
     assert report.execution_errors == sum(

@@ -1,10 +1,11 @@
 """Determinism and independence of the seeded randomness layer."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intramorph.seeds import UNIT_BLOCK_CHUNK, SeededSource, derive_seed
+from intramorph.seeds import UNIT_BLOCK_CHUNK, DerivedSource, SeededSource, derive_seed
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -42,10 +43,13 @@ def test_below_respects_bound(seed, bound):
 
 
 def test_below_rejects_nonpositive_bound():
-    import pytest
-
-    with pytest.raises(ValueError):
-        SeededSource(1).below(0)
+    for make in (lambda: SeededSource(1), lambda: DerivedSource(1, 2, 3)):
+        for bound in (0, -1):
+            source, reference = make(), make()
+            with pytest.raises(ValueError):
+                source.below(bound)
+            # the rejected call drew nothing
+            assert source.next_u64() == reference.next_u64()
 
 
 @given(seeds, st.integers(min_value=0, max_value=500))
@@ -102,3 +106,51 @@ def test_seed_is_masked_to_64_bits():
 @given(seeds, st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=5))
 def test_choice_picks_members(seed, items):
     assert SeededSource(seed).choice(items) in items
+
+
+def stream(source):
+    """The source's next draws through every drawing method, and a child."""
+    return ([source.next_u64(), source.below(7), source.unit(), source.choice("abc")],
+            list(source.unit_block(5)), source.next_u64(), source.derive(4).next_u64())
+
+
+salt_paths = st.lists(st.integers(min_value=0, max_value=2**20), max_size=4)
+
+
+@given(seeds, salt_paths)
+def test_derived_source_first_read_by_a_draw_matches_the_eager_source(base, salts):
+    lazy = DerivedSource(base, *salts)
+    eager = SeededSource(derive_seed(base, *salts))
+    assert stream(lazy) == stream(eager)
+    assert (lazy.seed, repr(lazy)) == (eager.seed, repr(eager))
+
+
+@given(seeds, salt_paths)
+def test_derived_source_first_read_by_its_seed_matches_the_eager_source(base, salts):
+    lazy = DerivedSource(base, *salts)
+    eager = SeededSource(derive_seed(base, *salts))
+    assert lazy.seed == eager.seed
+    assert repr(lazy) == repr(eager)
+    assert stream(lazy) == stream(eager)
+
+
+@given(seeds, salt_paths)
+def test_derived_children_match_eager_children(base, salts):
+    lazy_child = DerivedSource(base).derive(*salts)
+    eager_child = SeededSource(base).derive(*salts)
+    assert lazy_child.seed == eager_child.seed == derive_seed(base, *salts)
+    assert stream(lazy_child) == stream(SeededSource(derive_seed(base, *salts)))
+
+
+def test_derived_source_derives_once_and_only_when_read(monkeypatch):
+    import intramorph.seeds as seeds
+
+    calls = []
+    real = seeds.derive_seed
+    monkeypatch.setattr(seeds, "derive_seed", lambda *args: calls.append(args) or real(*args))
+    source = DerivedSource(9, 1, 2)
+    assert calls == []
+    source.below(3)
+    source.seed
+    source.unit()
+    assert calls == [(9, 1, 2)]
