@@ -221,9 +221,10 @@ BROKEN_PROGRAMS = ((raising, 5.0), (returning_none, 5.0), (sleeping_past_the_bud
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(ONE_CAMPAIGN_PER_STYLE), st.sampled_from(BROKEN_PROGRAMS),
        st.integers(min_value=0, max_value=2**64 - 1))
-def test_failing_program_is_a_counted_execution_error_in_every_style(target, broken, seed):
+def test_failing_program_is_a_counted_execution_error_in_every_style(target, broken_program,
+                                                                    seed):
     name, module, program = target
-    broken, budget = broken
+    broken, budget = broken_program
     iterations = 3
     with mock.patch.object(module, program, broken):
         campaign = get_campaign(name)
