@@ -75,12 +75,6 @@ def token_texts_match(infix_text: str, prefix_text: str, postfix_text: str) -> b
     return infix_tokens == prefix_tokens and infix_tokens == postfix_tokens
 
 
-def node_count(node: ExprNode) -> int:
-    if isinstance(node, Operation):
-        return 1 + node_count(node.left) + node_count(node.right)
-    return 1
-
-
 def render_tree(node: ExprNode) -> str:
     if isinstance(node, Variable):
         return f"Variable({node.name!r})"

@@ -47,10 +47,6 @@ class KnapsackInstance:
             raise ValueError(f"capacity must be non-negative, got {self.capacity}")
 
 
-def make_instance(triples, capacity: int) -> KnapsackInstance:
-    return KnapsackInstance(tuple(KnapsackItem(*t) for t in triples), capacity)
-
-
 @dataclass(frozen=True)
 class KnapsackSolution:
     packed: tuple[str, ...]

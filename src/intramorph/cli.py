@@ -129,13 +129,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "run":
             return _command_run(args)
         return _command_matrix(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (_UsageError, ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

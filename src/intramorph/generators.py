@@ -8,7 +8,6 @@ get interesting. All generators are pure functions of the source's seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from .cases.ast_printing import Constant, ExprNode, Operation, Variable
 from .cases.knapsack import KnapsackInstance, KnapsackItem
@@ -165,15 +164,3 @@ def shrink_knapsack(payload: KnapsackInstance) -> list[KnapsackInstance]:
                 if candidate not in candidates:
                     candidates.append(candidate)
     return candidates
-
-
-def shrink_payload(payload: Any) -> list[Any]:
-    """Ordered, finite list of strictly smaller payloads (empty if minimal
-    or the payload kind has no shrink rule)."""
-    if isinstance(payload, tuple) and all(isinstance(v, int) for v in payload):
-        return shrink_array(payload)
-    if isinstance(payload, (Operation, Variable, Constant)):
-        return shrink_tree(payload)
-    if isinstance(payload, KnapsackInstance):
-        return shrink_knapsack(payload)
-    return []

@@ -14,9 +14,8 @@ from typing import Any, Optional, Sequence
 
 from .campaign import Campaign, Evaluator
 from .core import (ConfigurationError, InputCase, Provenance, RelationStatus,
-                   DEFAULT_BUDGET_SECONDS, UnknownCampaignError, alarm_scope,
-                   generation_source)
-from .registry import default_registry
+                   DEFAULT_BUDGET_SECONDS, alarm_scope, generation_source)
+from .registry import default_registry, get_campaign
 
 __all__ = [
     "CampaignConfig", "Counterexample", "CampaignReport", "run_campaign",
@@ -106,11 +105,7 @@ def run_campaign(config: CampaignConfig, registry: Optional[dict[str, Campaign]]
     still violates). Execution errors are counted separately and never stop
     the run.
     """
-    registry = registry if registry is not None else default_registry()
-    if config.campaign not in registry:
-        raise UnknownCampaignError(
-            f"unknown campaign {config.campaign!r}; known: {sorted(registry)}")
-    campaign = registry[config.campaign]
+    campaign = get_campaign(config.campaign, registry)
     _validate_config(config, campaign)
 
     repetitions = config.statistical_repetitions
@@ -200,12 +195,7 @@ def run_detection_matrix(campaigns: Optional[Sequence[str]] = None, *,
     if campaigns is None:
         selected = list(registry.values())
     else:
-        selected = []
-        for name in campaigns:
-            if name not in registry:
-                raise UnknownCampaignError(
-                    f"unknown campaign {name!r}; known: {sorted(registry)}")
-            selected.append(registry[name])
+        selected = [get_campaign(name, registry) for name in campaigns]
 
     started = time.monotonic()
     cells: list[MatrixCell] = []

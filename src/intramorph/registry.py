@@ -9,6 +9,7 @@ shares one evaluator builder, which guards every evaluation.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Mapping, Optional
 
 from .baselines import (UnitCase, differential_oracle, metamorphic_removal_oracle,
@@ -20,7 +21,7 @@ from .core import (ApplicationMode, Automation, Granularity, IntramorphicRelatio
                    UnknownCampaignError, equivalence_relation, guarded_evaluation,
                    pair_evaluation, picker_source)
 from .generators import (DEFAULT_CONFIG, random_array, random_knapsack_instance,
-                         random_tree, shrink_knapsack, shrink_payload, shrink_tree)
+                         random_tree, shrink_array, shrink_knapsack, shrink_tree)
 
 # oracle(programs, statistical_repetitions) -> unguarded evaluation body
 Oracle = Callable[[Mapping[str, Callable], Optional[int]], Evaluator]
@@ -37,7 +38,9 @@ def _added_alongside(granularity: Granularity) -> TransformationDescriptor:
         automation=Automation.MANUAL, relation_complete=True, false_alarm_possible=False)
 
 
-SORTING_REVERSE_DESCRIPTOR = _added_alongside(Granularity.OPERATOR)
+# the descending twin is derived from the ascending sort by flip_comparisons
+SORTING_REVERSE_DESCRIPTOR = dataclasses.replace(_added_alongside(Granularity.OPERATOR),
+                                                 automation=Automation.MECHANICAL)
 SORTING_EQUIVALENCE_DESCRIPTOR = _added_alongside(Granularity.ALGORITHM_REPLACED)
 AST_DESCRIPTOR = _added_alongside(Granularity.FUNCTION_ADDED)
 KNAPSACK_DESCRIPTOR = _added_alongside(Granularity.ALGORITHM_REPLACED)
@@ -140,7 +143,7 @@ def _campaign_table() -> tuple[Campaign, ...]:
                         {"ascending": sorting.bubble_sort_swap_index})
     array_fields = dict(case_study="sorting",
                         generate=lambda src: random_array(src, DEFAULT_CONFIG.array),
-                        render_payload=_render_array, shrink_payload=shrink_payload)
+                        render_payload=_render_array, shrink_payload=shrink_array)
     return (
         _campaign(
             _unit_oracle, name="sorting-unit", case_study="sorting", oracle_style="unit",
@@ -177,7 +180,7 @@ def _campaign_table() -> tuple[Campaign, ...]:
                         "descending": sorting.bubble_sort_reverse_swap_index}),
                 Mutant("sort-ascending-in-reverse",
                        "descending twin forgot to flip the comparison",
-                       {"descending": sorting.bubble_sort_reverse_not_flipped}),
+                       {"descending": sorting.bubble_sort}),
             ), **array_fields),
         _campaign(
             _pair_oracle(SORTING_EQUIVALENCE_DESCRIPTOR, equivalence_relation(),
@@ -275,8 +278,10 @@ def all_campaigns() -> tuple[Campaign, ...]:
     return tuple(default_registry().values())
 
 
-def get_campaign(name: str) -> Campaign:
-    registry = default_registry()
+def get_campaign(name: str, registry: Optional[Mapping[str, Campaign]] = None) -> Campaign:
+    """The named campaign of ``registry``, by default the default registry."""
+    if registry is None:
+        registry = default_registry()
     if name not in registry:
         raise UnknownCampaignError(
             f"unknown campaign {name!r}; known: {sorted(registry)}")

@@ -10,8 +10,8 @@ import math
 from intramorph.cases.ast_printing import (Constant, Operation, Variable,
                                            as_string_infix, as_string_postfix,
                                            as_string_prefix)
-from intramorph.cases.knapsack import (dp_reference, knapsack_exhaustive,
-                                       knapsack_greedy, make_instance)
+from intramorph.cases.knapsack import (KnapsackInstance, KnapsackItem, dp_reference,
+                                       knapsack_exhaustive, knapsack_greedy)
 from intramorph.cases.montecarlo import pi_approximation
 from intramorph.cli import main as cli_main
 from intramorph.core import InputCase, Provenance, RelationStatus
@@ -125,7 +125,7 @@ def test_criterion_5_knapsack_oracle_equivalence_and_strictness_witness():
         assert exhaustive.feasible and greedy.feasible
         strict_seen += exhaustive.cum_value > greedy.cum_value
 
-    witness = make_instance([("A", 7, 4), ("B", 4, 3)], capacity=6)
+    witness = KnapsackInstance((KnapsackItem("A", 7, 4), KnapsackItem("B", 4, 3)), 6)
     witness_exhaustive = knapsack_exhaustive(witness).cum_value
     witness_greedy = knapsack_greedy(witness).cum_value
     assert dp_reference(witness) == 8

@@ -8,12 +8,19 @@ from intramorph.cases.ast_printing import (Constant, Operation, Variable,
                                            as_string_infix, as_string_postfix,
                                            as_string_prefix, infix_drop_right_operand,
                                            infix_paren_left_as_right,
-                                           infix_paren_missing, node_count, render_tree,
+                                           infix_paren_missing, render_tree,
                                            token_texts_match)
 from intramorph.core import UnknownMutantError
 from intramorph.generators import DEFAULT_CONFIG, random_tree
 from intramorph.registry import get_campaign
 from intramorph.seeds import SeededSource
+
+
+def node_count(node):
+    if isinstance(node, Operation):
+        return 1 + node_count(node.left) + node_count(node.right)
+    return 1
+
 
 def token_multiset_relation(tree, infix_printer=as_string_infix):
     """The campaign's relation applied to one tree's three renderings."""

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intramorph.cases.ast_printing import Constant, Operation, Variable, node_count
+from intramorph.cases.ast_printing import Constant, Operation, Variable
 from intramorph.cases.knapsack import KnapsackInstance, KnapsackItem
 from intramorph.core import Provenance
 from intramorph.generators import (ArrayConfig, DEFAULT_CONFIG, KnapsackConfig,
                                    TreeConfig, random_array, random_knapsack_instance,
                                    random_tree, shrink_array, shrink_knapsack,
-                                   shrink_payload, shrink_tree)
+                                   shrink_tree)
 from intramorph.harness import CampaignConfig, run_campaign
 from intramorph.registry import get_campaign
 from intramorph.seeds import SeededSource
@@ -26,7 +26,9 @@ def array_measure(payload):
 
 
 def tree_measure(payload):
-    return node_count(payload)
+    if isinstance(payload, Operation):
+        return 1 + tree_measure(payload.left) + tree_measure(payload.right)
+    return 1
 
 
 def knapsack_measure(payload):
@@ -249,19 +251,3 @@ def test_shrink_preserves_provenance():
     shrink_evaluations = seen[report.first_violation_iteration:]
     assert shrink_evaluations
     assert all(provenance == violating for provenance in shrink_evaluations)
-
-
-def test_shrink_unknown_payload_kind_has_no_candidates():
-    assert shrink_payload(object()) == []
-
-
-@given(seeds)
-def test_node_count_matches_structure(seed):
-    tree = random_tree(SeededSource(seed))
-
-    def manual(node):
-        if isinstance(node, Operation):
-            return 1 + manual(node.left) + manual(node.right)
-        return 1
-
-    assert node_count(tree) == manual(tree)

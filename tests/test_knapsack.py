@@ -7,18 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intramorph.cases.knapsack import (BudgetExceededError, KnapsackSolution,
-                                       dp_reference, knapsack_exhaustive,
+from intramorph.cases.knapsack import (BudgetExceededError, KnapsackInstance,
+                                       KnapsackItem, KnapsackSolution, dp_reference,
+                                       knapsack_exhaustive,
                                        knapsack_exhaustive_skip_include,
                                        knapsack_greedy,
                                        knapsack_greedy_capacity_off_by_one,
-                                       knapsack_greedy_sorted_ascending, make_instance,
+                                       knapsack_greedy_sorted_ascending,
                                        optimality_relation)
 from intramorph.core import UnknownMutantError, generation_source
 from intramorph.generators import random_knapsack_instance
 from intramorph.harness import CampaignConfig, run_campaign
 from intramorph.registry import get_campaign
 from intramorph.seeds import SeededSource
+
+
+def make_instance(triples, capacity):
+    """Instance from (name, value, weight) triples."""
+    return KnapsackInstance(tuple(KnapsackItem(*t) for t in triples), capacity)
 
 # the instance where greedy is provably suboptimal: density picks A first,
 # leaving dead capacity, while two Bs fit exactly

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from intramorph.cases import knapsack, sorting
-from intramorph.core import UnknownMutantError
+from intramorph.core import UnknownCampaignError, UnknownMutantError
 from intramorph.registry import get_campaign
 
 SORTING_CAMPAIGNS = ("sorting-unit", "sorting-differential", "sorting-metamorphic",
@@ -23,13 +23,21 @@ def test_programs_overlay_the_mutant_on_the_defaults():
                                        "descending": sorting.bubble_sort_reverse}
     assert campaign.programs("sort-ascending-in-reverse") == {
         "ascending": sorting.bubble_sort,
-        "descending": sorting.bubble_sort_reverse_not_flipped}
+        "descending": sorting.bubble_sort}
     knapsack_campaign = get_campaign("knapsack-optimality")
     assert knapsack_campaign.programs("exhaustive-skip-include") == {
         "greedy": knapsack.knapsack_greedy,
         "exhaustive": knapsack.knapsack_exhaustive_skip_include}
     # overlaying never edits the defaults
     assert campaign.components()["descending"] is sorting.bubble_sort_reverse
+
+
+def test_campaign_lookup_searches_the_given_registry():
+    campaign = get_campaign("sorting-unit")
+    assert get_campaign("sorting-unit", {"sorting-unit": campaign}) is campaign
+    with pytest.raises(UnknownCampaignError) as raised:
+        get_campaign("sorting-unit", {"other": campaign})
+    assert str(raised.value) == "unknown campaign 'sorting-unit'; known: ['other']"
 
 
 def test_unknown_mutant_raises_through_the_builder():

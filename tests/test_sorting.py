@@ -1,4 +1,4 @@
-"""Sorting algorithms, the descending twin, and the seeded bug catalog."""
+"""Sorting algorithms, the derived descending twins, and the seeded bug catalog."""
 
 import itertools
 
@@ -12,6 +12,30 @@ from intramorph.harness import CampaignConfig, run_campaign
 from intramorph.registry import get_campaign
 
 arrays = st.lists(st.integers(min_value=0, max_value=9), max_size=8)
+
+
+# references for the derived twins: the descending sorts written out by hand;
+# flip_comparisons must produce the same bytecode
+def hand_written_reverse(arr: list) -> list:
+    length = len(arr)
+    for i in range(length):
+        for j in range(0, length - i - 1):
+            if arr[j] < arr[j + 1]:
+                arr[j], arr[j + 1] = arr[j + 1], arr[j]
+    return arr
+
+
+def hand_written_reverse_swap_index(arr: list) -> list:
+    length = len(arr)
+    for i in range(length):
+        for j in range(0, length - i - 1):
+            if arr[j] < arr[j + 1]:
+                arr[j], arr[j + 1] = arr[j + 1], arr[i]
+    return arr
+
+
+DERIVED_TWINS = [(sorting.bubble_sort_reverse, hand_written_reverse),
+                 (sorting.bubble_sort_reverse_swap_index, hand_written_reverse_swap_index)]
 
 
 def sorted_copy(sort_fn, values):
@@ -97,12 +121,6 @@ def test_doubly_buggy_pair_behavior_determined_by_execution():
     assert not sorting.reverse_relation(buggy_ascending, buggy_descending)
 
 
-@given(arrays)
-def test_not_flipped_twin_sorts_ascending(values):
-    assert sorted_copy(sorting.bubble_sort_reverse_not_flipped,
-                               values) == sorted(values)
-
-
 def test_inject_returns_catalogued_functions():
     campaign = get_campaign("sorting-intramorphic")
     assert campaign.mutant("swap-index-i").replaces == {
@@ -111,8 +129,9 @@ def test_inject_returns_catalogued_functions():
     assert campaign.mutant("comparison-flip-reverse").replaces == {
         "ascending": sorting.bubble_sort_swap_index,
         "descending": sorting.bubble_sort_reverse_swap_index}
+    # forgetting the flip leaves the ascending sort in the descending slot
     assert campaign.mutant("sort-ascending-in-reverse").replaces == {
-        "descending": sorting.bubble_sort_reverse_not_flipped}
+        "descending": sorting.bubble_sort}
 
 
 def test_inject_unknown_name_raises():
@@ -127,3 +146,36 @@ def test_every_catalogued_mutant_detected_by_reverse_campaign(mutant):
                                          iterations=1000, mutant=mutant))
     assert report.violations >= 1
     assert report.first_violation_iteration <= 1000
+
+
+# --- derived twins -------------------------------------------------------------
+
+@pytest.mark.parametrize("derived, reference", DERIVED_TWINS)
+def test_derived_twin_equals_the_hand_written_one(derived, reference):
+    assert derived.__code__.co_code == reference.__code__.co_code
+    for length in range(7):
+        for values in itertools.product(range(4), repeat=length):
+            assert sorted_copy(derived, values) == sorted_copy(reference, values), values
+
+
+def test_flip_comparisons_swaps_orderings_only():
+    def orderings(a, b):
+        return a < b, a <= b, a > b, a >= b, a == b, a != b, a in (b,), a < b <= 2
+
+    flipped = sorting.flip_comparisons(orderings, "flipped_orderings")
+    assert flipped.__name__ == "flipped_orderings"
+    for a, b in itertools.product(range(4), repeat=2):
+        assert flipped(a, b) == (a > b, a >= b, a < b, a <= b, a == b, a != b, a in (b,),
+                                 a > b >= 2), (a, b)
+    assert orderings(1, 2)[:4] == (True, True, False, False)   # the original is untouched
+
+
+@pytest.mark.parametrize("derived, name, source", [
+    (sorting.bubble_sort_reverse, "bubble_sort_reverse", sorting.bubble_sort),
+    (sorting.bubble_sort_reverse_swap_index, "bubble_sort_reverse_swap_index",
+     sorting.bubble_sort_swap_index)])
+def test_derived_twin_keeps_its_name_and_source_location(derived, name, source):
+    assert derived.__name__ == name
+    assert derived.__module__ == sorting.__name__
+    assert derived.__code__.co_filename == sorting.__file__
+    assert derived.__code__.co_firstlineno == source.__code__.co_firstlineno
