@@ -121,7 +121,12 @@ def random_knapsack_instance(source: SeededSource,
 
 
 def shrink_array(payload: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Single-element deletions first, then per-position magnitude cuts."""
+    """Single-element deletions first, then per-position magnitude cuts.
+
+    Candidates are distinct: a deletion is shorter than any cut, and cuts
+    at different positions differ where each one cut, so only the
+    replacements at one position need deduplicating.
+    """
     candidates: list[tuple[int, ...]] = []
     for index in range(len(payload)):
         candidates.append(payload[:index] + payload[index + 1:])
@@ -130,12 +135,10 @@ def shrink_array(payload: tuple[int, ...]) -> list[tuple[int, ...]]:
         if value == 0:
             continue
         step_down = value - 1 if value > 0 else value + 1
-        for replacement in (0, value // 2, step_down):
+        for replacement in dict.fromkeys((0, value // 2, step_down)):
             if abs(replacement) >= abs(value):
                 continue
-            candidate = payload[:index] + (replacement,) + payload[index + 1:]
-            if candidate not in candidates:
-                candidates.append(candidate)
+            candidates.append(payload[:index] + (replacement,) + payload[index + 1:])
     return candidates
 
 

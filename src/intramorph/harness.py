@@ -81,12 +81,26 @@ def _shrink_violation(case: InputCase, outcome, evaluator: Evaluator,
                       campaign: Campaign) -> tuple[InputCase, Any]:
     """Greedy first-improvement shrink: take the first candidate that still
     violates, repeat until no candidate does. Terminates because every
-    candidate is strictly smaller under the payload's size measure."""
+    candidate is strictly smaller under the payload's size measure.
+
+    Every candidate keeps the violating input's provenance, so its verdict
+    depends on its payload alone. Each distinct payload is therefore
+    evaluated at most once per shrink: a candidate that held, failed or
+    overran its budget is not retried when a later step offers it again.
+    A payload that cannot be hashed is evaluated each time it is offered.
+    """
     current_case, current_outcome = case, outcome
+    tried: set = set()
     improved = True
     while improved:
         improved = False
         for candidate_payload in campaign.shrink_payload(current_case.payload):
+            try:
+                if candidate_payload in tried:
+                    continue
+                tried.add(candidate_payload)
+            except TypeError:   # unhashable payload
+                pass
             candidate = InputCase(candidate_payload, current_case.provenance)
             candidate_outcome = evaluator(candidate)
             if candidate_outcome.status is RelationStatus.VIOLATED:

@@ -1,6 +1,8 @@
 """Generator determinism, range discipline, and shrink well-foundedness."""
 
 import dataclasses
+import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -190,6 +192,35 @@ def test_shrink_knapsack_drops_single_items():
     candidates = shrink_knapsack(instance)
     assert KnapsackInstance((KnapsackItem("B", 3, 2),), 10) in candidates
     assert KnapsackInstance((KnapsackItem("A", 2, 1),), 10) in candidates
+
+
+def quadratic_shrink_array(payload):
+    """Reference: the same candidates in the same order, deduplicated by
+    scanning every candidate built so far."""
+    candidates = []
+    for index in range(len(payload)):
+        candidates.append(payload[:index] + payload[index + 1:])
+    for index, value in enumerate(payload):
+        if value == 0:
+            continue
+        step_down = value - 1 if value > 0 else value + 1
+        for replacement in (0, value // 2, step_down):
+            if abs(replacement) >= abs(value):
+                continue
+            candidate = payload[:index] + (replacement,) + payload[index + 1:]
+            if candidate not in candidates:
+                candidates.append(candidate)
+    return candidates
+
+
+def test_shrink_array_matches_the_quadratic_reference():
+    short = [payload for length in range(5)
+             for payload in itertools.product(range(-3, 10), repeat=length)]
+    rng = random.Random(20020201)
+    long = [tuple(rng.randint(-5, 20) for _ in range(rng.randint(5, 8)))
+            for _ in range(20_000)]
+    for payload in short + long:
+        assert shrink_array(payload) == quadratic_shrink_array(payload), payload
 
 
 @given(seeds)

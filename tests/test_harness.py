@@ -12,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intramorph.cases import montecarlo, sorting
-from intramorph.core import (ConfigurationError, InputCase, Provenance, RelationStatus,
-                             UnknownCampaignError, UnknownMutantError,
-                             generation_source)
-from intramorph.harness import (CampaignConfig, run_campaign, run_detection_matrix)
-from intramorph.registry import get_campaign
+from intramorph.core import (DEFAULT_BUDGET_SECONDS, ConfigurationError, InputCase,
+                             Provenance, RelationStatus, UnknownCampaignError,
+                             UnknownMutantError, generation_source)
+from intramorph.harness import (CampaignConfig, Counterexample, run_campaign,
+                                run_detection_matrix)
+from intramorph.registry import default_registry, get_campaign
 
 
 def test_clean_sorting_campaign_has_no_violations():
@@ -303,11 +304,12 @@ def test_handler_is_restored_when_generate_raises():
         signal.signal(signal.SIGALRM, original)
 
 
-def recording(campaign, outcomes):
-    """The campaign with every outcome its evaluators return appended to ``outcomes``."""
+def recording(campaign, evaluations):
+    """The campaign with every case its evaluators see, and the outcome they
+    return, appended to ``evaluations`` as a ``(case, outcome)`` pair."""
     def build_evaluator(*args):
         evaluate = campaign.build_evaluator(*args)
-        return lambda case: outcomes.append(evaluate(case)) or outcomes[-1]
+        return lambda case: evaluations.append((case, evaluate(case))) or evaluations[-1][1]
 
     return dataclasses.replace(campaign, build_evaluator=build_evaluator)
 
@@ -325,12 +327,13 @@ def test_shrink_candidate_that_overruns_is_an_error_within_the_budget():
             time.sleep(1)
         return descending(arr)
 
-    outcomes = []
-    registry = {config.campaign: recording(get_campaign(config.campaign), outcomes)}
+    evaluations = []
+    registry = {config.campaign: recording(get_campaign(config.campaign), evaluations)}
     started = time.monotonic()
     with mock.patch.object(sorting, "bubble_sort_reverse", slow_on_first_shrink_candidate):
         report = run_campaign(config, registry=registry)
     assert time.monotonic() - started < 0.8
+    outcomes = [outcome for _, outcome in evaluations]
     errors = [outcome for outcome in outcomes if outcome.status is RelationStatus.EXECUTION_ERROR]
     assert [outcome.error_detail for outcome in errors] == [
         "variant: execution budget of 0.05s exceeded"]
@@ -373,3 +376,82 @@ def test_run_off_the_main_thread_is_still_bounded(monkeypatch):
     assert box["report"].execution_errors == 1
     assert box["elapsed"] < 0.25
     assert calls == []   # no handler is touched off the main thread
+
+
+# --- shrinking evaluates each distinct candidate once ----------------------------
+
+# every expected-detected mutant of the deterministic campaigns: the cells of
+# the benchmark's detect workload
+DETECT_CELLS = tuple((campaign.name, mutant.name)
+                     for campaign in default_registry().values() if not campaign.stochastic
+                     for mutant in campaign.matrix_mutants() if mutant.expected_detected)
+SHRINK_SEEDS = (0, 1, 7, 42, 2**64 - 1)
+
+
+def reference_shrink(campaign, evaluate, case, outcome):
+    """Greedy first-improvement shrink without a memo: every candidate the
+    shrinker offers is evaluated, however often it was offered before."""
+    improved = True
+    while improved:
+        improved = False
+        for payload in campaign.shrink_payload(case.payload):
+            candidate = InputCase(payload, case.provenance)
+            candidate_outcome = evaluate(candidate)
+            if candidate_outcome.status is RelationStatus.VIOLATED:
+                case, outcome = candidate, candidate_outcome
+                improved = True
+                break
+    return case, outcome
+
+
+def shrink_evaluations(campaign, mutant, seed):
+    """The report of one stopping run of ``campaign`` and the cases it
+    evaluated while shrinking, in order."""
+    evaluations = []
+    report = run_campaign(CampaignConfig(campaign=campaign.name, seed=seed, iterations=1000,
+                                         mutant=mutant),
+                          registry={campaign.name: recording(campaign, evaluations)})
+    # one evaluation per iteration up to the first violation, then the shrink
+    return report, [case for case, _ in evaluations[report.first_violation_iteration:]]
+
+
+@pytest.mark.parametrize("campaign_name, mutant", DETECT_CELLS)
+def test_shrink_evaluates_no_payload_twice(campaign_name, mutant):
+    campaign = get_campaign(campaign_name)
+    for seed in SHRINK_SEEDS:
+        report, cases = shrink_evaluations(campaign, mutant, seed)
+        assert report.counterexample is not None
+        payloads = [case.payload for case in cases]
+        assert len(set(payloads)) == len(payloads), seed
+
+
+@pytest.mark.parametrize("campaign_name, mutant", DETECT_CELLS)
+def test_shrink_finds_the_memo_free_counterexample(campaign_name, mutant):
+    campaign = get_campaign(campaign_name)
+    for seed in SHRINK_SEEDS:
+        report = run_campaign(CampaignConfig(campaign=campaign_name, seed=seed,
+                                             iterations=1000, mutant=mutant))
+        first = report.first_violation_iteration
+        evaluate = campaign.build_evaluator(mutant, None, DEFAULT_BUDGET_SECONDS)
+        violating = InputCase(campaign.generate(generation_source(seed, first)),
+                              Provenance(seed, first))
+        outcome = evaluate(violating)
+        assert outcome.status is RelationStatus.VIOLATED
+        shrunk, shrunk_outcome = reference_shrink(campaign, evaluate, violating, outcome)
+        assert report.counterexample == Counterexample(
+            shrunk.payload, shrunk_outcome.original_output, shrunk_outcome.variant_output), seed
+
+
+def test_unhashable_payloads_still_shrink():
+    campaign = get_campaign("sorting-intramorphic")
+    as_lists = dataclasses.replace(
+        campaign, generate=lambda src: list(campaign.generate(src)),
+        shrink_payload=lambda payload: [list(c) for c in campaign.shrink_payload(tuple(payload))])
+    expected, _ = shrink_evaluations(campaign, "swap-index-i", 7)
+    report, cases = shrink_evaluations(as_lists, "swap-index-i", 7)
+    assert report.counterexample.payload == list(expected.counterexample.payload)
+    assert report.counterexample.original_output == expected.counterexample.original_output
+    assert report.counterexample.variant_output == expected.counterexample.variant_output
+    # a list cannot be remembered, so a list offered again is evaluated again
+    payloads = [tuple(case.payload) for case in cases]
+    assert len(set(payloads)) < len(payloads)
