@@ -104,8 +104,6 @@ def knapsack_exhaustive(instance: KnapsackInstance) -> KnapsackSolution:
     moves past it.
     """
     _check_search_budget(instance)
-    if not instance.items or instance.capacity == 0:
-        return KnapsackSolution((), 0, 0, instance.capacity)
     items = instance.items
     count = len(items)
     empty = (0, 0, None)

@@ -165,15 +165,6 @@ def test_memoized_search_matches_plain_recursion_on_generated_instances():
         assert knapsack_exhaustive(instance) == plain_exhaustive(instance), seed
 
 
-def test_empty_searches_match_plain_recursion():
-    # no items, or no capacity: answered before any search state is built
-    instances = [make_instance([], capacity) for capacity in range(51)]
-    instances += [KnapsackInstance(random_knapsack_instance(SeededSource(seed)).items, 0)
-                  for seed in range(500)]
-    for instance in instances:
-        assert knapsack_exhaustive(instance) == plain_exhaustive(instance), instance
-
-
 def test_tie_break_prefers_exclusion():
     # A and B are worth the same per unit of capacity: moving past A wins the tie
     instance = make_instance([("A", 3, 1), ("B", 6, 2)], capacity=4)
