@@ -11,14 +11,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from ..core import (ApplicationMode, Automation, ConfigurationError, Granularity,
                     IntramorphicRelation, ProgramPair, StatisticalConfig,
                     TransformationDescriptor)
-from ..seeds import SeededSource
+from ..seeds import UNIT_BLOCK_CHUNK, SeededSource
 
 # An existing function gained a sample-count parameter; single trials can
 # produce false alarms, hence the statistical aggregation requirement.
@@ -47,17 +47,27 @@ class SampleBudgetPair:
                 f"n_small must be smaller than n_large, got {self.n_small} >= {self.n_large}")
 
 
-def _draw_points(n: int, source: SeededSource) -> tuple[np.ndarray, np.ndarray]:
-    block = source.unit_block(2 * n)
-    return block[0::2], block[1::2]
+def _squared_points(n: int, source: SeededSource) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The ``x*x`` and ``y*y`` of ``n`` uniform points, one chunk at a time.
+
+    Point i is draws 2i and 2i + 1 of the source's stream. Each chunk of up to
+    ``UNIT_BLOCK_CHUNK // 2`` points is one ``unit_block`` call, squared in
+    place, so every buffer stays as small as ``unit_block``'s own. Consecutive
+    ``unit_block`` calls continue one stream, so the points, their squares
+    and the source's final position are those of one ``unit_block(2 * n)``.
+    """
+    per_chunk = UNIT_BLOCK_CHUNK // 2
+    for start in range(0, n, per_chunk):
+        block = source.unit_block(2 * min(per_chunk, n - start))
+        block *= block
+        yield block[0::2], block[1::2]
 
 
 def pi_approximation(n: int, source: SeededSource) -> float:
     """Estimate pi as 4 * (fraction of uniform points inside the unit circle)."""
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    x, y = _draw_points(n, source)
-    hits = int(np.count_nonzero(x * x + y * y <= 1.0))
+    hits = sum(int(np.count_nonzero(xx + yy <= 1.0)) for xx, yy in _squared_points(n, source))
     return 4 * hits / n
 
 
@@ -65,8 +75,7 @@ def pi_wrong_scale(n: int, source: SeededSource) -> float:
     """Seeded bug: scale factor 2 instead of 4; converges to pi/2."""
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    x, y = _draw_points(n, source)
-    hits = int(np.count_nonzero(x * x + y * y <= 1.0))
+    hits = sum(int(np.count_nonzero(xx + yy <= 1.0)) for xx, yy in _squared_points(n, source))
     return 2 * hits / n
 
 
@@ -78,8 +87,7 @@ def pi_boundary_strict(n: int, source: SeededSource) -> float:
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    x, y = _draw_points(n, source)
-    hits = int(np.count_nonzero(x * x + y * y < 1.0))
+    hits = sum(int(np.count_nonzero(xx + yy < 1.0)) for xx, yy in _squared_points(n, source))
     return 4 * hits / n
 
 
@@ -87,8 +95,7 @@ def pi_one_coordinate(n: int, source: SeededSource) -> float:
     """Seeded bug: only x is tested, so every sample hits and the estimate is 4."""
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    x, _ = _draw_points(n, source)
-    hits = int(np.count_nonzero(x * x <= 1.0))
+    hits = sum(int(np.count_nonzero(xx <= 1.0)) for xx, _ in _squared_points(n, source))
     return 4 * hits / n
 
 

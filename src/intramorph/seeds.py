@@ -19,9 +19,11 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
 # Elements per pass of SeededSource.unit_block: its two uint64 working
-# buffers take 256 KiB each, small enough to stay in cache between the
-# mixing steps.
-UNIT_BLOCK_CHUNK = 32_768
+# buffers, and a result of one chunk, take 64 KiB each. That keeps them under
+# glibc's default 128 KiB mmap threshold, so they come from the heap and are
+# reused across calls instead of being mapped (and page-faulted) afresh on
+# every call.
+UNIT_BLOCK_CHUNK = 8_192
 
 T = TypeVar("T")
 
@@ -89,9 +91,12 @@ class SeededSource:
         buffer holds the chunk's states and advances by a whole chunk each
         pass, a second holds the values being mixed, and the chunk's slice of
         the preallocated ``float64`` result serves as scratch until the
-        finished draws are written into it. Bit-identical to calling
-        ``unit()`` ``count`` times; the scalar loop is the reference and the
-        test suite pins the equivalence, across chunk boundaries too.
+        finished draws are written into it. A chunk's buffers take 64 KiB,
+        under glibc's default 128 KiB mmap threshold, so callers that draw at
+        most one chunk per call allocate from the heap only. Bit-identical to
+        calling ``unit()`` ``count`` times, and consecutive calls continue one
+        stream; the scalar loop is the reference and the test suite pins the
+        equivalence, across chunk boundaries too.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")

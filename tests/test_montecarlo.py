@@ -16,7 +16,7 @@ from intramorph.core import (ConfigurationError, InputCase, Provenance, Relation
                              UnknownMutantError, evaluate_pair)
 from intramorph.harness import CampaignConfig, run_campaign
 from intramorph.registry import get_campaign
-from intramorph.seeds import SeededSource
+from intramorph.seeds import UNIT_BLOCK_CHUNK, DerivedSource, SeededSource
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -37,7 +37,7 @@ class ZeroSource:
 
 
 def test_all_hits_give_four():
-    for n in (1, 10, 1000):
+    for n in (1, 10, 1000, UNIT_BLOCK_CHUNK + 1):
         assert pi_approximation(n, ZeroSource()) == 4.0
 
 
@@ -76,6 +76,56 @@ def test_million_sample_estimate_close_to_pi():
 def test_estimator_is_deterministic():
     assert (pi_approximation(10_000, SeededSource(7))
             == pi_approximation(10_000, SeededSource(7)))
+
+
+# --- chunked draws against the whole-block reference -------------------------
+
+def reference_draw_points(n, source):
+    """The points as one ``unit_block(2 * n)`` block: the layout the chunked
+    estimators must reproduce."""
+    block = source.unit_block(2 * n)
+    return block[0::2], block[1::2]
+
+
+def reference_pi_approximation(n, source):
+    x, y = reference_draw_points(n, source)
+    return 4 * int(np.count_nonzero(x * x + y * y <= 1.0)) / n
+
+
+def reference_pi_wrong_scale(n, source):
+    x, y = reference_draw_points(n, source)
+    return 2 * int(np.count_nonzero(x * x + y * y <= 1.0)) / n
+
+
+def reference_pi_boundary_strict(n, source):
+    x, y = reference_draw_points(n, source)
+    return 4 * int(np.count_nonzero(x * x + y * y < 1.0)) / n
+
+
+def reference_pi_one_coordinate(n, source):
+    x, _ = reference_draw_points(n, source)
+    return 4 * int(np.count_nonzero(x * x <= 1.0)) / n
+
+
+POINTS_PER_CHUNK = UNIT_BLOCK_CHUNK // 2
+
+
+@pytest.mark.parametrize("estimator, reference", [
+    (pi_approximation, reference_pi_approximation),
+    (pi_wrong_scale, reference_pi_wrong_scale),
+    (pi_boundary_strict, reference_pi_boundary_strict),
+    (pi_one_coordinate, reference_pi_one_coordinate),
+])
+def test_chunked_estimator_matches_the_whole_block_reference(estimator, reference):
+    p = POINTS_PER_CHUNK
+    for n in (1, 2, 10, p - 1, p, p + 1, 2 * p + 3, 100_000, 100_001):
+        for seed in range(20):
+            for make in (lambda: SeededSource(seed), lambda: DerivedSource(seed, n, 7)):
+                chunked, whole = make(), make()
+                estimate, expected = estimator(n, chunked), reference(n, whole)
+                assert estimate.hex() == expected.hex(), (n, seed, type(chunked))
+                # the estimator drew exactly 2 * n values from the stream
+                assert chunked.next_u64() == whole.next_u64(), (n, seed, type(chunked))
 
 
 # --- mutants -----------------------------------------------------------------

@@ -78,6 +78,20 @@ def test_unit_block_matches_scalar_loop_across_chunk_boundaries():
         assert scalar.next_u64() == vectorized.next_u64(), count
 
 
+def test_consecutive_unit_blocks_continue_one_stream():
+    # the chunked Monte Carlo estimators rely on this split property
+    chunk = UNIT_BLOCK_CHUNK
+    splits = [(1, 1), (chunk, chunk), (chunk // 2, chunk // 2), (chunk - 1, 2),
+              (chunk + 1, chunk - 1), (2 * chunk, 3), (3, 2 * chunk + 5), (0, chunk + 1)]
+    for a, b in splits:
+        for seed in (0, 20221021, 2**64 - 1):
+            split, whole = SeededSource(seed), SeededSource(seed)
+            parts = np.concatenate([split.unit_block(a), split.unit_block(b)])
+            assert np.array_equal(parts.view(np.uint64),
+                                  whole.unit_block(a + b).view(np.uint64)), (a, b, seed)
+            assert split.next_u64() == whole.next_u64(), (a, b, seed)
+
+
 @given(seeds)
 def test_derive_is_deterministic_and_salt_sensitive(seed):
     assert derive_seed(seed, 3, 7) == derive_seed(seed, 3, 7)
