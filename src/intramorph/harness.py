@@ -14,7 +14,7 @@ from typing import Any, Optional, Sequence
 
 from .campaign import Campaign, Evaluator
 from .core import (ConfigurationError, InputCase, Provenance, RelationStatus,
-                   DEFAULT_BUDGET_SECONDS, alarm_scope, generation_source)
+                   DEFAULT_BUDGET_SECONDS, alarm_scope, generation_sources)
 from .registry import default_registry, get_campaign
 
 __all__ = [
@@ -137,9 +137,10 @@ def run_campaign(config: CampaignConfig, registry: Optional[dict[str, Campaign]]
     # one SIGALRM handler for the whole run, shrinking included; each
     # evaluation only re-arms the timer
     with alarm_scope():
-        for iteration in range(1, config.iterations + 1):
+        sources = generation_sources(config.seed, config.iterations)
+        for iteration, source in enumerate(sources, start=1):
             iterations_run = iteration
-            payload = campaign.generate(generation_source(config.seed, iteration))
+            payload = campaign.generate(source)
             case = InputCase(payload, Provenance(config.seed, iteration))
             outcome = evaluator(case)
             if outcome.status is RelationStatus.EXECUTION_ERROR:

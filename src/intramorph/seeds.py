@@ -3,6 +3,11 @@
 The generator is splitmix64: 64-bit wraparound arithmetic only, so the same
 seed yields the same stream on every platform and Python build. Golden values
 in the test suite depend on this algorithm staying fixed.
+
+The scalar finalizer ``_mix`` on Python ints is the reference. ``_mix_array``
+applies the same arithmetic in place to numpy ``uint64`` arrays, and serves
+both ``SeededSource.unit_block`` and ``premixed_sources``, which derives a
+block of sibling streams and mixes their first draws in one batch.
 """
 
 from __future__ import annotations
@@ -18,12 +23,38 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
-# Elements per pass of SeededSource.unit_block: its two uint64 working
-# buffers, and a result of one chunk, take 64 KiB each. That keeps them under
-# glibc's default 128 KiB mmap threshold, so they come from the heap and are
-# reused across calls instead of being mapped (and page-faulted) afresh on
-# every call.
+# Elements per pass of SeededSource.unit_block: its uint64 working buffer,
+# the step table below, and a result of one chunk take 64 KiB each. That
+# keeps them under glibc's default 128 KiB mmap threshold, so they come from
+# the heap and are reused across calls instead of being mapped (and
+# page-faulted) afresh on every call.
 UNIT_BLOCK_CHUNK = 8_192
+
+# Draws of each stream that premixed_sources mixes in its batch. Measured
+# over the generation sources of 5,000 seeds: an array input takes at most 9
+# draws and a knapsack instance at most 14. An expression tree takes 11.8 on
+# average (median 8, 99th percentile 45); 70% of trees need no more than 16,
+# and the rest mix their later draws one by one.
+PREMIXED_DRAWS = 16
+
+# _GAMMA_STEPS[i] == (i + 1) * gamma mod 2**64: the offsets of a stream's
+# next UNIT_BLOCK_CHUNK states from its current one. Read-only, because it is
+# shared by every caller in the process, threads included.
+_GAMMA_STEPS = np.arange(1, UNIT_BLOCK_CHUNK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+_GAMMA_STEPS.flags.writeable = False
+
+
+def _uint64_constant(value: int) -> np.ndarray:
+    """Read-only 0-d ``uint64`` array: operations on a ``uint64`` array stay
+    ``uint64`` under numpy 1.x and 2.x promotion alike, and a ufunc takes a
+    0-d array operand faster than a numpy scalar."""
+    constant = np.array(value, dtype=np.uint64)
+    constant.flags.writeable = False
+    return constant
+
+
+_U64_MIX_A, _U64_MIX_B, _U64_30, _U64_27, _U64_31, _U64_11 = (
+    _uint64_constant(value) for value in (_MIX_A, _MIX_B, 30, 27, 31, 11))
 
 T = TypeVar("T")
 
@@ -32,6 +63,23 @@ def _mix(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
     return z ^ (z >> 31)
+
+
+def _mix_array(z: np.ndarray, scratch: np.ndarray) -> None:
+    """:func:`_mix` over every element of the ``uint64`` array ``z``, in place.
+
+    ``scratch`` is a ``uint64`` array of ``z``'s shape that the shifts are
+    written to; its contents are overwritten. Both are the caller's own
+    buffers, so concurrent callers share nothing.
+    """
+    np.right_shift(z, _U64_30, out=scratch)
+    z ^= scratch
+    z *= _U64_MIX_A
+    np.right_shift(z, _U64_27, out=scratch)
+    z ^= scratch
+    z *= _U64_MIX_B
+    np.right_shift(z, _U64_31, out=scratch)
+    z ^= scratch
 
 
 def derive_seed(base: int, *salts: int) -> int:
@@ -88,43 +136,35 @@ class SeededSource:
         splitmix64's state is an arithmetic progression, so the block is
         computed from ``state + i * gamma`` directly. The work runs in place
         over chunks of :data:`UNIT_BLOCK_CHUNK` elements: one ``uint64``
-        buffer holds the chunk's states and advances by a whole chunk each
-        pass, a second holds the values being mixed, and the chunk's slice of
-        the preallocated ``float64`` result serves as scratch until the
-        finished draws are written into it. A chunk's buffers take 64 KiB,
-        under glibc's default 128 KiB mmap threshold, so callers that draw at
-        most one chunk per call allocate from the heap only. Bit-identical to
-        calling ``unit()`` ``count`` times, and consecutive calls continue one
-        stream; the scalar loop is the reference and the test suite pins the
-        equivalence, across chunk boundaries too.
+        buffer receives the chunk's states (the current state plus the
+        shared read-only table of gamma multiples) and is mixed in place,
+        and the chunk's slice of the preallocated ``float64`` result serves
+        as scratch until the finished draws are written into it. A chunk's
+        buffers take 64 KiB, under glibc's default 128 KiB mmap threshold,
+        so callers that draw at most one chunk per call allocate from the
+        heap only. Bit-identical to calling ``unit()`` ``count`` times, and
+        consecutive calls continue one stream; the scalar loop is the
+        reference and the test suite pins the equivalence, across chunk
+        boundaries too.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         out = np.empty(count, dtype=np.float64)
-        # states[i] is the state that the chunk's i-th draw mixes
-        states = np.arange(1, min(count, UNIT_BLOCK_CHUNK) + 1, dtype=np.uint64)
-        states *= np.uint64(_GAMMA)
-        states += np.uint64(self._state)
-        z = np.empty_like(states)
-        chunk_advance = np.uint64((UNIT_BLOCK_CHUNK * _GAMMA) & _MASK64)
+        z = np.empty(min(count, UNIT_BLOCK_CHUNK), dtype=np.uint64)
+        state = self._state
         for start in range(0, count, UNIT_BLOCK_CHUNK):
             n = min(UNIT_BLOCK_CHUNK, count - start)
             zc = z[:n]
-            # the result slice doubles as the scratch buffer until it is written
             dest = out[start:start + n]
-            scratch = dest.view(np.uint64)
-            np.right_shift(states[:n], np.uint64(30), out=zc)
-            zc ^= states[:n]
-            zc *= np.uint64(_MIX_A)
-            np.right_shift(zc, np.uint64(27), out=scratch)
-            zc ^= scratch
-            zc *= np.uint64(_MIX_B)
-            np.right_shift(zc, np.uint64(31), out=scratch)
-            zc ^= scratch
-            zc >>= np.uint64(11)
-            np.multiply(zc, 2.0 ** -53, out=dest)
-            states += chunk_advance
-        self._state = (self._state + count * _GAMMA) & _MASK64
+            np.add(_GAMMA_STEPS[:n], np.uint64(state), out=zc)
+            # the result slice doubles as the scratch buffer until it is written
+            _mix_array(zc, dest.view(np.uint64))
+            zc >>= _U64_11
+            # the values are below 2**53, so int64 converts them exactly (and
+            # faster than uint64 does)
+            np.multiply(zc.view(np.int64), 2.0 ** -53, out=dest)
+            state = (state + n * _GAMMA) & _MASK64
+        self._state = state
         return out
 
     def choice(self, items: Sequence[T]) -> T:
@@ -152,3 +192,68 @@ class DerivedSource(SeededSource):
         base, salts = self._path
         SeededSource.__init__(self, derive_seed(base, *salts))
         return self.__dict__[name]
+
+
+class PremixedSource(SeededSource):
+    """``SeededSource(seed)`` whose first :data:`PREMIXED_DRAWS` draws were
+    mixed ahead of time, in a batch, by :func:`premixed_sources`.
+
+    ``below`` and ``next_u64`` serve the premixed values while the stream
+    has advanced through them alone, and mix the state themselves once it is
+    past them or has jumped (``unit_block`` advances the state without
+    drawing one by one). ``_state`` advances exactly as in the base class,
+    so every draw, block and child is the base class's.
+    """
+
+    def __init__(self, seed: int, draws: list[int]):
+        self.seed = self._state = seed
+        self._draws = draws
+        self._served = 0                # premixed draws handed out so far
+        self._served_state = seed       # the state right after them
+
+    def next_u64(self) -> int:
+        state = self._state
+        self._state = next_state = (state + _GAMMA) & _MASK64
+        if state == self._served_state:
+            served = self._served
+            if served < PREMIXED_DRAWS:
+                self._served = served + 1
+                self._served_state = next_state
+                return self._draws[served]
+        return _mix(next_state)
+
+    def below(self, bound: int) -> int:
+        if bound <= 0:
+            raise ValueError(f"bound must be positive, got {bound}")
+        state = self._state
+        self._state = next_state = (state + _GAMMA) & _MASK64
+        if state == self._served_state:
+            served = self._served
+            if served < PREMIXED_DRAWS:
+                self._served = served + 1
+                self._served_state = next_state
+                return self._draws[served] % bound
+        return _mix(next_state) % bound
+
+
+def premixed_sources(base: int, first: int, count: int, salt: int) -> list[PremixedSource]:
+    """``SeededSource(derive_seed(base, first + k, salt))`` for each k in
+    ``range(count)``, computed as one vectorized batch.
+
+    The salts ``first + k`` spread to an arithmetic progression of gamma
+    multiples, so every seed is derived at once, and each stream's first
+    :data:`PREMIXED_DRAWS` states (its seed plus the gamma multiples) are
+    mixed in one more batch. ``count`` must not exceed
+    :data:`UNIT_BLOCK_CHUNK`, the length of the step table. Bit-identical to
+    the scalar derivation, which the test suite keeps as the reference.
+    """
+    # (first + k + 1) * gamma, the spread form of the salt first + k
+    seeds = np.add(_GAMMA_STEPS[:count], np.uint64((first * _GAMMA) & _MASK64))
+    scratch = np.empty_like(seeds)
+    seeds ^= np.uint64(base & _MASK64)
+    _mix_array(seeds, scratch)
+    seeds ^= np.uint64(((salt + 1) * _GAMMA) & _MASK64)
+    _mix_array(seeds, scratch)
+    draws = np.add(seeds[:, np.newaxis], _GAMMA_STEPS[:PREMIXED_DRAWS])
+    _mix_array(draws, np.empty_like(draws))
+    return [PremixedSource(seed, row) for seed, row in zip(seeds.tolist(), draws.tolist())]

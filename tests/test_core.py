@@ -1,5 +1,6 @@
 """Pair evaluation semantics: verdicts, determinism, budgets, aggregation."""
 
+import dataclasses
 import gc
 import signal
 import sys
@@ -326,12 +327,25 @@ def test_sorting_pair_derives_only_the_generation_source(monkeypatch):
     assert evaluate(case_for(payload, seed=7, iteration=3)).status is RelationStatus.HOLDS
     assert calls == [(7, 3, 0)]
 
-    # a whole run derives one source per iteration: the generation source
+    # a whole run derives only generation sources: no original, variant or
+    # picker source (salts 1, 2, 3) is derived, and each iteration's input
+    # is drawn from derive_seed(7, iteration, 0). The batched blocks past the
+    # first iterations derive their seeds without calling derive_seed, so the
+    # seeds are read off the sources that generate() receives.
     calls.clear()
+    generated = []
+
+    def recording(source):
+        generated.append(source.seed)
+        return campaign.generate(source)
+
+    recorded = dataclasses.replace(campaign, generate=recording)
     report = run_campaign(CampaignConfig(campaign="sorting-intramorphic", seed=7,
-                                         iterations=20))
-    assert report.violations == 0
-    assert calls == [(7, iteration, 0) for iteration in range(1, 21)]
+                                         iterations=20),
+                          registry={campaign.name: recorded})
+    assert report.violations == 0 and report.iterations_run == 20
+    assert calls and all(call[0] == 7 and call[2:] == (0,) for call in calls)
+    assert generated == [real(7, iteration, 0) for iteration in range(1, 21)]
 
 
 # --- statistical aggregation ---------------------------------------------------

@@ -1,11 +1,18 @@
 """Determinism and independence of the seeded randomness layer."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intramorph.seeds import UNIT_BLOCK_CHUNK, DerivedSource, SeededSource, derive_seed
+import intramorph.seeds as seeds_module
+from intramorph import core
+from intramorph.registry import default_registry
+from intramorph.seeds import (PREMIXED_DRAWS, UNIT_BLOCK_CHUNK, DerivedSource,
+                              PremixedSource, SeededSource, derive_seed, premixed_sources)
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -165,3 +172,131 @@ def test_derived_source_derives_once_and_only_when_read(monkeypatch):
     source.seed
     source.unit()
     assert calls == [(9, 1, 2)]
+
+
+# --- batched streams ----------------------------------------------------------
+
+def draws(source, count):
+    """``count`` draws alternating next_u64 and below, as the generators mix them."""
+    return [source.below(1000) if k % 2 else source.next_u64() for k in range(count)]
+
+
+def after_partial_read(source, reads):
+    """A partial read, then a block, a pick, a child and more draws."""
+    head = draws(source, reads)
+    block = source.unit_block(3).view(np.uint64).tolist()
+    return (head, block, source.choice("abcdefg"), source.derive(5).next_u64(),
+            draws(source, 20), source.unit())
+
+
+@given(seeds, st.integers(min_value=-5, max_value=2**40), st.integers(min_value=0, max_value=40),
+       st.integers(min_value=0, max_value=2**20))
+@settings(max_examples=50)
+def test_premixed_sources_match_the_scalar_derivation(base, first, count, salt):
+    batch = premixed_sources(base, first, count, salt)
+    assert len(batch) == count
+    for k, source in enumerate(batch):
+        reference = SeededSource(derive_seed(base, first + k, salt))
+        assert (source.seed, repr(source)) == (reference.seed, repr(reference))
+        assert draws(source, PREMIXED_DRAWS + 8) == draws(reference, PREMIXED_DRAWS + 8)
+
+
+BATCHED_RUN = 600   # the scalar prefix, every block size and several capped blocks
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**64 - 1])
+def test_generation_sources_match_the_scalar_sources(seed):
+    batched = list(core.generation_sources(seed, BATCHED_RUN))
+    assert len(batched) == BATCHED_RUN
+    # the batched path really serves every iteration past the scalar prefix
+    assert sum(isinstance(source, PremixedSource) for source in batched) == (
+        BATCHED_RUN - core._SCALAR_ITERATIONS)
+    read_counts = (0, 5, PREMIXED_DRAWS, PREMIXED_DRAWS + 3)
+    # one unread run per partial read
+    unread = [list(core.generation_sources(seed, BATCHED_RUN)) for _ in read_counts]
+    for iteration, (source, *fresh) in enumerate(zip(batched, *unread), start=1):
+        def reference():
+            return core.generation_source(seed, iteration)
+
+        assert source.seed == reference().seed, iteration
+        assert draws(source, 64) == draws(reference(), 64), iteration
+        for reads, batched_source in zip(read_counts, fresh):
+            assert (after_partial_read(batched_source, reads)
+                    == after_partial_read(reference(), reads)), (iteration, reads)
+    for campaign in default_registry().values():
+        generated = [campaign.generate(source)
+                     for source in core.generation_sources(seed, BATCHED_RUN)]
+        expected = [campaign.generate(core.generation_source(seed, iteration))
+                    for iteration in range(1, BATCHED_RUN + 1)]
+        assert generated == expected, campaign.name
+
+
+def test_generation_sources_build_each_block_only_when_reached(monkeypatch):
+    blocks = []
+    monkeypatch.setattr(core, "premixed_sources",
+                        lambda *args: blocks.append(args) or premixed_sources(*args))
+    sources = core.generation_sources(3, 1000)
+    for _ in range(core._SCALAR_ITERATIONS):
+        next(sources)
+    assert blocks == []
+    next(sources)
+    assert len(blocks) == 1
+    list(sources)
+    # doubling blocks up to the cap, clamped to the run's last iteration
+    sizes = [count for _, _, count, _ in blocks]
+    assert sizes == [8, 16, 32, 64, 128, 256, 256, 232]
+    assert sum(sizes) == 1000 - core._SCALAR_ITERATIONS
+
+
+def test_module_level_arrays_are_read_only():
+    tables = [value for value in vars(seeds_module).values() if isinstance(value, np.ndarray)]
+    assert any(table is seeds_module._GAMMA_STEPS for table in tables)
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[...] = 0
+
+
+def test_two_threads_share_the_kernel():
+    # references from the scalar paths, computed before the threads start
+    block_size = 2 * UNIT_BLOCK_CHUNK + 7
+    run = 300
+    references = {}
+    for seed in (11, 2**64 - 3):
+        scalar = SeededSource(seed)
+        block = np.array([scalar.unit() for _ in range(block_size)]).view(np.uint64).tolist()
+        streams = [(source.seed, draws(source, 20)) for source in
+                   (core.generation_source(seed, i) for i in range(1, run + 1))]
+        references[seed] = (block, streams)
+
+    start = threading.Barrier(2, timeout=10)
+    failures = []
+    rounds = []
+
+    def worker(seed):
+        try:
+            start.wait()
+            for _ in range(5):
+                block = SeededSource(seed).unit_block(block_size).view(np.uint64).tolist()
+                streams = [(source.seed, draws(source, 20))
+                           for source in core.generation_sources(seed, run)]
+                if (block, streams) != references[seed]:
+                    failures.append(seed)
+                rounds.append(seed)
+        except BaseException as exc:   # reported on the test's thread below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,), daemon=True)
+                   for seed in references]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert len(rounds) == 10
