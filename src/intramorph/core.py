@@ -141,6 +141,13 @@ class StatisticalConfig:
     ``summary`` maps one output to the scalar the relation is really about,
     and ``compare`` must agree with the owning relation's ``check`` in the
     sense that check(o, v) == compare(summary(o), summary(v)).
+
+    For every fixed ``m``, the summaries ``v`` with ``compare(m, v)`` must
+    form a down-set or an up-set of the summaries' order (as they do for
+    ``operator.ge`` or ``operator.le``). Then, for odd k, ``compare(m,
+    median(V))`` holds exactly when ``compare(m, v)`` holds for at least
+    (k+1)/2 elements v of V, which is what lets the evaluation stop once
+    that many variant trials pass.
     """
 
     repetitions: int
@@ -148,9 +155,11 @@ class StatisticalConfig:
     compare: Callable[[float, float], bool]
 
     def __post_init__(self) -> None:
-        if self.repetitions < 1 or self.repetitions % 2 == 0:
+        # exactly int: a float k cannot index trials, and True would run as k=1
+        if (type(self.repetitions) is not int or self.repetitions < 1
+                or self.repetitions % 2 == 0):
             raise ConfigurationError(
-                f"statistical repetitions must be a positive odd integer, got {self.repetitions}")
+                f"statistical repetitions must be a positive odd integer, got {self.repetitions!r}")
 
 
 @dataclass(frozen=True)
@@ -364,23 +373,33 @@ def _evaluate_single(pair: ProgramPair, relation: IntramorphicRelation,
 
 def _evaluate_statistical(pair: ProgramPair, config: StatisticalConfig,
                           case: InputCase) -> RelationOutcome:
-    """Median-of-k: each side runs k times on derived sub-sources. The
-    outcome's outputs are the two median summaries, which the comparison was
-    applied to; with k=1 the verdict coincides with the single-run one."""
-    original_summaries = []
+    """Median-of-k: each side runs up to k times on derived sub-sources, and
+    the verdict compares the two sides' median summaries; with k=1 it
+    coincides with the single-run verdict.
+
+    The k original trials run first. The variant trials then run in trial
+    order and stop as soon as (k+1)/2 of them satisfy ``compare`` against
+    the original median: by the down-set/up-set requirement on ``compare``,
+    the variant median then satisfies it too, whatever the remaining trials
+    would give. Such a holding outcome carries the original median and no
+    variant output. A violation runs every trial and carries both medians.
+    """
+    original_median = statistics.median(
+        config.summary(_run_program(f"original trial {trial}", pair.original, case.payload,
+                                    original_source(case.provenance, trial)))
+        for trial in range(config.repetitions))
+    passes_needed = (config.repetitions + 1) // 2
     variant_summaries = []
     for trial in range(config.repetitions):
-        out = _run_program(f"original trial {trial}", pair.original, case.payload,
-                           original_source(case.provenance, trial))
-        original_summaries.append(config.summary(out))
         out = _run_program(f"variant trial {trial}", pair.variant, case.payload,
                            variant_source(case.provenance, trial))
         variant_summaries.append(config.summary(out))
-
-    original_median = statistics.median(original_summaries)
-    variant_median = statistics.median(variant_summaries)
-    return RelationOutcome.from_check(config.compare(original_median, variant_median),
-                                      original_median, variant_median)
+        if config.compare(original_median, variant_summaries[-1]):
+            passes_needed -= 1
+            if passes_needed == 0:
+                return RelationOutcome(RelationStatus.HOLDS, original_median)
+    return RelationOutcome(RelationStatus.VIOLATED, original_median,
+                           statistics.median(variant_summaries))
 
 
 def equivalence_relation() -> IntramorphicRelation:

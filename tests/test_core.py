@@ -2,7 +2,9 @@
 
 import dataclasses
 import gc
+import operator
 import signal
+import statistics
 import sys
 import threading
 import time
@@ -368,12 +370,15 @@ def scripted_pair(original_values, variant_values, false_alarms=True):
                        descriptor=plain_descriptor(false_alarms=false_alarms))
 
 
-def median_relation(k):
+def at_most(a, b):
+    return a <= b
+
+
+def median_relation(k, compare=at_most):
     return IntramorphicRelation(
-        name="median-le",
-        check=lambda o, v: o <= v,
-        statistical=StatisticalConfig(repetitions=k, summary=float,
-                                      compare=lambda a, b: a <= b))
+        name="median-compare",
+        check=compare,
+        statistical=StatisticalConfig(repetitions=k, summary=float, compare=compare))
 
 
 def test_statistical_uses_medians_per_side():
@@ -381,7 +386,8 @@ def test_statistical_uses_medians_per_side():
     outcome = evaluate_pair(pair, median_relation(3), case_for(None))
     assert outcome.status is RelationStatus.HOLDS
     assert outcome.original_output == 2.0   # median of 1, 9, 2
-    assert outcome.variant_output == 5.0    # median of 5, 4, 6
+    # 5 and 4 already settle the median of 5, 4, 6, so no full median exists
+    assert outcome.variant_output is None
 
 
 def test_statistical_failures_name_the_trial_or_become_errors():
@@ -408,11 +414,47 @@ def test_statistical_failures_name_the_trial_or_become_errors():
 
 
 def test_statistical_violation_carries_medians():
-    pair = scripted_pair([9.0, 9.0, 9.0], [1.0, 1.0, 1.0])
+    # the variant's first trial passes against the original median 5 and the
+    # other two fail, so every trial runs and the variant median is 4
+    pair = scripted_pair([9.0, 1.0, 5.0], [7.0, 4.0, 2.0])
     relation = median_relation(3)
     outcome = evaluate_pair(pair, relation, case_for(None))
     assert outcome.status is RelationStatus.VIOLATED
+    assert (outcome.original_output, outcome.variant_output) == (5.0, 4.0)
     assert recheck_outputs(relation, outcome.original_output, outcome.variant_output) is False
+
+
+def scripted_trials(k):
+    # few distinct values, so that ties with the original median are common
+    summaries = st.lists(st.integers(0, 6), min_size=k, max_size=k)
+    return st.tuples(summaries, summaries)
+
+
+# operator.ge passes a down-set of variant summaries, at_most an up-set
+@given(st.sampled_from([1, 3, 5, 7]).flatmap(scripted_trials),
+       st.sampled_from([operator.ge, at_most]))
+def test_statistical_verdict_equals_the_all_trials_median_verdict(trials, compare):
+    original, variant = trials
+    outcome = evaluate_pair(scripted_pair(original, variant),
+                            median_relation(len(original), compare), case_for(None))
+    holds = compare(statistics.median(original), statistics.median(variant))
+    assert outcome.status is (RelationStatus.HOLDS if holds else RelationStatus.VIOLATED)
+    assert outcome.original_output == statistics.median(original)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+def test_statistical_program_calls(k):
+    # every variant trial passes: the verdict is settled after (k+1)/2 of them
+    pair = scripted_pair([1.0], [2.0])
+    outcome = evaluate_pair(pair, median_relation(k), case_for(None))
+    assert outcome.status is RelationStatus.HOLDS
+    assert (pair.original.calls, pair.variant.calls) == (k, (k + 1) // 2)
+
+    # a violation runs every trial on both sides
+    pair = scripted_pair([2.0], [1.0])
+    outcome = evaluate_pair(pair, median_relation(k), case_for(None))
+    assert outcome.status is RelationStatus.VIOLATED
+    assert (pair.original.calls, pair.variant.calls) == (k, k)
 
 
 @given(st.floats(0, 10), st.floats(0, 10))
@@ -434,7 +476,7 @@ def test_statistical_rejects_even_k():
 
 
 def test_statistical_config_validates_repetitions():
-    for repetitions in (2, 0, -1):
+    for repetitions in (2, 0, -1, 3.0, True):
         with pytest.raises(ConfigurationError):
             StatisticalConfig(repetitions=repetitions, summary=float,
                               compare=lambda a, b: a <= b)

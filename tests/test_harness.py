@@ -88,6 +88,22 @@ def test_config_validation():
                                     iterations=1, statistical_repetitions=4))
 
 
+@pytest.mark.parametrize("repetitions", [3.0, True])
+def test_non_integer_repetitions_are_rejected_before_any_iteration(repetitions):
+    calls = []
+
+    def recording(n, source):
+        calls.append(n)
+        return 3.0
+
+    with mock.patch.object(montecarlo, "pi_approximation", recording):
+        with pytest.raises(ConfigurationError,
+                           match=f"positive odd integer, got {repetitions}$"):
+            run_campaign(CampaignConfig(campaign="montecarlo-convergence", seed=1,
+                                        iterations=3, statistical_repetitions=repetitions))
+    assert calls == []
+
+
 @pytest.mark.parametrize("budget", [0.0, -1.0, math.nan, math.inf])
 def test_budget_must_be_positive_and_finite(budget):
     calls = []

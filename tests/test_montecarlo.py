@@ -1,6 +1,8 @@
 """Pi estimator, the convergence relation, and the estimator bug catalog."""
 
 import math
+import statistics
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,8 +14,10 @@ from intramorph.cases.montecarlo import (SampleBudgetPair, error_from_pi,
                                          pi_approximation,
                                          pi_boundary_strict, pi_one_coordinate,
                                          pi_wrong_scale)
-from intramorph.core import (ConfigurationError, InputCase, Provenance, RelationStatus,
-                             UnknownMutantError, evaluate_pair)
+import intramorph.core as core
+from intramorph.core import (ConfigurationError, InputCase, Provenance, RelationOutcome,
+                             RelationStatus, UnknownMutantError, evaluate_pair,
+                             generation_sources, original_source, variant_source)
 from intramorph.harness import CampaignConfig, run_campaign
 from intramorph.registry import get_campaign
 from intramorph.seeds import UNIT_BLOCK_CHUNK, DerivedSource, SeededSource
@@ -187,7 +191,47 @@ def test_convergence_outcome_carries_median_errors():
     budgets = SampleBudgetPair(n_small=10, n_large=20_000)
     outcome = convergence_relation(budgets, SeededSource(5), 3)
     assert outcome.original_output >= 0.0
-    assert outcome.variant_output >= 0.0
+    # a holding outcome stops its variant trials early and carries no median
+    assert outcome.status is RelationStatus.HOLDS
+    assert outcome.variant_output is None
+
+
+# --- early-stopping median-of-k against the all-trials reference -------------
+
+def all_trials_statistical(pair, config, case):
+    """Reference for ``core._evaluate_statistical``: every trial of both
+    sides runs, interleaved, and the verdict compares the two full medians."""
+    original_summaries = []
+    variant_summaries = []
+    for trial in range(config.repetitions):
+        out = core._run_program(f"original trial {trial}", pair.original, case.payload,
+                                original_source(case.provenance, trial))
+        original_summaries.append(config.summary(out))
+        out = core._run_program(f"variant trial {trial}", pair.variant, case.payload,
+                                variant_source(case.provenance, trial))
+        variant_summaries.append(config.summary(out))
+
+    original_median = statistics.median(original_summaries)
+    variant_median = statistics.median(variant_summaries)
+    return RelationOutcome.from_check(config.compare(original_median, variant_median),
+                                      original_median, variant_median)
+
+
+@pytest.mark.parametrize("repetitions", [1, 3, 7])
+@pytest.mark.parametrize("mutant", [None, "wrong-scale", "boundary-strict", "one-coordinate"])
+def test_early_stop_matches_the_all_trials_reference(mutant, repetitions):
+    campaign = get_campaign("montecarlo-convergence")
+    evaluator = campaign.build_evaluator(mutant, repetitions, None)
+    seed = 2024
+    for iteration, source in enumerate(generation_sources(seed, 30), start=1):
+        case = InputCase(campaign.generate(source), Provenance(seed, iteration))
+        outcome = evaluator(case)
+        with mock.patch.object(core, "_evaluate_statistical", all_trials_statistical):
+            expected = evaluator(case)
+        assert outcome.status is expected.status, iteration
+        assert outcome.original_output == expected.original_output, iteration
+        if outcome.status is RelationStatus.VIOLATED:
+            assert outcome.variant_output == expected.variant_output, iteration
 
 
 # --- campaign-level detection ------------------------------------------------
