@@ -3,13 +3,16 @@
 The infix printer must parenthesize an addition that sits directly under a
 multiplication; prefix and postfix need no parentheses at all, which is what
 makes them trustworthy companions. The token-multiset relation compares the
-three renderings after stripping the infix parentheses.
+three renderings after stripping the infix parentheses. One bug is derived
+from the infix printer by one edit; the other two are written out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Union
+
+from . import derive
 
 
 @dataclass(frozen=True)
@@ -83,21 +86,11 @@ def render_tree(node: ExprNode) -> str:
     return f"Operation({node.operator!r}, {render_tree(node.left)}, {render_tree(node.right)})"
 
 
-def infix_paren_left_as_right(node: ExprNode) -> str:
+infix_paren_left_as_right = derive(
+    as_string_infix, "infix_paren_left_as_right",
     """Seeded bug: when the right operand needs parentheses, the left operand's
-    text is wrapped and assigned instead."""
-    if isinstance(node, Variable):
-        return node.name
-    if isinstance(node, Constant):
-        return str(node.value)
-    left = infix_paren_left_as_right(node.left)
-    right = infix_paren_left_as_right(node.right)
-    if node.operator == "*":
-        if isinstance(node.left, Operation) and node.left.operator == "+":
-            left = "(" + left + ")"
-        if isinstance(node.right, Operation) and node.right.operator == "+":
-            right = "(" + left + ")"
-    return left + " " + node.operator + " " + right
+    text is wrapped and assigned instead.""",
+    ('"(" + right + ")"', '"(" + left + ")"'))
 
 
 def infix_drop_right_operand(node: ExprNode) -> str:

@@ -4,6 +4,7 @@ The production algorithm is the density-ordered greedy; replacing it with an
 exhaustive search that explores every feasible multiset gives an oracle,
 since the exhaustive value can never be worse. A classic table-filling
 dynamic program serves as an independent cross-check on the exhaustive side.
+Each greedy bug is one edit of the greedy; the exhaustive bug is written out.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from ..core import BudgetExceededError
+from . import derive
 
 # Reject searches whose item-count * (capacity / min weight) bound exceeds
 # this; generator defaults stay orders of magnitude below.
@@ -154,38 +156,19 @@ def optimality_relation(exhaustive_solution: KnapsackSolution,
     return exhaustive_solution.cum_value >= greedy_solution.cum_value
 
 
-def knapsack_greedy_sorted_ascending(instance: KnapsackInstance) -> KnapsackSolution:
-    """Seeded bug: density sort runs the wrong way, so the worst items go first.
-
-    The packing stays feasible and can only lose value, so the optimality
-    relation still holds on every input; the bug only shows statistically,
-    as a jump in how often the exhaustive value is strictly better.
-    """
-    packed: list[str] = []
-    cum_value = 0
-    cum_weight = 0
-    order = sorted(instance.items, key=lambda item: Fraction(item.value, item.weight))
-    for name, value, weight in order:
-        while cum_weight + weight <= instance.capacity:
-            cum_weight += weight
-            cum_value += value
-            packed.append(name)
-    return KnapsackSolution(tuple(packed), cum_value, cum_weight, instance.capacity)
-
-
-def knapsack_greedy_capacity_off_by_one(instance: KnapsackInstance) -> KnapsackSolution:
-    """Seeded bug: the fill loop admits one weight unit beyond the capacity."""
-    packed: list[str] = []
-    cum_value = 0
-    cum_weight = 0
-    order = sorted(instance.items, key=lambda item: Fraction(item.value, item.weight),
-                   reverse=True)
-    for name, value, weight in order:
-        while cum_weight + weight <= instance.capacity + 1:
-            cum_weight += weight
-            cum_value += value
-            packed.append(name)
-    return KnapsackSolution(tuple(packed), cum_value, cum_weight, instance.capacity)
+knapsack_greedy_sorted_ascending = derive(
+    knapsack_greedy, "knapsack_greedy_sorted_ascending",
+    "Seeded bug: density sort runs the wrong way, so the worst items go first. The packing "
+    "stays feasible and only loses value, so the optimality relation holds on every input; "
+    "the bug shows only statistically, as a higher rate of strictly better exhaustive values.",
+    ("sorted(instance.items, key=lambda item: Fraction(item.value, item.weight),"
+     " reverse=True)",
+     "sorted(instance.items, key=lambda item: Fraction(item.value, item.weight))"))
+knapsack_greedy_capacity_off_by_one = derive(
+    knapsack_greedy, "knapsack_greedy_capacity_off_by_one",
+    "Seeded bug: the fill loop admits one weight unit beyond the capacity.",
+    ("cum_weight + weight <= instance.capacity",
+     "cum_weight + weight <= instance.capacity + 1"))
 
 
 def knapsack_exhaustive_skip_include(instance: KnapsackInstance) -> KnapsackSolution:

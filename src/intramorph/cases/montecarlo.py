@@ -3,7 +3,8 @@
 The estimator was parameterized over its sample count; the oracle compares
 the same estimator instantiated at a small and a large budget and expects
 the large budget to land at least as close to pi, judged on median-of-k
-trials because a single unlucky trial can flip the comparison.
+trials because a single unlucky trial can flip the comparison. Each seeded
+bug is derived from the correct estimator by one edit.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from ..core import (ApplicationMode, Automation, ConfigurationError, Granularity
                     IntramorphicRelation, ProgramPair, StatisticalConfig,
                     TransformationDescriptor)
 from ..seeds import UNIT_BLOCK_CHUNK, SeededSource
+from . import derive
 
 # An existing function gained a sample-count parameter; single trials can
 # produce false alarms, hence the statistical aggregation requirement.
@@ -71,32 +73,18 @@ def pi_approximation(n: int, source: SeededSource) -> float:
     return 4 * hits / n
 
 
-def pi_wrong_scale(n: int, source: SeededSource) -> float:
-    """Seeded bug: scale factor 2 instead of 4; converges to pi/2."""
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
-    hits = sum(int(np.count_nonzero(xx + yy <= 1.0)) for xx, yy in _squared_points(n, source))
-    return 2 * hits / n
-
-
-def pi_boundary_strict(n: int, source: SeededSource) -> float:
-    """Seeded bug: strict circle test.
-
-    Known blind spot: the boundary has probability zero up to float
-    granularity, so this is statistically indistinguishable from correct.
-    """
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
-    hits = sum(int(np.count_nonzero(xx + yy < 1.0)) for xx, yy in _squared_points(n, source))
-    return 4 * hits / n
-
-
-def pi_one_coordinate(n: int, source: SeededSource) -> float:
-    """Seeded bug: only x is tested, so every sample hits and the estimate is 4."""
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
-    hits = sum(int(np.count_nonzero(xx <= 1.0)) for xx, _ in _squared_points(n, source))
-    return 4 * hits / n
+pi_wrong_scale = derive(pi_approximation, "pi_wrong_scale",
+                        "Seeded bug: scale factor 2 instead of 4; converges to pi/2.",
+                        ("4 * hits / n", "2 * hits / n"))
+pi_boundary_strict = derive(
+    pi_approximation, "pi_boundary_strict",
+    "Seeded bug: strict circle test. Known blind spot: the boundary has probability "
+    "zero up to float granularity, so this is statistically indistinguishable from correct.",
+    ("xx + yy <= 1.0", "xx + yy < 1.0"))
+pi_one_coordinate = derive(
+    pi_approximation, "pi_one_coordinate",
+    "Seeded bug: only x is tested, so every sample hits and the estimate is 4.",
+    ("xx + yy <= 1.0", "xx <= 1.0"))
 
 
 def error_from_pi(estimate: float) -> float:

@@ -1,32 +1,13 @@
 """Sorting case study: three ascending sorts, a descending twin, seeded bugs.
 
-The descending twins are derived from the ascending bubble sorts by
-flip_comparisons, so reversing one output must reproduce the other. The
-catalogued bugs target the swap statement and the comparison flip.
+The descending twin and the swap-index bug are each one edit of the ascending
+bubble sort, and the buggy twin makes both; reversing one sort's output must
+reproduce its twin's.
 """
 
 from __future__ import annotations
 
-import ast
-import inspect
-import textwrap
-from typing import Callable
-
-_FLIPPED = {ast.Lt: ast.Gt, ast.Gt: ast.Lt, ast.LtE: ast.GtE, ast.GtE: ast.LtE}
-
-
-def flip_comparisons(fn: Callable, name: str) -> Callable:
-    """``fn`` recompiled from its source as ``name``, with ``<``/``>`` and
-    ``<=``/``>=`` swapped in every comparison, at ``fn``'s file and lines."""
-    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Compare):
-            node.ops = [_FLIPPED.get(type(op), type(op))() for op in node.ops]
-    tree.body[0].name = name
-    ast.increment_lineno(tree, fn.__code__.co_firstlineno - 1)
-    namespace: dict = {}
-    exec(compile(tree, fn.__code__.co_filename, "exec"), fn.__globals__, namespace)
-    return namespace[name]
+from . import derive
 
 
 def bubble_sort(arr: list) -> list:
@@ -70,20 +51,18 @@ def merge_sort(arr: list) -> list:
     return arr
 
 
-def bubble_sort_swap_index(arr: list) -> list:
-    """Seeded bug: the swap's second source reads the outer index i, not j."""
-    length = len(arr)
-    for i in range(length):
-        for j in range(0, length - i - 1):
-            if arr[j] > arr[j + 1]:
-                arr[j], arr[j + 1] = arr[j + 1], arr[i]
-    return arr
+_SWAP_INDEX = ("arr[j + 1], arr[j]", "arr[j + 1], arr[i]")
+_FLIP = ("arr[j] > arr[j + 1]", "arr[j] < arr[j + 1]")
 
-
+bubble_sort_swap_index = derive(
+    bubble_sort, "bubble_sort_swap_index",
+    "Seeded bug: the swap's second source reads the outer index i, not j.", _SWAP_INDEX)
 # the descending twins; the unflipped twin is bubble_sort itself
-bubble_sort_reverse = flip_comparisons(bubble_sort, "bubble_sort_reverse")
-bubble_sort_reverse_swap_index = flip_comparisons(bubble_sort_swap_index,
-                                                  "bubble_sort_reverse_swap_index")
+bubble_sort_reverse = derive(bubble_sort, "bubble_sort_reverse",
+                             "bubble_sort with its comparison flipped: sorts descending.", _FLIP)
+bubble_sort_reverse_swap_index = derive(
+    bubble_sort, "bubble_sort_reverse_swap_index",
+    "Seeded bug: the descending twin of bubble_sort_swap_index.", _SWAP_INDEX, _FLIP)
 
 
 def reverse_relation(ascending: list, descending: list) -> bool:

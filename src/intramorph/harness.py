@@ -60,10 +60,11 @@ class CampaignReport:
 
 
 def _validate_config(config: CampaignConfig, campaign: Campaign) -> None:
-    if not 0 <= config.seed < _SEED_LIMIT:
-        raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {config.seed}")
-    if config.iterations < 1:
-        raise ConfigurationError(f"iterations must be >= 1, got {config.iterations}")
+    # exactly int: a float fails deep in the run, and True would run as 1
+    if type(config.seed) is not int or not 0 <= config.seed < _SEED_LIMIT:
+        raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {config.seed!r}")
+    if type(config.iterations) is not int or config.iterations < 1:
+        raise ConfigurationError(f"iterations must be an integer >= 1, got {config.iterations!r}")
     budget = config.budget_seconds
     if budget is not None and not 0 < budget < math.inf:   # false for nan as well
         raise ConfigurationError(

@@ -38,7 +38,7 @@ def _added_alongside(granularity: Granularity) -> TransformationDescriptor:
         automation=Automation.MANUAL, relation_complete=True, false_alarm_possible=False)
 
 
-# the descending twin is derived from the ascending sort by flip_comparisons
+# cases.derive builds the descending twin from the ascending sort by flipping its comparison
 SORTING_REVERSE_DESCRIPTOR = dataclasses.replace(_added_alongside(Granularity.OPERATOR),
                                                  automation=Automation.MECHANICAL)
 SORTING_EQUIVALENCE_DESCRIPTOR = _added_alongside(Granularity.ALGORITHM_REPLACED)
@@ -172,8 +172,8 @@ def _campaign_table() -> tuple[Campaign, ...]:
             descriptor=SORTING_REVERSE_DESCRIPTOR,
             mutants=(
                 swap_index,
-                # the descending twin is mechanically derived from the buggy
-                # ascending sort, so this mutant leaves BOTH sides buggy
+                # derive makes the swap-index edit in both sorts, and also flips
+                # the descending one's comparison, so BOTH sides are buggy
                 Mutant("comparison-flip-reverse",
                        "descending twin inherits the swap-index bug (both sides buggy)",
                        {"ascending": sorting.bubble_sort_swap_index,

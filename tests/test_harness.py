@@ -104,6 +104,18 @@ def test_non_integer_repetitions_are_rejected_before_any_iteration(repetitions):
     assert calls == []
 
 
+@pytest.mark.parametrize("field, value", [("seed", 1.5), ("seed", True),
+                                          ("iterations", 3.0), ("iterations", True)])
+def test_non_integer_seed_and_iterations_are_rejected_before_any_iteration(field, value):
+    # a float used to crash the run with a raw TypeError; True ran as 1
+    calls = []
+    fields = {"seed": 1, "iterations": 2, field: value}
+    with mock.patch.object(sorting, "bubble_sort", lambda arr: calls.append(arr) or arr):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be .*, got {value}$"):
+            run_campaign(CampaignConfig(campaign="sorting-unit", **fields))
+    assert calls == []
+
+
 @pytest.mark.parametrize("budget", [0.0, -1.0, math.nan, math.inf])
 def test_budget_must_be_positive_and_finite(budget):
     calls = []
