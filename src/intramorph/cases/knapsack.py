@@ -1,9 +1,10 @@
 """Unbounded knapsack case study: greedy solver vs. exhaustive replacement.
 
 The production algorithm is the density-ordered greedy; replacing it with an
-exhaustive search that explores every feasible multiset gives an oracle,
-since the exhaustive value can never be worse. A classic table-filling
-dynamic program serves as an independent cross-check on the exhaustive side.
+exhaustive search over every feasible multiset, filled in one table row by
+remaining capacity, gives an oracle, since the exhaustive value can never be
+worse. A classic dynamic program that maximises over the items at each
+capacity serves as an independent cross-check of that value.
 Each greedy bug is one edit of the greedy; the exhaustive bug is written out.
 """
 
@@ -19,8 +20,8 @@ from . import derive
 # Reject searches whose item-count * (capacity / min weight) bound exceeds
 # this; generator defaults stay orders of magnitude below.
 SEARCH_NODE_BUDGET = 1_000_000
-# Include-branch recursion depth is capacity / min weight; keep it well under
-# the interpreter's stack limit.
+# Most copies one packing holds plus the item count: no stack limit, since
+# nothing recurses, but kept as the search-size contract.
 SEARCH_DEPTH_BUDGET = 900
 
 
@@ -94,41 +95,24 @@ def _check_search_budget(instance: KnapsackInstance) -> None:
 
 
 def knapsack_exhaustive(instance: KnapsackInstance) -> KnapsackSolution:
-    """Search every feasible multiset for the most valuable one.
+    """The most valuable feasible multiset, by the include-or-move-past search.
 
-    At each index the search branches on including one more copy of the item
-    (index unchanged, unbounded copies) or moving past it. The best packing
-    of the remaining capacity from a state depends only on
-    ``(capacity, index)``, so each state is solved once and memoized for
-    the duration of the call: at most items x capacity states, further
-    guarded by the search budget. Exclusion wins ties: when including one
-    more copy is no more valuable than moving past the item, the search
-    moves past it.
-    """
+    At ``(capacity, index)`` the search includes one more copy of the item
+    (index unchanged) or moves past it. Its states are filled bottom-up in one
+    row ``best`` by remaining capacity: walking the items in reverse, ``best[c]``
+    holds ``(c, index + 1)`` until the item's pass reaches ``c`` in increasing
+    order, when ``best[c - weight]`` already holds ``(c - weight, index)``.
+    Exclusion wins ties: one more copy must be strictly more valuable."""
     _check_search_budget(instance)
-    items = instance.items
-    count = len(items)
-    empty = (0, 0, None)
-    memo: dict[tuple[int, int], tuple] = {}
-
-    def best_suffix(capacity, index):
-        # (value, weight, names) of the best packing of the remaining
-        # capacity; names is a cons chain (name, rest) to share tails
-        if capacity <= 0 or index >= count:
-            return empty
-        key = (capacity, index)
-        best = memo.get(key)
-        if best is None:
-            name, value, weight = items[index]
-            best = best_suffix(capacity, index + 1)
-            if weight <= capacity:
-                sub_value, sub_weight, sub_names = best_suffix(capacity - weight, index)
-                if value + sub_value > best[0]:
-                    best = (value + sub_value, weight + sub_weight, (name, sub_names))
-            memo[key] = best
-        return best
-
-    cum_value, cum_weight, chain = best_suffix(instance.capacity, 0)
+    # (value, weight, names) of the best packing of each remaining capacity;
+    # names is a cons chain (name, rest) to share tails
+    best = [(0, 0, None)] * (instance.capacity + 1)
+    for name, value, weight in reversed(instance.items):
+        for capacity in range(weight, len(best)):
+            sub_value, sub_weight, sub_names = best[capacity - weight]
+            if value + sub_value > best[capacity][0]:
+                best[capacity] = (value + sub_value, weight + sub_weight, (name, sub_names))
+    cum_value, cum_weight, chain = best[-1]
     names: list[str] = []
     while chain is not None:
         names.append(chain[0])

@@ -155,15 +155,13 @@ def shrink_tree(payload: ExprNode) -> list[ExprNode]:
 
 
 def shrink_knapsack(payload: KnapsackInstance) -> list[KnapsackInstance]:
-    """Single-item deletions first, then capacity cuts."""
+    """Single-item deletions first, then capacity cuts. A deletion has fewer
+    items than any cut, so only the cut capacities need deduplicating."""
     candidates: list[KnapsackInstance] = []
     for index in range(len(payload.items)):
         candidates.append(KnapsackInstance(
             payload.items[:index] + payload.items[index + 1:], payload.capacity))
     if payload.capacity > 0:
-        for smaller in (0, payload.capacity // 2, payload.capacity - 1):
-            if smaller < payload.capacity:
-                candidate = KnapsackInstance(payload.items, smaller)
-                if candidate not in candidates:
-                    candidates.append(candidate)
+        for smaller in dict.fromkeys((0, payload.capacity // 2, payload.capacity - 1)):
+            candidates.append(KnapsackInstance(payload.items, smaller))
     return candidates

@@ -223,6 +223,31 @@ def test_shrink_array_matches_the_quadratic_reference():
         assert shrink_array(payload) == quadratic_shrink_array(payload), payload
 
 
+def scanning_shrink_knapsack(payload):
+    """Reference: the same candidates in the same order, deduplicated by
+    scanning every candidate built so far."""
+    candidates = []
+    for index in range(len(payload.items)):
+        candidates.append(KnapsackInstance(
+            payload.items[:index] + payload.items[index + 1:], payload.capacity))
+    if payload.capacity > 0:
+        for smaller in (0, payload.capacity // 2, payload.capacity - 1):
+            if smaller < payload.capacity:
+                candidate = KnapsackInstance(payload.items, smaller)
+                if candidate not in candidates:
+                    candidates.append(candidate)
+    return candidates
+
+
+def test_shrink_knapsack_matches_the_scanning_reference():
+    # at capacities 1 to 4 the three cuts collide in every way they can
+    for seed in range(500):
+        generated = random_knapsack_instance(SeededSource(seed))
+        for payload in [generated, *(dataclasses.replace(generated, capacity=capacity)
+                                     for capacity in range(5))]:
+            assert shrink_knapsack(payload) == scanning_shrink_knapsack(payload), payload
+
+
 @given(seeds)
 def test_shrink_array_measure_strictly_decreases(seed):
     payload = random_array(SeededSource(seed))

@@ -1,7 +1,10 @@
 """Knapsack solvers cross-checked against an independent enumeration oracle
 and against the plain (unmemoized) recursive search."""
 
+import inspect
 import itertools
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -163,6 +166,38 @@ def test_memoized_search_matches_plain_recursion_on_generated_instances():
     for seed in range(2000):
         instance = random_knapsack_instance(SeededSource(seed))
         assert knapsack_exhaustive(instance) == plain_exhaustive(instance), seed
+
+
+def small_instances(count):
+    """Every instance of ``count`` items with values and weights 1..5."""
+    triples = [[(name, value, weight) for value in range(1, 6) for weight in range(1, 6)]
+               for name in "ABC"[:count]]
+    return itertools.product(*triples)
+
+
+# of the 15,625 3-item instances, each capacity checks the same fixed sample
+THREE_ITEM_SAMPLE = random.Random(13).sample(list(small_instances(3)), 150)
+
+
+@pytest.mark.parametrize("capacity", range(13))
+def test_table_search_matches_plain_recursion_on_every_small_instance(capacity):
+    # ties, items heavier than the capacity and capacity 0 all occur here
+    for triples in [*small_instances(1), *small_instances(2), *THREE_ITEM_SAMPLE]:
+        instance = make_instance(triples, capacity)
+        assert knapsack_exhaustive(instance) == plain_exhaustive(instance), triples
+
+
+def test_table_search_does_not_recurse():
+    # 850 copies of A: a search that recursed per copy would need 850 frames
+    instance = make_instance([("A", 2, 1)], capacity=850)
+    limit = sys.getrecursionlimit()
+    depth = len(inspect.stack(0))
+    sys.setrecursionlimit(depth + 50)
+    try:
+        solution = knapsack_exhaustive(instance)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert solution == KnapsackSolution(("A",) * 850, 1700, 850, 850)
 
 
 def test_tie_break_prefers_exclusion():

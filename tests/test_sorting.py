@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from intramorph import cases
 from intramorph.cases import ast_printing, derive, knapsack, montecarlo, sorting
 from intramorph.cases.ast_printing import Constant, Operation, Variable
 from intramorph.cases.knapsack import KnapsackSolution
@@ -337,3 +338,15 @@ def test_derive_leaves_the_original_untouched():
     assert sorting.bubble_sort.__code__ is code and sorting.bubble_sort.__name__ == "bubble_sort"
     assert sorted_copy(sorting.bubble_sort, [1, 3, 2]) == [1, 2, 3]
     assert not hasattr(sorting, "flipped")
+
+
+def test_derive_parses_a_module_once_and_edits_a_copy():
+    # the second derivation reuses the first one's parse: had the first edited
+    # the parsed def in place, the second would find no site to edit
+    edit = ("arr[j] > arr[j + 1]", "arr[j] < arr[j + 1]")
+    first = derive(sorting.bubble_sort, "first", "doc", edit)
+    hits = cases._parse.cache_info().hits
+    second = derive(sorting.bubble_sort, "second", "doc", edit)
+    assert cases._parse.cache_info().hits == hits + 1
+    assert first.__code__.co_code == second.__code__.co_code
+    assert first([1, 3, 2]) == second([1, 3, 2]) == [3, 2, 1]
