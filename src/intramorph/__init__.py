@@ -11,23 +11,20 @@ from .core import (ApplicationMode, Automation, BudgetExceededError, Configurati
                    ProgramPair, Provenance, RelationOutcome, RelationStatus,
                    StatisticalConfig, TransformationDescriptor, UnknownCampaignError,
                    UnknownMutantError, equivalence_relation, evaluate_pair)
-from .generators import (ArrayConfig, GeneratorConfig, KnapsackConfig, TreeConfig,
-                         random_array, random_knapsack_instance, random_tree)
+from .generators import random_array, random_knapsack_instance, random_tree
 from .harness import (CampaignConfig, CampaignReport, Counterexample, MatrixCell,
                       MatrixReport, run_campaign, run_detection_matrix)
 from .registry import all_campaigns, default_registry, get_campaign
 from .seeds import SeededSource, derive_seed
 
 __all__ = [
-    "ApplicationMode", "ArrayConfig", "Automation", "BudgetExceededError", "Campaign",
-    "CampaignConfig", "CampaignReport", "ConfigurationError", "Counterexample",
-    "GeneratorConfig", "Granularity", "InputCase", "IntramorphError",
-    "IntramorphicRelation", "KnapsackConfig", "MatrixCell", "MatrixReport", "Mutant",
+    "ApplicationMode", "Automation", "BudgetExceededError", "Campaign", "CampaignConfig",
+    "CampaignReport", "ConfigurationError", "Counterexample", "Granularity", "InputCase",
+    "IntramorphError", "IntramorphicRelation", "MatrixCell", "MatrixReport", "Mutant",
     "ProgramPair", "Provenance", "RelationOutcome", "RelationStatus", "SeededSource",
-    "StatisticalConfig", "TransformationDescriptor", "TreeConfig", "UnitCase",
-    "UnknownCampaignError", "UnknownMutantError", "all_campaigns", "default_registry",
-    "derive_seed", "differential_oracle", "equivalence_relation", "evaluate_pair",
-    "get_campaign", "metamorphic_removal_oracle", "random_array",
-    "random_knapsack_instance", "random_tree", "run_campaign", "run_detection_matrix",
-    "unit_oracle",
+    "StatisticalConfig", "TransformationDescriptor", "UnitCase", "UnknownCampaignError",
+    "UnknownMutantError", "all_campaigns", "default_registry", "derive_seed",
+    "differential_oracle", "equivalence_relation", "evaluate_pair", "get_campaign",
+    "metamorphic_removal_oracle", "random_array", "random_knapsack_instance", "random_tree",
+    "run_campaign", "run_detection_matrix", "unit_oracle",
 ]

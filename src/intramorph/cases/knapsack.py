@@ -18,7 +18,7 @@ from ..core import BudgetExceededError
 from . import derive
 
 # Reject searches whose item-count * (capacity / min weight) bound exceeds
-# this; generator defaults stay orders of magnitude below.
+# this; the generated instances stay orders of magnitude below.
 SEARCH_NODE_BUDGET = 1_000_000
 # Most copies one packing holds plus the item count: no stack limit, since
 # nothing recurses, but kept as the search-size contract.
@@ -89,9 +89,11 @@ def _check_search_budget(instance: KnapsackInstance) -> None:
         raise BudgetExceededError(
             f"search bound exceeds {SEARCH_NODE_BUDGET} nodes for {len(instance.items)} "
             f"items at capacity {instance.capacity}")
-    if instance.capacity // min_weight + len(instance.items) > SEARCH_DEPTH_BUDGET:
+    most_copies = instance.capacity // min_weight
+    if most_copies + len(instance.items) > SEARCH_DEPTH_BUDGET:
         raise BudgetExceededError(
-            f"search recursion would exceed depth {SEARCH_DEPTH_BUDGET}")
+            f"search size exceeds {SEARCH_DEPTH_BUDGET}: up to {most_copies} copies in one "
+            f"packing plus {len(instance.items)} items")
 
 
 def knapsack_exhaustive(instance: KnapsackInstance) -> KnapsackSolution:

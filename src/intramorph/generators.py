@@ -1,122 +1,70 @@
 """Seeded input generation and shrinking for each case study's input domain.
 
-Default ranges are deliberately small (values 0..9, length <= 8) so repeated
-elements show up often; duplicates are where removal and reversal relations
-get interesting. All generators are pure functions of the source's seed.
+Each case study has one input domain, fixed by the module constants below:
+the original and its twin always run on inputs drawn from it. The ranges
+are deliberately small (values 0..9, length <= 8) so repeated elements show
+up often; duplicates are where removal and reversal relations get
+interesting. All generators are pure functions of the source's seed.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .cases.ast_printing import Constant, ExprNode, Operation, Variable
 from .cases.knapsack import KnapsackInstance, KnapsackItem
 from .seeds import SeededSource
 
+ARRAY_MAX_LENGTH = 8
+ARRAY_VALUE_MIN, ARRAY_VALUE_MAX = 0, 9
 
-@dataclass(frozen=True)
-class ArrayConfig:
-    max_length: int = 8
-    value_min: int = 0
-    value_max: int = 9
+TREE_MAX_DEPTH = 4
+TREE_VARIABLES = ("a", "b", "c")
+TREE_CONSTANT_MIN, TREE_CONSTANT_MAX = 0, 9
 
-    def __post_init__(self) -> None:
-        if self.max_length < 0:
-            raise ValueError(f"max_length must be >= 0, got {self.max_length}")
-        if self.value_min > self.value_max:
-            raise ValueError(f"empty value range {self.value_min}..{self.value_max}")
-
-
-@dataclass(frozen=True)
-class TreeConfig:
-    max_depth: int = 4
-    variable_names: tuple[str, ...] = ("a", "b", "c")
-    constant_min: int = 0
-    constant_max: int = 9
-
-    def __post_init__(self) -> None:
-        if self.max_depth < 0:
-            raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
-        if not self.variable_names:
-            raise ValueError("variable_names must be non-empty")
-        if self.constant_min > self.constant_max:
-            raise ValueError(f"empty constant range {self.constant_min}..{self.constant_max}")
+KNAPSACK_MAX_ITEMS = 6
+KNAPSACK_VALUE_MIN, KNAPSACK_VALUE_MAX = 1, 20
+# weights start at 1: a zero weight would make the greedy fill loop spin
+KNAPSACK_WEIGHT_MIN, KNAPSACK_WEIGHT_MAX = 1, 10
+KNAPSACK_CAPACITY_MIN, KNAPSACK_CAPACITY_MAX = 1, 50
 
 
-@dataclass(frozen=True)
-class KnapsackConfig:
-    max_items: int = 6
-    value_min: int = 1
-    value_max: int = 20
-    weight_min: int = 1
-    weight_max: int = 10
-    capacity_min: int = 1
-    capacity_max: int = 50
-
-    def __post_init__(self) -> None:
-        if self.max_items < 0:
-            raise ValueError(f"max_items must be >= 0, got {self.max_items}")
-        if self.weight_min < 1:
-            # zero-weight items would make the greedy fill loop diverge
-            raise ValueError(f"weight_min must be >= 1, got {self.weight_min}")
-        for low, high, label in ((self.value_min, self.value_max, "value"),
-                                 (self.weight_min, self.weight_max, "weight"),
-                                 (self.capacity_min, self.capacity_max, "capacity")):
-            if low > high:
-                raise ValueError(f"empty {label} range {low}..{high}")
+def random_array(source: SeededSource) -> tuple[int, ...]:
+    """Length uniform in 0..ARRAY_MAX_LENGTH, elements uniform in the value range."""
+    length = source.below(ARRAY_MAX_LENGTH + 1)
+    span = ARRAY_VALUE_MAX - ARRAY_VALUE_MIN + 1
+    return tuple(ARRAY_VALUE_MIN + source.below(span) for _ in range(length))
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    array: ArrayConfig = field(default_factory=ArrayConfig)
-    tree: TreeConfig = field(default_factory=TreeConfig)
-    knapsack: KnapsackConfig = field(default_factory=KnapsackConfig)
-
-
-DEFAULT_CONFIG = GeneratorConfig()
-
-
-def random_array(source: SeededSource, config: ArrayConfig = DEFAULT_CONFIG.array
-                 ) -> tuple[int, ...]:
-    """Length uniform in 0..max_length, elements uniform in the value range."""
-    length = source.below(config.max_length + 1)
-    span = config.value_max - config.value_min + 1
-    return tuple(config.value_min + source.below(span) for _ in range(length))
-
-
-def random_tree(source: SeededSource, config: TreeConfig = DEFAULT_CONFIG.tree,
-                _depth: int = 0) -> ExprNode:
-    """Tree over {+, *} operations, variables, and constants, depth <= max_depth.
+def random_tree(source: SeededSource, _depth: int = 0) -> ExprNode:
+    """Tree over {+, *} operations, variables, and constants, depth <= TREE_MAX_DEPTH.
 
     Draw order is fixed (branch flag, then kind/operator, then left before
     right) so a seed always produces the same tree.
     """
-    branch = _depth < config.max_depth and source.below(2) == 0
+    branch = _depth < TREE_MAX_DEPTH and source.below(2) == 0
     if branch:
         operator = "+" if source.below(2) == 0 else "*"
-        left = random_tree(source, config, _depth + 1)
-        right = random_tree(source, config, _depth + 1)
+        left = random_tree(source, _depth + 1)
+        right = random_tree(source, _depth + 1)
         return Operation(operator, left, right)
     if source.below(2) == 0:
-        return Variable(source.choice(config.variable_names))
-    span = config.constant_max - config.constant_min + 1
-    return Constant(config.constant_min + source.below(span))
+        return Variable(source.choice(TREE_VARIABLES))
+    span = TREE_CONSTANT_MAX - TREE_CONSTANT_MIN + 1
+    return Constant(TREE_CONSTANT_MIN + source.below(span))
 
 
-def random_knapsack_instance(source: SeededSource,
-                             config: KnapsackConfig = DEFAULT_CONFIG.knapsack
-                             ) -> KnapsackInstance:
-    """0..max_items uniquely named items plus a capacity, all uniform in range."""
-    count = source.below(config.max_items + 1)
-    value_span = config.value_max - config.value_min + 1
-    weight_span = config.weight_max - config.weight_min + 1
+def random_knapsack_instance(source: SeededSource) -> KnapsackInstance:
+    """0..KNAPSACK_MAX_ITEMS uniquely named items plus a capacity, all uniform
+    in range. ``KnapsackInstance`` still rejects a bad instance."""
+    count = source.below(KNAPSACK_MAX_ITEMS + 1)
+    value_span = KNAPSACK_VALUE_MAX - KNAPSACK_VALUE_MIN + 1
+    weight_span = KNAPSACK_WEIGHT_MAX - KNAPSACK_WEIGHT_MIN + 1
     items = tuple(
         KnapsackItem(name=chr(ord("A") + index),
-                     value=config.value_min + source.below(value_span),
-                     weight=config.weight_min + source.below(weight_span))
+                     value=KNAPSACK_VALUE_MIN + source.below(value_span),
+                     weight=KNAPSACK_WEIGHT_MIN + source.below(weight_span))
         for index in range(count))
-    capacity_span = config.capacity_max - config.capacity_min + 1
-    capacity = config.capacity_min + source.below(capacity_span)
+    capacity_span = KNAPSACK_CAPACITY_MAX - KNAPSACK_CAPACITY_MIN + 1
+    capacity = KNAPSACK_CAPACITY_MIN + source.below(capacity_span)
     return KnapsackInstance(items, capacity)
 
 

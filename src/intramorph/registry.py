@@ -20,8 +20,8 @@ from .core import (ApplicationMode, Automation, Granularity, IntramorphicRelatio
                    ProgramPair, RelationOutcome, TransformationDescriptor,
                    UnknownCampaignError, equivalence_relation, guarded_evaluation,
                    pair_evaluation, picker_source)
-from .generators import (DEFAULT_CONFIG, random_array, random_knapsack_instance,
-                         random_tree, shrink_array, shrink_knapsack, shrink_tree)
+from .generators import (random_array, random_knapsack_instance, random_tree,
+                         shrink_array, shrink_knapsack, shrink_tree)
 
 # oracle(programs, statistical_repetitions) -> unguarded evaluation body
 Oracle = Callable[[Mapping[str, Callable], Optional[int]], Evaluator]
@@ -37,13 +37,6 @@ def _added_alongside(granularity: Granularity) -> TransformationDescriptor:
         granularity=granularity, application_mode=ApplicationMode.ADDED_ALONGSIDE,
         automation=Automation.MANUAL, relation_complete=True, false_alarm_possible=False)
 
-
-# cases.derive builds the descending twin from the ascending sort by flipping its comparison
-SORTING_REVERSE_DESCRIPTOR = dataclasses.replace(_added_alongside(Granularity.OPERATOR),
-                                                 automation=Automation.MECHANICAL)
-SORTING_EQUIVALENCE_DESCRIPTOR = _added_alongside(Granularity.ALGORITHM_REPLACED)
-AST_DESCRIPTOR = _added_alongside(Granularity.FUNCTION_ADDED)
-KNAPSACK_DESCRIPTOR = _added_alongside(Granularity.ALGORITHM_REPLACED)
 
 DEFAULT_BUDGETS = montecarlo.SampleBudgetPair()
 
@@ -62,15 +55,17 @@ def _campaign(oracle: Oracle, **fields) -> Campaign:
     return campaign
 
 
-def _pair_oracle(descriptor: TransformationDescriptor, relation: IntramorphicRelation,
-                 original: Side, variant: Side) -> Oracle:
-    """Oracle for a program pair; ``original`` and ``variant`` turn the
-    resolved components into the two (payload, source) programs."""
+def _pair_campaign(relation: IntramorphicRelation, original: Side, variant: Side,
+                   **fields) -> Campaign:
+    """A campaign whose oracle judges ``relation`` on a program pair under the
+    campaign's own descriptor; ``original`` and ``variant`` turn the resolved
+    components into the two (payload, source) programs."""
     def oracle(programs, repetitions):
-        return pair_evaluation(
-            ProgramPair(original(programs), variant(programs), descriptor), relation)
+        pair = ProgramPair(original(programs), variant(programs), campaign.descriptor)
+        return pair_evaluation(pair, relation)
 
-    return oracle
+    campaign = _campaign(oracle, **fields)
+    return campaign
 
 
 def _sorts(name: str) -> Side:
@@ -142,7 +137,7 @@ def _campaign_table() -> tuple[Campaign, ...]:
                         "ascending sort's swap reads the outer index i instead of j",
                         {"ascending": sorting.bubble_sort_swap_index})
     array_fields = dict(case_study="sorting",
-                        generate=lambda src: random_array(src, DEFAULT_CONFIG.array),
+                        generate=random_array,
                         render_payload=_render_array, shrink_payload=shrink_array)
     return (
         _campaign(
@@ -162,14 +157,16 @@ def _campaign_table() -> tuple[Campaign, ...]:
             _metamorphic_oracle, name="sorting-metamorphic", oracle_style="metamorphic",
             components=lambda: {"ascending": sorting.bubble_sort},
             mutants=(swap_index,), **array_fields),
-        _campaign(
-            _pair_oracle(SORTING_REVERSE_DESCRIPTOR,
-                         IntramorphicRelation("reverse-order", sorting.reverse_relation),
-                         _sorts("ascending"), _sorts("descending")),
+        _pair_campaign(
+            IntramorphicRelation("reverse-order", sorting.reverse_relation),
+            _sorts("ascending"), _sorts("descending"),
             name="sorting-intramorphic", oracle_style="intramorphic",
             components=lambda: {"ascending": sorting.bubble_sort,
                                 "descending": sorting.bubble_sort_reverse},
-            descriptor=SORTING_REVERSE_DESCRIPTOR,
+            # cases.derive builds the descending twin from the ascending sort
+            # by flipping its comparison
+            descriptor=dataclasses.replace(_added_alongside(Granularity.OPERATOR),
+                                           automation=Automation.MECHANICAL),
             mutants=(
                 swap_index,
                 # derive makes the swap-index edit in both sorts, and also flips
@@ -182,26 +179,23 @@ def _campaign_table() -> tuple[Campaign, ...]:
                        "descending twin forgot to flip the comparison",
                        {"descending": sorting.bubble_sort}),
             ), **array_fields),
-        _campaign(
-            _pair_oracle(SORTING_EQUIVALENCE_DESCRIPTOR, equivalence_relation(),
-                         _sorts("ascending"), _sorts("merge")),
+        _pair_campaign(
+            equivalence_relation(), _sorts("ascending"), _sorts("merge"),
             name="sorting-equivalence", oracle_style="intramorphic",
             components=lambda: {"ascending": sorting.bubble_sort, "merge": sorting.merge_sort},
-            descriptor=SORTING_EQUIVALENCE_DESCRIPTOR,
+            descriptor=_added_alongside(Granularity.ALGORITHM_REPLACED),
             mutants=(swap_index,), **array_fields),
-        _campaign(
-            _pair_oracle(
-                AST_DESCRIPTOR,
-                IntramorphicRelation("token-multiset", lambda infix_text, pp: (
-                    ast_printing.token_texts_match(infix_text, pp[0], pp[1]))),
-                _applies("infix"), _prefix_and_postfix),
+        _pair_campaign(
+            IntramorphicRelation("token-multiset", lambda infix_text, pp: (
+                ast_printing.token_texts_match(infix_text, pp[0], pp[1]))),
+            _applies("infix"), _prefix_and_postfix,
             name="ast-token-multiset", case_study="ast", oracle_style="intramorphic",
             components=lambda: {"infix": ast_printing.as_string_infix,
                                 "prefix": ast_printing.as_string_prefix,
                                 "postfix": ast_printing.as_string_postfix},
-            generate=lambda src: random_tree(src, DEFAULT_CONFIG.tree),
+            generate=random_tree,
             render_payload=ast_printing.render_tree, shrink_payload=shrink_tree,
-            descriptor=AST_DESCRIPTOR,
+            descriptor=_added_alongside(Granularity.FUNCTION_ADDED),
             mutants=(
                 Mutant("paren-left-as-right",
                        "right operand's parentheses wrap the left operand's text",
@@ -236,17 +230,16 @@ def _campaign_table() -> tuple[Campaign, ...]:
                 Mutant("one-coordinate", "only x is tested, estimate pegs at 4",
                        {"large": montecarlo.pi_one_coordinate}),
             )),
-        _campaign(
-            _pair_oracle(
-                KNAPSACK_DESCRIPTOR,
-                IntramorphicRelation("replacement-at-least-as-good", _knapsack_check),
-                _applies("greedy"), _applies("exhaustive")),
+        _pair_campaign(
+            IntramorphicRelation("replacement-at-least-as-good", _knapsack_check),
+            _applies("greedy"), _applies("exhaustive"),
             name="knapsack-optimality", case_study="knapsack", oracle_style="intramorphic",
             components=lambda: {"greedy": knapsack.knapsack_greedy,
                                 "exhaustive": knapsack.knapsack_exhaustive},
-            generate=lambda src: random_knapsack_instance(src, DEFAULT_CONFIG.knapsack),
+            generate=random_knapsack_instance,
             render_payload=knapsack.render_instance, shrink_payload=shrink_knapsack,
-            render_output=knapsack.render_solution, descriptor=KNAPSACK_DESCRIPTOR,
+            render_output=knapsack.render_solution,
+            descriptor=_added_alongside(Granularity.ALGORITHM_REPLACED),
             mutants=(
                 Mutant("exhaustive-skip-include",
                        "exhaustive search never takes the include branch, packs nothing",

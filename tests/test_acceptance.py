@@ -15,7 +15,7 @@ from intramorph.cases.knapsack import (KnapsackInstance, KnapsackItem, dp_refere
 from intramorph.cases.montecarlo import pi_approximation
 from intramorph.cli import main as cli_main
 from intramorph.core import InputCase, Provenance, RelationStatus
-from intramorph.generators import DEFAULT_CONFIG, random_knapsack_instance
+from intramorph.generators import random_knapsack_instance
 from intramorph.harness import CampaignConfig, run_campaign, run_detection_matrix
 from intramorph.registry import all_campaigns, get_campaign
 from intramorph.seeds import SeededSource
@@ -115,7 +115,7 @@ def test_criterion_5_knapsack_oracle_equivalence_and_strictness_witness():
     strict_seen = 0
     for iteration in range(1, 10_001):
         source = SeededSource(SEED).derive(iteration)
-        instance = random_knapsack_instance(source, DEFAULT_CONFIG.knapsack)
+        instance = random_knapsack_instance(source)
         exhaustive = knapsack_exhaustive(instance)
         greedy = knapsack_greedy(instance)
         reference = dp_reference(instance)

@@ -11,7 +11,7 @@ from intramorph.cases.ast_printing import (Constant, Operation, Variable,
                                            infix_paren_missing, render_tree,
                                            token_texts_match)
 from intramorph.core import UnknownMutantError
-from intramorph.generators import DEFAULT_CONFIG, random_tree
+from intramorph.generators import random_tree
 from intramorph.registry import get_campaign
 from intramorph.seeds import SeededSource
 
@@ -34,7 +34,7 @@ seeds = st.integers(min_value=0, max_value=2**64 - 1)
 
 
 def seeded_trees():
-    return seeds.map(lambda seed: random_tree(SeededSource(seed), DEFAULT_CONFIG.tree))
+    return seeds.map(lambda seed: random_tree(SeededSource(seed)))
 
 
 def test_golden_renderings():

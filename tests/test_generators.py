@@ -4,17 +4,15 @@ import dataclasses
 import itertools
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intramorph import generators
 from intramorph.cases.ast_printing import Constant, Operation, Variable
 from intramorph.cases.knapsack import KnapsackInstance, KnapsackItem
 from intramorph.core import Provenance
-from intramorph.generators import (ArrayConfig, DEFAULT_CONFIG, KnapsackConfig,
-                                   TreeConfig, random_array, random_knapsack_instance,
-                                   random_tree, shrink_array, shrink_knapsack,
-                                   shrink_tree)
+from intramorph.generators import (random_array, random_knapsack_instance, random_tree,
+                                   shrink_array, shrink_knapsack, shrink_tree)
 from intramorph.harness import CampaignConfig, run_campaign
 from intramorph.registry import get_campaign
 from intramorph.seeds import SeededSource
@@ -43,11 +41,6 @@ def test_array_golden_seed_42():
     assert random_array(SeededSource(42)) == (1,)
 
 
-def test_array_forced_empty():
-    config = ArrayConfig(max_length=0)
-    assert random_array(SeededSource(7), config) == ()
-
-
 @given(seeds)
 def test_array_determinism(seed):
     assert random_array(SeededSource(seed)) == random_array(SeededSource(seed))
@@ -56,9 +49,8 @@ def test_array_determinism(seed):
 @given(seeds)
 def test_array_within_config_bounds(seed):
     values = random_array(SeededSource(seed))
-    assert len(values) <= DEFAULT_CONFIG.array.max_length
-    assert all(DEFAULT_CONFIG.array.value_min <= v <= DEFAULT_CONFIG.array.value_max
-               for v in values)
+    assert len(values) <= generators.ARRAY_MAX_LENGTH
+    assert all(generators.ARRAY_VALUE_MIN <= v <= generators.ARRAY_VALUE_MAX for v in values)
 
 
 def test_array_coverage_smoke():
@@ -76,28 +68,14 @@ def test_array_coverage_smoke():
     for i in range(10_000):
         lengths.add(len(random_array(SeededSource(i))))
         collect(random_tree(SeededSource(i)))
-    assert 0 in lengths and DEFAULT_CONFIG.array.max_length in lengths
+    assert 0 in lengths and generators.ARRAY_MAX_LENGTH in lengths
     assert operators == {"+", "*"}
-
-
-def test_array_config_validation():
-    with pytest.raises(ValueError):
-        ArrayConfig(max_length=-1)
-    with pytest.raises(ValueError):
-        ArrayConfig(value_min=5, value_max=4)
 
 
 # --- trees ------------------------------------------------------------------
 
 def test_tree_golden_seed_42():
     assert random_tree(SeededSource(42)) == Constant(8)
-
-
-def test_tree_depth_zero_forces_leaf():
-    config = TreeConfig(max_depth=0)
-    for seed in range(50):
-        tree = random_tree(SeededSource(seed), config)
-        assert isinstance(tree, (Variable, Constant))
 
 
 def _depth(node):
@@ -112,11 +90,23 @@ def _operators(node):
     return set()
 
 
+def _leaves(node):
+    if isinstance(node, Operation):
+        return _leaves(node.left) + _leaves(node.right)
+    return [node]
+
+
 @given(seeds)
 def test_tree_respects_depth_and_operator_set(seed):
     tree = random_tree(SeededSource(seed))
-    assert _depth(tree) <= DEFAULT_CONFIG.tree.max_depth
+    assert _depth(tree) <= generators.TREE_MAX_DEPTH
     assert _operators(tree) <= {"+", "*"}
+    for leaf in _leaves(tree):
+        if isinstance(leaf, Variable):
+            assert leaf.name in generators.TREE_VARIABLES
+        else:
+            assert isinstance(leaf, Constant)
+            assert generators.TREE_CONSTANT_MIN <= leaf.value <= generators.TREE_CONSTANT_MAX
 
 
 @given(seeds)
@@ -135,36 +125,24 @@ def test_knapsack_golden_seed_42():
         capacity=47)
 
 
-def test_knapsack_no_items_config():
-    config = KnapsackConfig(max_items=0)
-    instance = random_knapsack_instance(SeededSource(3), config)
-    assert instance.items == ()
-    assert instance.capacity >= 1
-
-
 @given(seeds)
 def test_knapsack_instance_within_bounds(seed):
-    config = DEFAULT_CONFIG.knapsack
     instance = random_knapsack_instance(SeededSource(seed))
-    assert len(instance.items) <= config.max_items
+    assert len(instance.items) <= generators.KNAPSACK_MAX_ITEMS
     names = [item.name for item in instance.items]
     assert len(set(names)) == len(names)
     for item in instance.items:
-        assert config.value_min <= item.value <= config.value_max
-        assert config.weight_min <= item.weight <= config.weight_max
+        assert generators.KNAPSACK_VALUE_MIN <= item.value <= generators.KNAPSACK_VALUE_MAX
+        assert generators.KNAPSACK_WEIGHT_MIN <= item.weight <= generators.KNAPSACK_WEIGHT_MAX
         assert item.weight >= 1
-    assert config.capacity_min <= instance.capacity <= config.capacity_max
+    assert (generators.KNAPSACK_CAPACITY_MIN <= instance.capacity
+            <= generators.KNAPSACK_CAPACITY_MAX)
 
 
 @given(seeds)
 def test_knapsack_determinism(seed):
     assert (random_knapsack_instance(SeededSource(seed))
             == random_knapsack_instance(SeededSource(seed)))
-
-
-def test_knapsack_config_rejects_zero_weight():
-    with pytest.raises(ValueError):
-        KnapsackConfig(weight_min=0)
 
 
 # --- shrinking ----------------------------------------------------------------

@@ -250,10 +250,12 @@ def test_instance_validation():
 
 def test_search_budget_guards_oversized_instances():
     wide = make_instance([(f"I{i}", 1, 1) for i in range(30)], capacity=100_000)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match=r"^search bound exceeds 1000000 nodes "
+                                                  r"for 30 items at capacity 100000$"):
         knapsack_exhaustive(wide)
     deep = make_instance([("A", 1, 1)], capacity=5000)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match=r"^search size exceeds 900: up to 5000 "
+                                                  r"copies in one packing plus 1 items$"):
         knapsack_exhaustive(deep)
 
 

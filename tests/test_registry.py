@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+import intramorph
 from intramorph.cases import knapsack, sorting
 from intramorph.core import UnknownCampaignError, UnknownMutantError
 from intramorph.registry import get_campaign
@@ -54,3 +55,10 @@ def test_campaign_rejects_a_mutant_replacing_an_undeclared_component():
     empty = dataclasses.replace(stray, replaces={})
     with pytest.raises(ValueError, match="stray"):
         dataclasses.replace(campaign, mutants=campaign.mutants + (empty,))
+
+
+def test_every_public_name_resolves():
+    namespace = {}
+    # a name in __all__ that the package does not define makes the import raise
+    exec("from intramorph import *", namespace)
+    assert set(intramorph.__all__) <= set(namespace)

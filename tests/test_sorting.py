@@ -19,7 +19,7 @@ from intramorph.cases.ast_printing import Constant, Operation, Variable
 from intramorph.cases.knapsack import KnapsackSolution
 from intramorph.cases.montecarlo import _squared_points
 from intramorph.core import InputCase, Provenance, UnknownMutantError
-from intramorph.generators import DEFAULT_CONFIG, random_knapsack_instance, random_tree
+from intramorph.generators import random_knapsack_instance, random_tree
 from intramorph.harness import CampaignConfig, run_campaign
 from intramorph.registry import get_campaign
 from intramorph.seeds import SeededSource
@@ -238,11 +238,11 @@ def all_small_arrays():
 
 
 def generated_trees():
-    return [(random_tree(SeededSource(seed), DEFAULT_CONFIG.tree),) for seed in range(2000)]
+    return [(random_tree(SeededSource(seed)),) for seed in range(2000)]
 
 
 def generated_instances():
-    return [(random_knapsack_instance(SeededSource(seed), DEFAULT_CONFIG.knapsack),)
+    return [(random_knapsack_instance(SeededSource(seed)),)
             for seed in range(2000)]
 
 
