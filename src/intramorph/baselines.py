@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import RelationOutcome, RelationStatus
+from .core import RelationOutcome
 from .seeds import SeededSource
 
 SortFunction = Callable[[list], list]
@@ -51,8 +51,7 @@ def differential_oracle(algorithms: Sequence[SortFunction], values: Sequence[int
         raise ValueError("differential oracle needs at least one algorithm")
     outputs = [_sort_copy(algorithm, values) for algorithm in algorithms]
     all_same = all(output == outputs[0] for output in outputs)
-    status = RelationStatus.HOLDS if all_same else RelationStatus.VIOLATED
-    return RelationOutcome(status, outputs[0], outputs)
+    return RelationOutcome.from_check(all_same, outputs[0], outputs)
 
 
 def metamorphic_removal_oracle(sort_fn: SortFunction, values: Sequence[int],

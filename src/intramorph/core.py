@@ -8,13 +8,15 @@ reproduced from (seed, iteration) alone.
 
 from __future__ import annotations
 
+import math
 import signal
 import statistics
 import threading
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 from .seeds import DerivedSource, SeededSource, derive_seed, premixed_sources
 
@@ -106,16 +108,17 @@ class TransformationDescriptor:
                 f"false-alarms={'possible' if self.false_alarm_possible else 'no'}")
 
 
-@dataclass(frozen=True)
-class Provenance:
+# Provenance, InputCase and RelationOutcome are built on every evaluation,
+# shrink candidates included, so they are NamedTuples: immutable like a
+# frozen dataclass, at about half its construction cost.
+class Provenance(NamedTuple):
     """Root seed plus iteration index; regenerates the payload exactly."""
 
     seed: int
     iteration: int
 
 
-@dataclass(frozen=True)
-class InputCase:
+class InputCase(NamedTuple):
     payload: Any
     provenance: Provenance
 
@@ -171,8 +174,7 @@ class IntramorphicRelation:
     statistical: Optional[StatisticalConfig] = None
 
 
-@dataclass(frozen=True)
-class RelationOutcome:
+class RelationOutcome(NamedTuple):
     status: RelationStatus
     original_output: Any = None
     variant_output: Any = None
@@ -233,39 +235,72 @@ class _ProgramFailed(Exception):
 
 
 # The budget's SIGALRM handler is installed once per alarm scope (a whole
-# campaign run) on the main thread, and each evaluation only arms the timer.
-# Both flags are read and written on the main thread only.
-_scope_depth = 0    # open alarm scopes; the outermost one owns the handler
-_armed = False      # an evaluation's timer is running
+# campaign run) on the main thread, where each evaluation sets a deadline and
+# arms the one-shot timer only when no alarm is due by it (``_timed``). This
+# state is read and written on the main thread only.
+_scope_depth = 0         # open alarm scopes; the outermost one owns the handler
+_scope_thread = None     # thread ident of the open scopes' owner, None with none open
+_deadline = None         # time.monotonic() deadline of the running evaluation
+_budget = 0.0            # the running evaluation's budget
+_alarm_due = math.inf    # earliest time the pending alarm can fire; inf if none
 
 
 def _on_alarm(signum, frame):
-    # an alarm that arrives while no evaluation is armed is stray: ignore it
-    if _armed:
-        raise _BudgetExpired()
+    """Stray with no evaluation running: leave the timer unarmed. Before the
+    running evaluation's deadline (the alarm was due for an earlier one):
+    re-arm for the time left. At or past it: re-arm at the budget's interval,
+    since a gc callback or __del__ may swallow this alarm, and raise."""
+    global _alarm_due
+    if _deadline is None:
+        return
+    now = time.monotonic()
+    if now < _deadline:
+        signal.setitimer(signal.ITIMER_REAL, _deadline - now)
+        _alarm_due = _deadline
+        return
+    signal.setitimer(signal.ITIMER_REAL, _budget)
+    _alarm_due = now + _budget
+    raise _BudgetExpired()
 
 
 @contextmanager
 def alarm_scope() -> Iterator[None]:
     """Keep the budget's SIGALRM handler installed for the enclosed block.
 
-    The outermost scope on the main thread installs the handler and restores
-    the previous one on exit; nested scopes change nothing. Inside a scope,
-    ``guarded_evaluation`` only arms and disarms the interval timer. Off the
-    main thread, where no signal handler can be set, the scope does nothing.
+    The outermost scope on the main thread installs the handler, and on exit
+    disarms the timer and restores the previous handler; nested scopes
+    change nothing. Inside a scope, ``guarded_evaluation`` sets a deadline
+    and arms the timer only when no alarm is due by then, so a run of fast
+    evaluations arms it once. Off the main thread, where no signal handler
+    can be set, the scope does nothing.
     """
-    global _scope_depth
+    global _scope_depth, _scope_thread, _alarm_due
     if threading.current_thread() is not threading.main_thread():
         yield
         return
-    previous = signal.signal(signal.SIGALRM, _on_alarm) if _scope_depth == 0 else None
+    previous = None
+    if _scope_depth == 0:
+        previous = signal.signal(signal.SIGALRM, _on_alarm)
+        _scope_thread = threading.get_ident()
     _scope_depth += 1
     try:
         yield
     finally:
         _scope_depth -= 1
         if _scope_depth == 0:
+            _scope_thread = None
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            _alarm_due = math.inf
             signal.signal(signal.SIGALRM, previous)
+
+
+def check_budget(budget: Optional[float]) -> None:
+    """Reject a budget that is not None or a positive finite number of
+    seconds: a zero budget would disarm the timer and run unbounded, and an
+    infinite or nan one would fail every evaluation."""
+    if budget is not None and not 0 < budget < math.inf:   # false for nan as well
+        raise ConfigurationError(
+            f"budget must be None or a positive finite number of seconds, got {budget}")
 
 
 def _describe(exc: BaseException, budget: Optional[float]) -> str:
@@ -278,16 +313,31 @@ def _describe(exc: BaseException, budget: Optional[float]) -> str:
 
 def _timed(body: Callable[[InputCase], RelationOutcome], case: InputCase,
            budget: float) -> RelationOutcome:
-    """body(case) with the interval timer armed; needs an open alarm scope."""
-    global _armed
-    _armed = True
+    """body(case) under a deadline ``budget`` seconds away; needs an open
+    alarm scope on the main thread.
+
+    The timer is armed only when no alarm is due by the deadline: on the
+    scope's first evaluation, under a budget shorter than the pending alarm
+    allows, or after the handler found nothing running. Otherwise the
+    pending alarm comes first, and the handler re-arms it for the time left.
+    The deadline is set before the timer is checked, so an alarm that lands
+    in between finds the evaluation running.
+
+    A program that disarms the timer itself (``setitimer(ITIMER_REAL, 0)``)
+    leaves its own evaluation and those that start before its lost alarm
+    was due unbounded; an evaluation that starts later arms it again.
+    """
+    global _deadline, _budget, _alarm_due
+    _budget = budget
     try:
-        # repeats until disarmed: a gc callback or __del__ may swallow one alarm
-        signal.setitimer(signal.ITIMER_REAL, budget, budget)
+        now = time.monotonic()
+        _deadline = deadline = now + budget
+        if not now < _alarm_due <= deadline:
+            signal.setitimer(signal.ITIMER_REAL, budget)
+            _alarm_due = deadline
         return body(case)
     finally:
-        _armed = False
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        _deadline = None
 
 
 def guarded_evaluation(body: Callable[[InputCase], RelationOutcome], case: InputCase,
@@ -297,18 +347,19 @@ def guarded_evaluation(body: Callable[[InputCase], RelationOutcome], case: Input
     The budget covers the whole body: every program call and trial, the
     relation and any summary. An overrun, or anything the body raises,
     becomes EXECUTION_ERROR with a detail, prefixed with the side for a
-    program's failure. On the main thread the budget is an interval timer,
-    armed inside the caller's ``alarm_scope`` or, outside one, inside a
-    scope of its own for this one evaluation. Off the main thread, where no
+    program's failure. On the main thread the budget is a deadline that a
+    SIGALRM timer enforces, inside the caller's ``alarm_scope`` or,
+    outside one, inside a scope of its own for this one evaluation, which
+    arms the timer and disarms it again. Off the main thread, where no
     interval timer can be used, the body runs in a daemon worker that can be
     abandoned, not killed.
     """
     try:
         if budget is None:
             return body(case)
+        if threading.get_ident() == _scope_thread:
+            return _timed(body, case, budget)
         if threading.current_thread() is threading.main_thread():
-            if _scope_depth:
-                return _timed(body, case, budget)
             with alarm_scope():
                 return _timed(body, case, budget)
 
@@ -358,6 +409,7 @@ def pair_evaluation(pair: ProgramPair, relation: IntramorphicRelation
 def evaluate_pair(pair: ProgramPair, relation: IntramorphicRelation, case: InputCase,
                   *, budget: Optional[float] = DEFAULT_BUDGET_SECONDS) -> RelationOutcome:
     """Judge the relation on one case through the guarded evaluation path."""
+    check_budget(budget)
     return guarded_evaluation(pair_evaluation(pair, relation), case, budget)
 
 

@@ -7,14 +7,13 @@ evaluation draws its randomness from the input's provenance.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from .campaign import Campaign, Evaluator
 from .core import (ConfigurationError, InputCase, Provenance, RelationStatus,
-                   DEFAULT_BUDGET_SECONDS, alarm_scope, generation_sources)
+                   DEFAULT_BUDGET_SECONDS, alarm_scope, check_budget, generation_sources)
 from .registry import default_registry, get_campaign
 
 __all__ = [
@@ -65,10 +64,7 @@ def _validate_config(config: CampaignConfig, campaign: Campaign) -> None:
         raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {config.seed!r}")
     if type(config.iterations) is not int or config.iterations < 1:
         raise ConfigurationError(f"iterations must be an integer >= 1, got {config.iterations!r}")
-    budget = config.budget_seconds
-    if budget is not None and not 0 < budget < math.inf:   # false for nan as well
-        raise ConfigurationError(
-            f"budget_seconds must be None or a positive finite number, got {budget}")
+    check_budget(config.budget_seconds)
     if config.mutant is not None:
         campaign.mutant(config.mutant)   # raises UnknownMutantError
     # an even or non-positive k is rejected where the relation is built
@@ -135,8 +131,8 @@ def run_campaign(config: CampaignConfig, registry: Optional[dict[str, Campaign]]
     counterexample: Optional[Counterexample] = None
     iterations_run = 0
 
-    # one SIGALRM handler for the whole run, shrinking included; each
-    # evaluation only re-arms the timer
+    # one SIGALRM handler for the whole run, shrinking included; evaluations
+    # set deadlines and arm the timer only when no alarm is due by theirs
     with alarm_scope():
         sources = generation_sources(config.seed, config.iterations)
         for iteration, source in enumerate(sources, start=1):

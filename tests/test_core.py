@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import math
 import operator
 import signal
 import statistics
@@ -218,11 +219,33 @@ def test_budget_covers_the_relation():
     assert time.monotonic() - started < 2.0
 
 
-def test_guard_restores_the_alarm_handler():
+def test_guard_restores_the_alarm_handler(monkeypatch):
     before = signal.getsignal(signal.SIGALRM)
-    for budget in (0.05, -1.0):   # setitimer rejects the negative budget
-        evaluate_pair(sort_pair(), REVERSE, case_for((2, 1)), budget=budget)
-        assert signal.getsignal(signal.SIGALRM) is before
+    evaluate_pair(sort_pair(), REVERSE, case_for((2, 1)), budget=0.05)
+    assert signal.getsignal(signal.SIGALRM) is before
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+    real_setitimer = signal.setitimer
+
+    def failing_to_arm(which, seconds, interval=0.0):
+        if seconds:
+            raise OSError("setitimer failed")
+        return real_setitimer(which, seconds, interval)
+
+    monkeypatch.setattr(signal, "setitimer", failing_to_arm)
+    outcome = evaluate_pair(sort_pair(), REVERSE, case_for((2, 1)), budget=0.05)
+    assert outcome.error_detail == "OSError: setitimer failed"
+    assert signal.getsignal(signal.SIGALRM) is before
+
+
+@pytest.mark.parametrize("budget", [0.0, -1.0, math.nan, math.inf])
+def test_evaluate_pair_rejects_a_budget_that_is_not_positive_and_finite(budget):
+    calls = []
+    pair = ProgramPair(original=lambda payload, src: calls.append(payload) or [],
+                       variant=lambda payload, src: [], descriptor=plain_descriptor())
+    with pytest.raises(ConfigurationError, match=f"got {budget}$"):
+        evaluate_pair(pair, equivalence_relation(), case_for(()), budget=budget)
+    assert calls == []
 
 
 def test_alarm_scope_installs_once_and_nested_scopes_do_not_restore():
@@ -311,6 +334,104 @@ def test_alarm_lost_in_a_gc_callback_fires_again(monkeypatch):
     assert swallowed and set(swallowed) == {core._BudgetExpired}
     assert outcome.error_detail == "variant: execution budget of 0.05s exceeded"
     assert elapsed < 0.5
+
+
+# --- inside a scope the budget is a deadline, and the timer is armed rarely ----
+
+def recording_setitimer(monkeypatch):
+    """Record the delay of every ``signal.setitimer`` call from now on."""
+    delays = []
+    real_setitimer = signal.setitimer
+
+    def setitimer(which, seconds, interval=0.0):
+        delays.append(seconds)
+        return real_setitimer(which, seconds, interval)
+
+    monkeypatch.setattr(signal, "setitimer", setitimer)
+    return delays
+
+
+def test_alarm_due_for_an_earlier_evaluation_does_not_cut_a_later_one_short(monkeypatch):
+    pair = ProgramPair(original=sleeping(0.005), variant=sleeping(0), descriptor=plain_descriptor())
+    with alarm_scope():
+        delays = recording_setitimer(monkeypatch)
+        outcomes = [evaluate_pair(pair, equivalence_relation(), case_for(()), budget=0.1)
+                    for _ in range(40)]
+        assert [outcome.status for outcome in outcomes] == [RelationStatus.HOLDS] * 40
+    # armed once for the first evaluation; its alarm fired during a later one,
+    # which re-armed it for that evaluation's time left; then the scope disarmed
+    assert delays[0] == 0.1 and delays[-1] == 0.0
+    assert len(delays) >= 3 and all(0 < delay < 0.1 for delay in delays[1:-1])
+
+
+@pytest.mark.parametrize("gap", [0.0, 0.2])
+def test_later_evaluation_over_budget_is_stopped(gap):
+    # with no gap the first evaluation's alarm is still pending; after the gap
+    # it has fired with nothing running and left the timer unarmed
+    quick = ProgramPair(original=sleeping(0), variant=sleeping(0), descriptor=plain_descriptor())
+    slow = ProgramPair(original=sleeping(0), variant=sleeping(5), descriptor=plain_descriptor())
+    with alarm_scope():
+        for _ in range(5):
+            evaluate_pair(quick, equivalence_relation(), case_for(()), budget=0.05)
+        time.sleep(gap)
+        started = time.monotonic()
+        outcome = evaluate_pair(slow, equivalence_relation(), case_for(()), budget=0.05)
+        elapsed = time.monotonic() - started
+    assert outcome.error_detail == "variant: execution budget of 0.05s exceeded"
+    assert elapsed < 1.0
+
+
+def test_shorter_budget_after_a_longer_one_is_stopped_at_its_own_deadline():
+    quick = ProgramPair(original=sleeping(0), variant=sleeping(0), descriptor=plain_descriptor())
+    slow = ProgramPair(original=sleeping(5), variant=sleeping(0), descriptor=plain_descriptor())
+    with alarm_scope():
+        evaluate_pair(quick, equivalence_relation(), case_for(()), budget=5.0)
+        started = time.monotonic()
+        outcome = evaluate_pair(slow, equivalence_relation(), case_for(()), budget=0.05)
+        elapsed = time.monotonic() - started
+    assert outcome.error_detail == "original: execution budget of 0.05s exceeded"
+    assert elapsed < 1.0
+
+
+def test_program_that_disarms_the_alarm_loses_the_budget_until_it_was_due():
+    def disarming(payload, src):
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        return []
+
+    disarm = ProgramPair(original=disarming, variant=sleeping(0), descriptor=plain_descriptor())
+    with alarm_scope():
+        evaluate_pair(disarm, equivalence_relation(), case_for(()), budget=0.1)
+        # the documented limit: this evaluation starts before the lost alarm
+        # was due, so nothing stops it at its own deadline
+        late = ProgramPair(original=sleeping(0.3), variant=sleeping(0),
+                           descriptor=plain_descriptor())
+        outcome = evaluate_pair(late, equivalence_relation(), case_for(()), budget=0.1)
+        assert outcome.status is RelationStatus.HOLDS
+        # this one starts after the lost alarm was due, and arms the timer again
+        slow = ProgramPair(original=sleeping(5), variant=sleeping(0),
+                           descriptor=plain_descriptor())
+        started = time.monotonic()
+        outcome = evaluate_pair(slow, equivalence_relation(), case_for(()), budget=0.1)
+        elapsed = time.monotonic() - started
+    assert outcome.error_detail == "original: execution budget of 0.1s exceeded"
+    assert elapsed < 1.0
+
+
+def test_evaluation_records_are_immutable_tuples_with_the_same_fields():
+    provenance = Provenance(7, 3)
+    case = InputCase((2, 1), provenance)
+    outcome = core.RelationOutcome.from_check(True, [1, 2], [2, 1])
+    assert Provenance._fields == ("seed", "iteration")
+    assert InputCase._fields == ("payload", "provenance")
+    assert core.RelationOutcome._fields == ("status", "original_output", "variant_output",
+                                            "error_detail")
+    assert outcome == core.RelationOutcome(RelationStatus.HOLDS, [1, 2], [2, 1], None)
+    assert core.RelationOutcome.execution_error("boom") == core.RelationOutcome(
+        RelationStatus.EXECUTION_ERROR, None, None, "boom")
+    for record in (provenance, case, outcome):
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
 
 
 def test_sorting_pair_derives_only_the_generation_source(monkeypatch):

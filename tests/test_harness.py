@@ -307,6 +307,41 @@ def test_one_handler_install_and_restore_per_run(mutant, iterations, monkeypatch
     (_, (_, installed)), (_, (_, restored)) = calls
     assert installed is not before and restored is before
     assert signal.getsignal(signal.SIGALRM) is before
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("iterations", [30, 300])
+def test_alarm_timer_is_set_twice_per_run_whatever_its_length(iterations, monkeypatch):
+    # armed by the first evaluation, whose 5 s alarm no later one outlasts,
+    # and disarmed when the run ends
+    calls = []
+    real_setitimer = signal.setitimer
+    monkeypatch.setattr(signal, "setitimer",
+                        lambda *args: calls.append(args) or real_setitimer(*args))
+    report = run_campaign(CampaignConfig(campaign="sorting-equivalence", seed=1,
+                                         iterations=iterations))
+    assert (report.iterations_run, report.violations) == (iterations, 0)
+    assert calls == [(signal.ITIMER_REAL, DEFAULT_BUDGET_SECONDS), (signal.ITIMER_REAL, 0.0)]
+
+
+def test_run_stops_a_late_overrun_after_alarms_fired_mid_run():
+    # 100 iterations of about 2 ms each under a 0.05 s budget: alarms due for
+    # earlier evaluations fire during later ones, which must still hold
+    descending = sorting.bubble_sort_reverse
+    calls = []
+
+    def slow_descending(arr):
+        calls.append(arr)
+        time.sleep(5 if len(calls) == 80 else 0.002)
+        return descending(arr)
+
+    started = time.monotonic()
+    with mock.patch.object(sorting, "bubble_sort_reverse", slow_descending):
+        report = run_campaign(CampaignConfig(campaign="sorting-intramorphic", seed=1,
+                                             iterations=100, budget_seconds=0.05))
+    assert time.monotonic() - started < 2.0
+    assert (report.iterations_run, report.violations, report.execution_errors) == (100, 0, 1)
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
 
 def test_handler_is_restored_when_generate_raises():
@@ -328,6 +363,7 @@ def test_handler_is_restored_when_generate_raises():
             run_campaign(CampaignConfig(campaign=campaign.name, seed=1, iterations=10),
                          registry=registry)
         assert signal.getsignal(signal.SIGALRM) is previous
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
     finally:
         signal.signal(signal.SIGALRM, original)
 
