@@ -242,7 +242,7 @@ _scope_depth = 0         # open alarm scopes; the outermost one owns the handler
 _scope_thread = None     # thread ident of the open scopes' owner, None with none open
 _deadline = None         # time.monotonic() deadline of the running evaluation
 _budget = 0.0            # the running evaluation's budget
-_alarm_due = math.inf    # earliest time the pending alarm can fire; inf if none
+_alarm_due = math.inf    # earliest time the last armed alarm fires; inf if none is armed
 
 
 def _on_alarm(signum, frame):
@@ -298,9 +298,13 @@ def check_budget(budget: Optional[float]) -> None:
     """Reject a budget that is not None or a positive finite number of
     seconds: a zero budget would disarm the timer and run unbounded, and an
     infinite or nan one would fail every evaluation."""
-    if budget is not None and not 0 < budget < math.inf:   # false for nan as well
+    if budget is None:
+        return
+    # True would run as 1 s, and a string fails the comparison with a TypeError
+    if (isinstance(budget, bool) or not isinstance(budget, (int, float))
+            or not 0 < budget < math.inf):   # false for nan as well
         raise ConfigurationError(
-            f"budget must be None or a positive finite number of seconds, got {budget}")
+            f"budget must be None or a positive finite number of seconds, got {budget!r}")
 
 
 def _describe(exc: BaseException, budget: Optional[float]) -> str:

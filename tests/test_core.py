@@ -238,12 +238,12 @@ def test_guard_restores_the_alarm_handler(monkeypatch):
     assert signal.getsignal(signal.SIGALRM) is before
 
 
-@pytest.mark.parametrize("budget", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("budget", [0.0, -1.0, math.nan, math.inf, True, "5"])
 def test_evaluate_pair_rejects_a_budget_that_is_not_positive_and_finite(budget):
     calls = []
     pair = ProgramPair(original=lambda payload, src: calls.append(payload) or [],
                        variant=lambda payload, src: [], descriptor=plain_descriptor())
-    with pytest.raises(ConfigurationError, match=f"got {budget}$"):
+    with pytest.raises(ConfigurationError, match=f"got {budget!r}$"):
         evaluate_pair(pair, equivalence_relation(), case_for(()), budget=budget)
     assert calls == []
 

@@ -116,11 +116,11 @@ def test_non_integer_seed_and_iterations_are_rejected_before_any_iteration(field
     assert calls == []
 
 
-@pytest.mark.parametrize("budget", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("budget", [0.0, -1.0, math.nan, math.inf, True, "5"])
 def test_budget_must_be_positive_and_finite(budget):
     calls = []
     with mock.patch.object(sorting, "bubble_sort", lambda arr: calls.append(arr) or arr):
-        with pytest.raises(ConfigurationError, match=f"got {budget}$"):
+        with pytest.raises(ConfigurationError, match=f"got {budget!r}$"):
             run_campaign(CampaignConfig(campaign="sorting-unit", seed=1, iterations=2,
                                         budget_seconds=budget))
     assert calls == []   # rejected before any evaluation ran
