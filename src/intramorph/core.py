@@ -349,9 +349,10 @@ def guarded_evaluation(body: Callable[[InputCase], RelationOutcome], case: Input
     """The one evaluation path: run ``body(case)`` under one wall-clock budget.
 
     The budget covers the whole body: every program call and trial, the
-    relation and any summary. An overrun, or anything the body raises,
-    becomes EXECUTION_ERROR with a detail, prefixed with the side for a
-    program's failure. On the main thread the budget is a deadline that a
+    relation and any summary. An overrun, an exception the body raises, or
+    its ``sys.exit()``, becomes EXECUTION_ERROR with a detail, prefixed with
+    the side for a program's failure; a KeyboardInterrupt still stops the
+    caller. On the main thread the budget is a deadline that a
     SIGALRM timer enforces, inside the caller's ``alarm_scope`` or,
     outside one, inside a scope of its own for this one evaluation, which
     arms the timer and disarms it again. Off the main thread, where no
@@ -383,7 +384,7 @@ def guarded_evaluation(body: Callable[[InputCase], RelationOutcome], case: Input
         if "error" in box:
             raise box["error"]
         return box["value"]
-    except (Exception, _BudgetExpired) as exc:
+    except (Exception, SystemExit, _BudgetExpired) as exc:
         return RelationOutcome.execution_error(_describe(exc, budget))
 
 
@@ -391,7 +392,7 @@ def _run_program(side: str, fn: Callable, payload: Any, source: SeededSource) ->
     """fn(payload, source), with a failure labelled by its side."""
     try:
         return fn(payload, source)
-    except (Exception, _BudgetExpired) as exc:
+    except (Exception, SystemExit, _BudgetExpired) as exc:
         raise _ProgramFailed(side) from exc
 
 

@@ -1,8 +1,11 @@
 """Report documents and their JSON/CSV serialization.
 
-Field order is fixed and optional fields are omitted when absent, so two
-runs with the same configuration serialize byte-identically apart from
-wall_time_ms (which is always last).
+Each record is the one statement of its report's field order. A document
+holds ``schema_version`` and then the record's fields in declaration order,
+and it leaves out a field that is None. So two runs with the same
+configuration serialize byte-identically apart from ``wall_time_ms``, which
+every record declares last. A CSV row is its document read by the published
+column list, with an empty cell for a field the document left out.
 """
 
 from __future__ import annotations
@@ -11,10 +14,11 @@ import csv
 import io
 import json
 import sys
-from typing import Optional
+from dataclasses import fields
+from typing import Any, Optional
 
 from .campaign import Campaign
-from .harness import CampaignReport, MatrixReport
+from .harness import CampaignReport, Counterexample, MatrixCell, MatrixReport
 
 SCHEMA_VERSION = "1"
 
@@ -31,109 +35,82 @@ MATRIX_CSV_COLUMNS = [
     "expected_detected",
 ]
 
+_REPORT_FIELDS = tuple(field.name for field in fields(CampaignReport))
+_MATRIX_FIELDS = tuple(field.name for field in fields(MatrixReport))
+_CELL_FIELDS = tuple(field.name for field in fields(MatrixCell))
 
-def campaign_report_document(report: CampaignReport, campaign: Campaign) -> dict:
-    """Flat ordered mapping for one campaign run; wall_time_ms is last."""
-    document: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "campaign": report.campaign,
-        "seed": report.seed,
-    }
-    if report.mutant is not None:
-        document["mutant"] = report.mutant
-    document["iterations_run"] = report.iterations_run
-    document["violations"] = report.violations
-    if report.first_violation_iteration is not None:
-        document["first_violation_iteration"] = report.first_violation_iteration
-    if report.counterexample is not None:
-        document["counterexample"] = {
-            "input": campaign.render_payload(report.counterexample.payload),
-            "output_original": campaign.render_output(report.counterexample.original_output),
-            "output_variant": campaign.render_output(report.counterexample.variant_output),
-        }
-    document["execution_errors"] = report.execution_errors
-    if report.statistical_repetitions is not None:
-        document["statistical_repetitions"] = report.statistical_repetitions
-    document["wall_time_ms"] = report.wall_time_ms
+
+def _document(record: Any, names: tuple[str, ...], /, **values: Any) -> dict:
+    """The record's fields in order, ``values`` in place of their own, Nones left out."""
+    document = {}
+    for name in names:
+        value = values[name] if name in values else getattr(record, name)
+        if value is not None:
+            document[name] = value
     return document
 
 
+def _render_output(campaign: Campaign, output: Any) -> str:
+    """The campaign's rendering of a program's output, or a placeholder that
+    names what rendering raised: an output can be any object, even one
+    whose ``repr`` fails."""
+    try:
+        return campaign.render_output(output)
+    except Exception as exc:
+        return f"<unrenderable output: {type(exc).__name__}: {exc}>"
+
+
+def _counterexample(counterexample: Optional[Counterexample],
+                    campaign: Campaign) -> Optional[dict]:
+    if counterexample is None:
+        return None
+    return {"input": campaign.render_payload(counterexample.payload),
+            "output_original": _render_output(campaign, counterexample.original_output),
+            "output_variant": _render_output(campaign, counterexample.variant_output)}
+
+
+def campaign_report_document(report: CampaignReport, campaign: Campaign) -> dict:
+    """Flat ordered mapping for one campaign run; wall_time_ms is last."""
+    return {"schema_version": SCHEMA_VERSION, **_document(
+        report, _REPORT_FIELDS,
+        counterexample=_counterexample(report.counterexample, campaign))}
+
+
 def matrix_report_document(matrix: MatrixReport) -> dict:
-    cells = []
-    for cell in matrix.cells:
-        entry: dict = {
-            "campaign": cell.campaign,
-            "mutant": cell.mutant if cell.mutant is not None else "none",
-            "detected": cell.detected,
-        }
-        if cell.first_violation_iteration is not None:
-            entry["first_violation_iteration"] = cell.first_violation_iteration
-        entry["violations"] = cell.violations
-        entry["iterations_run"] = cell.iterations_run
-        entry["execution_errors"] = cell.execution_errors
-        if cell.expected_detected is not None:
-            entry["expected_detected"] = cell.expected_detected
-        cells.append(entry)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "seed": matrix.seed,
-        "iterations": matrix.iterations,
-        "cells": cells,
-        "wall_time_ms": matrix.wall_time_ms,
-    }
+    """The matrix's fields in order, each cell as an ordered mapping; the
+    control cell's mutant is ``"none"``."""
+    cells = [_document(cell, _CELL_FIELDS,
+                       mutant="none" if cell.mutant is None else cell.mutant)
+             for cell in matrix.cells]
+    return {"schema_version": SCHEMA_VERSION,
+            **_document(matrix, _MATRIX_FIELDS, cells=cells)}
 
 
 def to_json(document: dict) -> str:
     return json.dumps(document, indent=2) + "\n"
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows: list[dict]) -> str:
+    """The header, then each row read by it; a boolean is written lowercase."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow(row)
+        values = (row.get(column, "") for column in header)
+        writer.writerow([str(value).lower() if isinstance(value, bool) else value
+                         for value in values])
     return buffer.getvalue()
 
 
 def campaign_report_csv(document: dict) -> str:
-    counterexample = document.get("counterexample", {})
-    row = [
-        document["schema_version"],
-        document["campaign"],
-        document["seed"],
-        document.get("mutant", ""),
-        document["iterations_run"],
-        document["violations"],
-        document.get("first_violation_iteration", ""),
-        counterexample.get("input", ""),
-        counterexample.get("output_original", ""),
-        counterexample.get("output_variant", ""),
-        document["execution_errors"],
-        document.get("statistical_repetitions", ""),
-        document["wall_time_ms"],
-    ]
+    row = dict(document)
+    for key, value in document.get("counterexample", {}).items():
+        row[f"counterexample_{key}"] = value
     return _csv_text(CAMPAIGN_CSV_COLUMNS, [row])
 
 
 def matrix_report_csv(document: dict) -> str:
-    rows = []
-    for cell in document["cells"]:
-        rows.append([
-            document["schema_version"],
-            document["seed"],
-            document["iterations"],
-            cell["campaign"],
-            cell["mutant"],
-            str(cell["detected"]).lower(),
-            cell.get("first_violation_iteration", ""),
-            cell["violations"],
-            cell["iterations_run"],
-            cell["execution_errors"],
-            "" if "expected_detected" not in cell
-            else str(cell["expected_detected"]).lower(),
-        ])
-    return _csv_text(MATRIX_CSV_COLUMNS, rows)
+    return _csv_text(MATRIX_CSV_COLUMNS, [{**document, **cell} for cell in document["cells"]])
 
 
 def emit_report(text: str, path: Optional[str]) -> None:

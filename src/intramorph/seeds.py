@@ -198,11 +198,13 @@ class PremixedSource(SeededSource):
     """``SeededSource(seed)`` whose first :data:`PREMIXED_DRAWS` draws were
     mixed ahead of time, in a batch, by :func:`premixed_sources`.
 
-    ``below`` and ``next_u64`` serve the premixed values while the stream
-    has advanced through them alone, and mix the state themselves once it is
-    past them or has jumped (``unit_block`` advances the state without
-    drawing one by one). ``_state`` advances exactly as in the base class,
-    so every draw, block and child is the base class's.
+    ``below``, through which the generators draw (``choice`` included),
+    serves the premixed values while the stream has advanced through them
+    alone, and mixes the state itself once it is past them or has jumped.
+    ``next_u64``, ``unit`` and ``unit_block`` are the base class's: they
+    advance the state without serving a premixed draw. ``_state`` advances
+    exactly as in the base class, so every draw, block and child is the
+    base class's.
     """
 
     def __init__(self, seed: int, draws: list[int]):
@@ -210,17 +212,6 @@ class PremixedSource(SeededSource):
         self._draws = draws
         self._served = 0                # premixed draws handed out so far
         self._served_state = seed       # the state right after them
-
-    def next_u64(self) -> int:
-        state = self._state
-        self._state = next_state = (state + _GAMMA) & _MASK64
-        if state == self._served_state:
-            served = self._served
-            if served < PREMIXED_DRAWS:
-                self._served = served + 1
-                self._served_state = next_state
-                return self._draws[served]
-        return _mix(next_state)
 
     def below(self, bound: int) -> int:
         if bound <= 0:

@@ -1,7 +1,9 @@
 """Command-line surface: subcommands, exit codes, report formats, determinism."""
 
+import csv
 import json
 
+from intramorph.cases import sorting
 from intramorph.cli import main
 
 
@@ -104,6 +106,30 @@ def test_csv_report_has_header_and_quoted_counterexample(tmp_path, capsys):
     assert len(lines) == 2
     assert lines[0].startswith('"schema_version","campaign","seed","mutant"')
     assert '"[' in lines[1]   # counterexample arrays are quoted
+
+
+class Unprintable:
+    def __repr__(self):
+        raise RuntimeError("no repr")
+
+
+def test_unrenderable_output_is_reported_as_a_placeholder(capsys, monkeypatch):
+    # the original sort returns an object whose repr raises: the run finds a
+    # violation, and its report must still be printed
+    monkeypatch.setattr(sorting, "bubble_sort", lambda *args: [Unprintable()])
+    argv = ["run", "--campaign", "sorting-intramorphic", "--seed", "1", "--iterations", "5"]
+    placeholder = "<unrenderable output: RuntimeError: no repr>"
+
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    counterexample = json.loads(out)["counterexample"]
+    assert counterexample["output_original"] == placeholder
+    assert counterexample["output_variant"] == "[]"
+
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 1
+    row = next(csv.DictReader(out.splitlines()))
+    assert row["counterexample_output_original"] == placeholder
 
 
 def test_seed_env_var_is_default_and_flag_wins(capsys, monkeypatch):

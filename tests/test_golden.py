@@ -1,10 +1,12 @@
 """Golden CLI outputs: the campaign list, every mutant catalog, the detection
-matrix and the run report of every (campaign, mutant) pair, control included.
+matrix as CSV and as JSON, the JSON run report of every (campaign, mutant)
+pair, control included, and a few run reports as CSV.
 
 Each output is compared byte for byte with its file under ``tests/golden/``,
-with ``wall_time_ms`` lines stripped. After an intended output change,
-regenerate the files with ``PYTHONPATH=src python tests/test_golden.py``
-and review the diff.
+without its wall time: JSON ``wall_time_ms`` lines are stripped, and so is
+the last field of a CSV run report's data row. After an intended output
+change, regenerate the files with ``PYTHONPATH=src python
+tests/test_golden.py`` and review the diff.
 """
 
 import contextlib
@@ -20,30 +22,47 @@ from intramorph.registry import all_campaigns
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SEED = "42"
 ITERATIONS = "100"
+# (campaign, mutant) runs whose reports are pinned as CSV too: the four runs
+# that CI diffs from the installed wheel, and one control run
+CSV_RUNS = (("sorting-intramorphic", "swap-index-i"),
+            ("ast-token-multiset", "paren-left-as-right"),
+            ("knapsack-optimality", "exhaustive-skip-include"),
+            ("montecarlo-convergence", "wrong-scale"),
+            ("montecarlo-convergence", None))
+
+
+def run_argv(campaign: str, mutant) -> list[str]:
+    argv = ["run", "--campaign", campaign, "--seed", SEED, "--iterations", ITERATIONS]
+    return argv if mutant is None else argv + ["--mutant", mutant]
 
 
 def golden_commands() -> dict[str, list[str]]:
     """Golden file name (relative to GOLDEN_DIR) -> CLI arguments."""
+    matrix = ["matrix", "--seed", SEED, "--iterations", ITERATIONS]
     commands = {"list.txt": ["list"],
-                "matrix.csv": ["matrix", "--format", "csv", "--seed", SEED,
-                               "--iterations", ITERATIONS]}
+                "matrix.csv": matrix + ["--format", "csv"],
+                "matrix.json": matrix + ["--format", "json"]}
     for campaign in all_campaigns():
         commands[f"mutants/{campaign.name}.txt"] = ["mutants", "--campaign", campaign.name]
         for mutant in (None, *(m.name for m in campaign.mutants)):
-            argv = ["run", "--campaign", campaign.name, "--seed", SEED,
-                    "--iterations", ITERATIONS]
-            if mutant is not None:
-                argv += ["--mutant", mutant]
-            commands[f"run/{campaign.name}--{mutant or 'control'}.json"] = argv
+            commands[f"run/{campaign.name}--{mutant or 'control'}.json"] = run_argv(
+                campaign.name, mutant)
+    for campaign, mutant in CSV_RUNS:
+        commands[f"csv/{campaign}--{mutant or 'control'}.csv"] = (
+            run_argv(campaign, mutant) + ["--format", "csv"])
     return commands
 
 
-def cli_output(argv: list[str]) -> str:
+def cli_output(name: str) -> str:
+    """The output of golden ``name``'s command, without its wall time."""
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        main(argv)
-    return "".join(line for line in buffer.getvalue().splitlines(keepends=True)
-                   if "wall_time_ms" not in line)
+        main(COMMANDS[name])
+    lines = buffer.getvalue().splitlines(keepends=True)
+    if name.startswith("csv/"):
+        header, row = lines
+        return header + row.rsplit(",", 1)[0] + "\n"
+    return "".join(line for line in lines if "wall_time_ms" not in line)
 
 
 COMMANDS = golden_commands()
@@ -59,12 +78,12 @@ def test_golden_set_covers_every_campaign_and_mutant():
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_output_matches_golden(name):
     expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
-    assert cli_output(COMMANDS[name]) == expected
+    assert cli_output(name) == expected
 
 
 if __name__ == "__main__":
-    for file_name, arguments in COMMANDS.items():
+    for file_name in COMMANDS:
         path = GOLDEN_DIR / file_name
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(cli_output(arguments), encoding="utf-8")
+        path.write_text(cli_output(file_name), encoding="utf-8")
     print(f"wrote {len(COMMANDS)} golden files under {GOLDEN_DIR}", file=sys.stderr)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import signal
+import sys
 import threading
 import time
 from unittest import mock
@@ -242,9 +243,14 @@ def sleeping_past_the_budget(*args):
     return None
 
 
+def exiting(*args):
+    sys.exit(3)
+
+
 # each broken program with the budget it runs under: the sleeper's is short,
 # so every evaluation of it is an overrun on the main thread
-BROKEN_PROGRAMS = ((raising, 5.0), (returning_none, 5.0), (sleeping_past_the_budget, 0.05))
+BROKEN_PROGRAMS = ((raising, 5.0), (returning_none, 5.0), (sleeping_past_the_budget, 0.05),
+                   (exiting, 5.0))
 
 
 @settings(max_examples=25, deadline=None)
@@ -273,10 +279,22 @@ def test_failing_program_is_a_counted_execution_error_in_every_style(target, bro
             assert outcome.error_detail
             if broken is sleeping_past_the_budget:
                 assert outcome.error_detail.endswith(f"budget of {budget}s exceeded")
+            if broken is exiting:
+                assert outcome.error_detail.endswith("SystemExit: 3")
     assert report.iterations_run == iterations
     assert report.violations == 0
     assert report.execution_errors == sum(
         outcome.status is RelationStatus.EXECUTION_ERROR for outcome in outcomes)
+
+
+def test_keyboard_interrupt_in_a_program_stops_the_run():
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    with mock.patch.object(sorting, "bubble_sort", interrupted), \
+            pytest.raises(KeyboardInterrupt):
+        run_campaign(CampaignConfig(campaign="sorting-intramorphic", seed=1, iterations=3))
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
 
 # --- the budget's alarm handler is a per-run resource --------------------------
