@@ -2,25 +2,30 @@
 
 These are the standard alternatives the harness runs side by side with the
 program-pair oracles. They return the same outcome type and raise when a
-sort fails; the registry guards them like every other oracle.
+sort fails, labelled by which sort call it was, as a program pair's failure
+is labelled by its side; the registry guards them like every other oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .core import RelationOutcome
+from .core import EXECUTION_FAILURES, ProgramFailed, RelationOutcome
 from .seeds import SeededSource
 
 SortFunction = Callable[[list], list]
 
 
-def _sort_copy(sort_fn: SortFunction, values: Sequence[int]) -> list:
-    """Sorts a private copy; a sort that returns no list failed, not answered."""
-    output = sort_fn(list(values))
-    if not isinstance(output, list):
-        raise TypeError(f"sort returned {type(output).__name__}, not a list")
+def _sort_copy(sort_fn: SortFunction, values: Sequence[int], label: str) -> list:
+    """Sorts a private copy; a sort that returns no list failed, not answered.
+    A failure, an overrun included, is labelled with ``label``."""
+    try:
+        output = sort_fn(list(values))
+        if not isinstance(output, list):
+            raise TypeError(f"sort returned {type(output).__name__}, not a list")
+    except EXECUTION_FAILURES as exc:
+        raise ProgramFailed(label) from exc
     return output
 
 
@@ -40,16 +45,18 @@ class UnitCase:
 def unit_oracle(sort_fn: SortFunction, case: UnitCase) -> RelationOutcome:
     """Holds iff sorting a copy of the input yields the expected array."""
     expected = list(case.expected)
-    actual = _sort_copy(sort_fn, case.values)
+    actual = _sort_copy(sort_fn, case.values, "sort")
     return RelationOutcome.from_check(actual == expected, expected, actual)
 
 
-def differential_oracle(algorithms: Sequence[SortFunction], values: Sequence[int]
+def differential_oracle(algorithms: Mapping[str, SortFunction], values: Sequence[int]
                         ) -> RelationOutcome:
-    """Holds iff every algorithm's output equals the first algorithm's output."""
+    """Holds iff every algorithm's output equals the first algorithm's output.
+
+    ``algorithms`` maps the label a failure of each algorithm carries to it."""
     if not algorithms:
         raise ValueError("differential oracle needs at least one algorithm")
-    outputs = [_sort_copy(algorithm, values) for algorithm in algorithms]
+    outputs = [_sort_copy(algorithm, values, label) for label, algorithm in algorithms.items()]
     all_same = all(output == outputs[0] for output in outputs)
     return RelationOutcome.from_check(all_same, outputs[0], outputs)
 
@@ -66,11 +73,11 @@ def metamorphic_removal_oracle(sort_fn: SortFunction, values: Sequence[int],
     """
     if len(values) < 1:
         raise ValueError("removal relation needs a non-empty array")
-    sorted_full = _sort_copy(sort_fn, values)
+    sorted_full = _sort_copy(sort_fn, values, "sort of the full input")
     chosen = sorted_full[picker.below(len(sorted_full))]
     reduced_input = list(values)
     reduced_input.remove(chosen)
     expected = list(sorted_full)
     expected.remove(chosen)
-    actual = _sort_copy(sort_fn, reduced_input)
+    actual = _sort_copy(sort_fn, reduced_input, "sort of the reduced input")
     return RelationOutcome.from_check(actual == expected, expected, actual)

@@ -10,8 +10,9 @@ from .core import (InputCase, RelationOutcome, TransformationDescriptor,
 from .seeds import SeededSource
 
 Evaluator = Callable[[InputCase], RelationOutcome]
-# build_evaluator(mutant_name, statistical_repetitions, budget_seconds)
-EvaluatorFactory = Callable[[Optional[str], Optional[int], Optional[float]], Evaluator]
+# build_evaluator(programs, statistical_repetitions, budget_seconds)
+EvaluatorFactory = Callable[[Mapping[str, Callable], Optional[int], Optional[float]],
+                            Evaluator]
 
 
 @dataclass(frozen=True)
@@ -48,13 +49,11 @@ class Campaign:
     descriptor, and a campaign is stochastic exactly when that descriptor
     admits false alarms.
 
-    ``components()`` maps the name of each program the oracle runs to its
-    default implementation; mutants may replace only these. It is called
-    each time an evaluator is built, so a program patched into its module
-    after the registry was built is the one that runs. ``build_evaluator``
-    is bound to the campaign it was built for: a copy made with
-    ``dataclasses.replace`` keeps it, so new ``components`` or ``mutants``
-    on the copy do not change what the copy's evaluators run.
+    ``components`` maps the name of each program the oracle runs to its
+    default implementation; mutants may replace only these.
+    ``build_evaluator`` is called with the programs the harness resolved
+    from this record (:meth:`programs`), so a copy made with
+    ``dataclasses.replace`` runs the ``components`` and ``mutants`` it holds.
     """
 
     name: str
@@ -64,7 +63,7 @@ class Campaign:
     build_evaluator: EvaluatorFactory
     render_payload: Callable[[Any], str]
     shrink_payload: Callable[[Any], list]
-    components: Callable[[], Mapping[str, Callable]]
+    components: Mapping[str, Callable]
     render_output: Callable[[Any], str] = str
     descriptor: Optional[TransformationDescriptor] = None
     mutants: tuple[Mutant, ...] = ()
@@ -74,7 +73,7 @@ class Campaign:
         names = [mutant.name for mutant in self.mutants]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate mutant names in campaign {self.name}: {names}")
-        declared = set(self.components())
+        declared = set(self.components)
         for mutant in self.mutants:
             if not mutant.replaces or not set(mutant.replaces) <= declared:
                 raise ValueError(
@@ -99,7 +98,7 @@ class Campaign:
 
     def programs(self, mutant: Optional[str]) -> dict[str, Callable]:
         """The default components with the named mutant's replacements laid over."""
-        programs = dict(self.components())
+        programs = dict(self.components)
         if mutant is not None:
             programs.update(self.mutant(mutant).replaces)
         return programs

@@ -3,8 +3,7 @@
 The production algorithm is the density-ordered greedy; replacing it with an
 exhaustive search over every feasible multiset, filled in one table row by
 remaining capacity, gives an oracle, since the exhaustive value can never be
-worse. A classic dynamic program that maximises over the items at each
-capacity serves as an independent cross-check of that value.
+worse.
 Each greedy bug is one edit of the greedy; the exhaustive bug is written out.
 """
 
@@ -120,20 +119,6 @@ def knapsack_exhaustive(instance: KnapsackInstance) -> KnapsackSolution:
         names.append(chain[0])
         chain = chain[1]
     return KnapsackSolution(tuple(names), cum_value, cum_weight, instance.capacity)
-
-
-def dp_reference(instance: KnapsackInstance) -> int:
-    """Independent oracle: best[c] = max over fitting items of value + best[c - weight]."""
-    best = [0] * (instance.capacity + 1)
-    for cap in range(1, instance.capacity + 1):
-        top = 0
-        for _, value, weight in instance.items:
-            if weight <= cap:
-                candidate = value + best[cap - weight]
-                if candidate > top:
-                    top = candidate
-        best[cap] = top
-    return best[instance.capacity]
 
 
 def optimality_relation(exhaustive_solution: KnapsackSolution,

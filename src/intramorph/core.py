@@ -227,11 +227,18 @@ def picker_source(provenance: Provenance) -> SeededSource:
 
 
 class _BudgetExpired(BaseException):
-    """Raised on overrun; not an Exception, so no program can swallow it."""
+    """Raised on overrun; not an Exception, so only a program that catches
+    BaseException can swallow it, and ``_timed`` still counts that
+    evaluation as an overrun once it ends past its deadline."""
 
 
-class _ProgramFailed(Exception):
-    """A program raised or overran; carries its side, chains the cause."""
+class ProgramFailed(Exception):
+    """A program raised or overran; carries its label, chains the cause."""
+
+
+# what an evaluation may raise and still be counted as an execution error;
+# a KeyboardInterrupt stops the caller
+EXECUTION_FAILURES = (Exception, SystemExit, _BudgetExpired)
 
 
 # The budget's SIGALRM handler is installed once per alarm scope (a whole
@@ -308,7 +315,7 @@ def check_budget(budget: Optional[float]) -> None:
 
 
 def _describe(exc: BaseException, budget: Optional[float]) -> str:
-    if isinstance(exc, _ProgramFailed):
+    if isinstance(exc, ProgramFailed):
         return f"{exc}: {_describe(exc.__cause__, budget)}"
     if isinstance(exc, _BudgetExpired):
         return f"execution budget of {budget}s exceeded"
@@ -327,9 +334,13 @@ def _timed(body: Callable[[InputCase], RelationOutcome], case: InputCase,
     The deadline is set before the timer is checked, so an alarm that lands
     in between finds the evaluation running.
 
-    A program that disarms the timer itself (``setitimer(ITIMER_REAL, 0)``)
-    leaves its own evaluation and those that start before its lost alarm
-    was due unbounded; an evaluation that starts later arms it again.
+    An evaluation that ends at or past its deadline is an overrun even when
+    no alarm stopped it: its program may have swallowed ``_BudgetExpired``,
+    or set SIGALRM to ``SIG_IGN``, which leaves the scope's later
+    evaluations unbounded but still counted. A program that disarms the
+    timer itself (``setitimer(ITIMER_REAL, 0)``) leaves its own evaluation
+    and those that start before its lost alarm was due unbounded, but
+    counted; an evaluation that starts later arms it again.
     """
     global _deadline, _budget, _alarm_due
     _budget = budget
@@ -339,9 +350,12 @@ def _timed(body: Callable[[InputCase], RelationOutcome], case: InputCase,
         if not now < _alarm_due <= deadline:
             signal.setitimer(signal.ITIMER_REAL, budget)
             _alarm_due = deadline
-        return body(case)
+        outcome = body(case)
     finally:
         _deadline = None
+    if time.monotonic() >= deadline:
+        raise _BudgetExpired()
+    return outcome
 
 
 def guarded_evaluation(body: Callable[[InputCase], RelationOutcome], case: InputCase,
@@ -384,7 +398,7 @@ def guarded_evaluation(body: Callable[[InputCase], RelationOutcome], case: Input
         if "error" in box:
             raise box["error"]
         return box["value"]
-    except (Exception, SystemExit, _BudgetExpired) as exc:
+    except EXECUTION_FAILURES as exc:
         return RelationOutcome.execution_error(_describe(exc, budget))
 
 
@@ -392,8 +406,8 @@ def _run_program(side: str, fn: Callable, payload: Any, source: SeededSource) ->
     """fn(payload, source), with a failure labelled by its side."""
     try:
         return fn(payload, source)
-    except (Exception, SystemExit, _BudgetExpired) as exc:
-        raise _ProgramFailed(side) from exc
+    except EXECUTION_FAILURES as exc:
+        raise ProgramFailed(side) from exc
 
 
 def pair_evaluation(pair: ProgramPair, relation: IntramorphicRelation

@@ -65,8 +65,6 @@ def _validate_config(config: CampaignConfig, campaign: Campaign) -> None:
     if type(config.iterations) is not int or config.iterations < 1:
         raise ConfigurationError(f"iterations must be an integer >= 1, got {config.iterations!r}")
     check_budget(config.budget_seconds)
-    if config.mutant is not None:
-        campaign.mutant(config.mutant)   # raises UnknownMutantError
     # an even or non-positive k is rejected where the relation is built
     if config.statistical_repetitions is not None and not campaign.stochastic:
         raise ConfigurationError(
@@ -119,10 +117,13 @@ def run_campaign(config: CampaignConfig, registry: Optional[dict[str, Campaign]]
     campaign = get_campaign(config.campaign, registry)
     _validate_config(config, campaign)
 
+    # what runs is resolved from the record in hand, so a campaign copy runs
+    # the components and mutants it holds
+    programs = campaign.programs(config.mutant)   # raises UnknownMutantError
     repetitions = config.statistical_repetitions
     if campaign.stochastic and repetitions is None:
         repetitions = campaign.default_repetitions
-    evaluator = campaign.build_evaluator(config.mutant, repetitions, config.budget_seconds)
+    evaluator = campaign.build_evaluator(programs, repetitions, config.budget_seconds)
 
     started = time.monotonic()
     violations = 0

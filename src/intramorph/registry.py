@@ -43,29 +43,25 @@ DEFAULT_BUDGETS = montecarlo.SampleBudgetPair()
 
 def _campaign(oracle: Oracle, **fields) -> Campaign:
     """One table row as a Campaign. Its evaluator builder, the same for every
-    campaign, lays the mutant's replacements over the default components and
-    guards every evaluation of the body the row's oracle returns for them."""
-    def build_evaluator(mutant, repetitions, budget):
-        if repetitions is None:
-            repetitions = campaign.default_repetitions
-        body = oracle(campaign.programs(mutant), repetitions)
+    campaign, guards every evaluation of the body the row's oracle returns
+    for the programs the harness resolved."""
+    def build_evaluator(programs, repetitions, budget):
+        body = oracle(programs, repetitions)
         return lambda case: guarded_evaluation(body, case, budget)
 
-    campaign = Campaign(build_evaluator=build_evaluator, **fields)
-    return campaign
+    return Campaign(build_evaluator=build_evaluator, **fields)
 
 
 def _pair_campaign(relation: IntramorphicRelation, original: Side, variant: Side,
-                   **fields) -> Campaign:
-    """A campaign whose oracle judges ``relation`` on a program pair under the
-    campaign's own descriptor; ``original`` and ``variant`` turn the resolved
-    components into the two (payload, source) programs."""
+                   descriptor: TransformationDescriptor, **fields) -> Campaign:
+    """A campaign whose oracle judges ``relation`` on a program pair under
+    ``descriptor``; ``original`` and ``variant`` turn the resolved programs
+    into the two (payload, source) programs."""
     def oracle(programs, repetitions):
-        pair = ProgramPair(original(programs), variant(programs), campaign.descriptor)
+        pair = ProgramPair(original(programs), variant(programs), descriptor)
         return pair_evaluation(pair, relation)
 
-    campaign = _campaign(oracle, **fields)
-    return campaign
+    return _campaign(oracle, descriptor=descriptor, **fields)
 
 
 def _sorts(name: str) -> Side:
@@ -97,7 +93,7 @@ def _unit_oracle(programs, repetitions):
 
 
 def _differential_oracle(programs, repetitions):
-    algorithms = [programs["ascending"], programs["merge"], programs["insertion"]]
+    algorithms = {f"{name} sort": programs[name] for name in ("ascending", "merge", "insertion")}
     return lambda case: differential_oracle(algorithms, case.payload)
 
 
@@ -130,9 +126,9 @@ def _knapsack_check(greedy_solution, exhaustive_solution) -> bool:
 
 
 def _campaign_table() -> tuple[Campaign, ...]:
-    """The eight campaigns. Case-study functions are read from their modules
-    when the registry is built (mutant programs) or an evaluator is built
-    (default components), never when this module is imported."""
+    """The eight campaigns. Their default components and mutant programs are
+    read from the case-study modules when the registry is built, never when
+    this module is imported."""
     swap_index = Mutant("swap-index-i",
                         "ascending sort's swap reads the outer index i instead of j",
                         {"ascending": sorting.bubble_sort_swap_index})
@@ -142,7 +138,7 @@ def _campaign_table() -> tuple[Campaign, ...]:
     return (
         _campaign(
             _unit_oracle, name="sorting-unit", case_study="sorting", oracle_style="unit",
-            components=lambda: {"ascending": sorting.bubble_sort},
+            components={"ascending": sorting.bubble_sort},
             generate=lambda src: UNIT_CASE,   # a unit test re-checks its fixed case
             render_payload=lambda case: (f"sort({list(case.values)}) "
                                          f"== {list(case.expected)}"),
@@ -150,19 +146,19 @@ def _campaign_table() -> tuple[Campaign, ...]:
             mutants=(swap_index,)),
         _campaign(
             _differential_oracle, name="sorting-differential", oracle_style="differential",
-            components=lambda: {"ascending": sorting.bubble_sort, "merge": sorting.merge_sort,
-                                "insertion": sorting.insertion_sort},
+            components={"ascending": sorting.bubble_sort, "merge": sorting.merge_sort,
+                        "insertion": sorting.insertion_sort},
             mutants=(swap_index,), **array_fields),
         _campaign(
             _metamorphic_oracle, name="sorting-metamorphic", oracle_style="metamorphic",
-            components=lambda: {"ascending": sorting.bubble_sort},
+            components={"ascending": sorting.bubble_sort},
             mutants=(swap_index,), **array_fields),
         _pair_campaign(
             IntramorphicRelation("reverse-order", sorting.reverse_relation),
             _sorts("ascending"), _sorts("descending"),
             name="sorting-intramorphic", oracle_style="intramorphic",
-            components=lambda: {"ascending": sorting.bubble_sort,
-                                "descending": sorting.bubble_sort_reverse},
+            components={"ascending": sorting.bubble_sort,
+                        "descending": sorting.bubble_sort_reverse},
             # cases.derive builds the descending twin from the ascending sort
             # by flipping its comparison
             descriptor=dataclasses.replace(_added_alongside(Granularity.OPERATOR),
@@ -182,7 +178,7 @@ def _campaign_table() -> tuple[Campaign, ...]:
         _pair_campaign(
             equivalence_relation(), _sorts("ascending"), _sorts("merge"),
             name="sorting-equivalence", oracle_style="intramorphic",
-            components=lambda: {"ascending": sorting.bubble_sort, "merge": sorting.merge_sort},
+            components={"ascending": sorting.bubble_sort, "merge": sorting.merge_sort},
             descriptor=_added_alongside(Granularity.ALGORITHM_REPLACED),
             mutants=(swap_index,), **array_fields),
         _pair_campaign(
@@ -190,9 +186,9 @@ def _campaign_table() -> tuple[Campaign, ...]:
                 ast_printing.token_texts_match(infix_text, pp[0], pp[1]))),
             _applies("infix"), _prefix_and_postfix,
             name="ast-token-multiset", case_study="ast", oracle_style="intramorphic",
-            components=lambda: {"infix": ast_printing.as_string_infix,
-                                "prefix": ast_printing.as_string_prefix,
-                                "postfix": ast_printing.as_string_postfix},
+            components={"infix": ast_printing.as_string_infix,
+                        "prefix": ast_printing.as_string_prefix,
+                        "postfix": ast_printing.as_string_postfix},
             generate=random_tree,
             render_payload=ast_printing.render_tree, shrink_payload=shrink_tree,
             descriptor=_added_alongside(Granularity.FUNCTION_ADDED),
@@ -212,8 +208,8 @@ def _campaign_table() -> tuple[Campaign, ...]:
             oracle_style="intramorphic",
             # mutants replace the large-budget side only: mutating both sides
             # would shift both error distributions together and mask the bug
-            components=lambda: {"small": montecarlo.pi_approximation,
-                                "large": montecarlo.pi_approximation},
+            components={"small": montecarlo.pi_approximation,
+                        "large": montecarlo.pi_approximation},
             generate=lambda src: DEFAULT_BUDGETS,   # entropy comes from provenance
             render_payload=lambda budgets: (f"n_small={budgets.n_small}, "
                                             f"n_large={budgets.n_large}"),
@@ -234,8 +230,8 @@ def _campaign_table() -> tuple[Campaign, ...]:
             IntramorphicRelation("replacement-at-least-as-good", _knapsack_check),
             _applies("greedy"), _applies("exhaustive"),
             name="knapsack-optimality", case_study="knapsack", oracle_style="intramorphic",
-            components=lambda: {"greedy": knapsack.knapsack_greedy,
-                                "exhaustive": knapsack.knapsack_exhaustive},
+            components={"greedy": knapsack.knapsack_greedy,
+                        "exhaustive": knapsack.knapsack_exhaustive},
             generate=random_knapsack_instance,
             render_payload=knapsack.render_instance, shrink_payload=shrink_knapsack,
             render_output=knapsack.render_solution,

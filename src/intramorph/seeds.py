@@ -98,8 +98,9 @@ def derive_seed(base: int, *salts: int) -> int:
 class SeededSource:
     """Single-consumer splitmix64 stream.
 
-    Campaigns that need several independent streams derive one per purpose
-    via :meth:`derive` rather than sharing a source across consumers.
+    Campaigns that need several independent streams derive one per purpose,
+    as a :class:`DerivedSource` of the seed and a salt path, rather than
+    sharing a source across consumers.
     """
 
     algorithm_id = ALGORITHM_ID
@@ -170,15 +171,11 @@ class SeededSource:
     def choice(self, items: Sequence[T]) -> T:
         return items[self.below(len(items))]
 
-    def derive(self, *salts: int) -> "SeededSource":
-        """Fresh source for the given salt path, independent of stream position."""
-        return DerivedSource(self.seed, *salts)
-
 
 class DerivedSource(SeededSource):
     """``SeededSource(derive_seed(base, *salts))``, derived when first read.
 
-    Same seed, stream and children; a program that never reads its source
+    Same seed and stream; a program that never reads its source
     never pays for the derivation.
     """
 

@@ -10,7 +10,7 @@ import math
 from intramorph.cases.ast_printing import (Constant, Operation, Variable,
                                            as_string_infix, as_string_postfix,
                                            as_string_prefix)
-from intramorph.cases.knapsack import (KnapsackInstance, KnapsackItem, dp_reference,
+from intramorph.cases.knapsack import (KnapsackInstance, KnapsackItem,
                                        knapsack_exhaustive, knapsack_greedy)
 from intramorph.cases.montecarlo import pi_approximation
 from intramorph.cli import main as cli_main
@@ -18,7 +18,8 @@ from intramorph.core import InputCase, Provenance, RelationStatus
 from intramorph.generators import random_knapsack_instance
 from intramorph.harness import CampaignConfig, run_campaign, run_detection_matrix
 from intramorph.registry import all_campaigns, get_campaign
-from intramorph.seeds import SeededSource
+from intramorph.seeds import DerivedSource, SeededSource
+from test_knapsack import dp_reference
 
 SEED = 42
 CONTROL_SEEDS = (42, 7, 1234, 31337, 2024)
@@ -114,7 +115,7 @@ def test_criterion_5_knapsack_oracle_equivalence_and_strictness_witness():
     """Exhaustive == table reference and >= greedy over 10,000 instances."""
     strict_seen = 0
     for iteration in range(1, 10_001):
-        source = SeededSource(SEED).derive(iteration)
+        source = DerivedSource(SEED, iteration)
         instance = random_knapsack_instance(source)
         exhaustive = knapsack_exhaustive(instance)
         greedy = knapsack_greedy(instance)
@@ -159,7 +160,7 @@ def test_criterion_6_replay_determinism(tmp_path, capsys):
     assert report.violations == replayable["violations"]
 
     campaign = get_campaign("sorting-intramorphic")
-    evaluator = campaign.build_evaluator("swap-index-i", None, 5.0)
+    evaluator = campaign.build_evaluator(campaign.programs("swap-index-i"), None, 5.0)
     shrunk = InputCase(report.counterexample.payload,
                        Provenance(SEED, report.first_violation_iteration))
     assert evaluator(shrunk).status is RelationStatus.VIOLATED, (

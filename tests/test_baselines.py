@@ -1,5 +1,6 @@
 """Unit, differential, and metamorphic oracles against correct and buggy sorts."""
 
+import dataclasses
 import time
 
 import pytest
@@ -60,13 +61,15 @@ def test_unit_oracle_reports_crash():
 
 @pytest.mark.parametrize("campaign", ["sorting-unit", "sorting-differential",
                                       "sorting-metamorphic"])
-def test_baseline_evaluation_is_bounded_by_the_budget(campaign, monkeypatch):
+def test_baseline_evaluation_is_bounded_by_the_budget(campaign):
     def sleepy_sort(arr):
         time.sleep(0.3)
         return sorted(arr)
 
-    monkeypatch.setattr(sorting, "bubble_sort", sleepy_sort)
-    evaluate = get_campaign(campaign).build_evaluator(None, None, 0.05)
+    default = get_campaign(campaign)
+    sleepy = dataclasses.replace(
+        default, components={**default.components, "ascending": sleepy_sort})
+    evaluate = sleepy.build_evaluator(sleepy.programs(None), None, 0.05)
     payload = UNIT_CASE if campaign == "sorting-unit" else (3, 1, 2)
     started = time.monotonic()
     outcome = evaluate(InputCase(payload, Provenance(0, 1)))
@@ -82,7 +85,8 @@ def test_unit_case_rejects_wrong_expected():
 
 # --- differential oracle -----------------------------------------------------
 
-ALL_SORTS = [sorting.bubble_sort, sorting.merge_sort, sorting.insertion_sort]
+ALL_SORTS = {"bubble": sorting.bubble_sort, "merge": sorting.merge_sort,
+             "insertion": sorting.insertion_sort}
 
 
 def test_differential_holds_for_agreeing_algorithms():
@@ -97,21 +101,32 @@ def test_differential_holds_on_all_inputs_for_correct_sorts(values):
 
 
 def test_differential_single_algorithm_is_vacuous():
-    outcome = differential_oracle([sorting.bubble_sort_swap_index], [3, 1, 2])
+    outcome = differential_oracle({"swap-index": sorting.bubble_sort_swap_index}, [3, 1, 2])
     assert outcome.status is RelationStatus.HOLDS
 
 
 def test_differential_catches_disagreement():
-    outcome = differential_oracle([sorting.bubble_sort_swap_index, sorting.merge_sort],
-                                  [3, 1, 2])
+    outcome = differential_oracle({"swap-index": sorting.bubble_sort_swap_index,
+                                   "merge": sorting.merge_sort}, [3, 1, 2])
     assert outcome.status is RelationStatus.VIOLATED
     assert outcome.original_output == [1, 2, 1]
     assert outcome.variant_output == [[1, 2, 1], [1, 2, 3]]
 
 
+def test_differential_reports_which_algorithm_failed():
+    def broken(arr):
+        raise IndexError("off the end")
+
+    outcome = guarded_evaluation(
+        lambda case: differential_oracle({**ALL_SORTS, "broken": broken}, case.payload),
+        InputCase((3, 1, 2), Provenance(0, 1)), None)
+    assert outcome.status is RelationStatus.EXECUTION_ERROR
+    assert outcome.error_detail == "broken: IndexError: off the end"
+
+
 def test_differential_requires_algorithms():
     with pytest.raises(ValueError):
-        differential_oracle([], [1])
+        differential_oracle({}, [1])
 
 
 def test_differential_does_not_mutate_input():

@@ -1,10 +1,11 @@
 """Command-line surface: subcommands, exit codes, report formats, determinism."""
 
 import csv
+import dataclasses
 import json
 
-from intramorph.cases import sorting
 from intramorph.cli import main
+from intramorph.registry import default_registry, get_campaign
 
 
 def run_cli(capsys, *argv):
@@ -116,7 +117,10 @@ class Unprintable:
 def test_unrenderable_output_is_reported_as_a_placeholder(capsys, monkeypatch):
     # the original sort returns an object whose repr raises: the run finds a
     # violation, and its report must still be printed
-    monkeypatch.setattr(sorting, "bubble_sort", lambda *args: [Unprintable()])
+    campaign = get_campaign("sorting-intramorphic")
+    monkeypatch.setitem(default_registry(), campaign.name, dataclasses.replace(
+        campaign, components={**campaign.components,
+                              "ascending": lambda *args: [Unprintable()]}))
     argv = ["run", "--campaign", "sorting-intramorphic", "--seed", "1", "--iterations", "5"]
     placeholder = "<unrenderable output: RuntimeError: no repr>"
 

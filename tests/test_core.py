@@ -176,16 +176,18 @@ def test_divergence_hits_the_budget_off_main_thread():
     assert box["outcome"].status is RelationStatus.EXECUTION_ERROR
 
 
-def test_relation_failure_becomes_execution_error(monkeypatch):
+def test_relation_failure_becomes_execution_error():
     pair = sort_pair(reverse=lambda arr: None)
     outcome = evaluate_pair(pair, REVERSE, case_for((3, 1, 2)))
     assert outcome.status is RelationStatus.EXECUTION_ERROR
     assert outcome.error_detail.startswith("TypeError: ")
 
     # the same pair inside a campaign: the run completes and counts each error
-    monkeypatch.setattr(sorting, "bubble_sort_reverse", lambda arr: None)
-    report = run_campaign(CampaignConfig(campaign="sorting-intramorphic", seed=3,
-                                         iterations=5))
+    campaign = get_campaign("sorting-intramorphic")
+    broken = dataclasses.replace(
+        campaign, components={**campaign.components, "descending": lambda arr: None})
+    report = run_campaign(CampaignConfig(campaign=campaign.name, seed=3, iterations=5),
+                          registry={campaign.name: broken})
     assert (report.execution_errors, report.violations, report.iterations_run) == (5, 0, 5)
 
 
@@ -308,6 +310,36 @@ def test_program_cannot_swallow_the_budget():
     assert time.monotonic() - started < 0.9
 
 
+def test_overrun_that_a_program_swallows_as_a_base_exception_is_still_counted():
+    def swallowing(payload, src):
+        try:
+            time.sleep(1)
+        except BaseException:   # catches the budget's own exception too
+            pass
+        return []
+
+    pair = ProgramPair(original=swallowing, variant=lambda payload, src: [],
+                       descriptor=plain_descriptor())
+    started = time.monotonic()
+    outcome = evaluate_pair(pair, equivalence_relation(), case_for(()), budget=0.05)
+    assert outcome.error_detail == "execution budget of 0.05s exceeded"
+    assert time.monotonic() - started < 0.9
+
+
+def test_overrun_of_a_program_that_ignores_the_alarm_is_still_counted():
+    def ignoring(payload, src):
+        signal.signal(signal.SIGALRM, signal.SIG_IGN)
+        time.sleep(0.1)
+        return []
+
+    before = signal.getsignal(signal.SIGALRM)
+    pair = ProgramPair(original=ignoring, variant=lambda payload, src: [],
+                       descriptor=plain_descriptor())
+    outcome = evaluate_pair(pair, equivalence_relation(), case_for(()), budget=0.05)
+    assert outcome.error_detail == "execution budget of 0.05s exceeded"
+    assert signal.getsignal(signal.SIGALRM) is before
+
+
 def test_alarm_lost_in_a_gc_callback_fires_again(monkeypatch):
     swallowed = []
     monkeypatch.setattr(sys, "unraisablehook",
@@ -402,11 +434,14 @@ def test_program_that_disarms_the_alarm_loses_the_budget_until_it_was_due():
     with alarm_scope():
         evaluate_pair(disarm, equivalence_relation(), case_for(()), budget=0.1)
         # the documented limit: this evaluation starts before the lost alarm
-        # was due, so nothing stops it at its own deadline
+        # was due, so nothing stops it at its own deadline; it is counted as
+        # an overrun once it returns
         late = ProgramPair(original=sleeping(0.3), variant=sleeping(0),
                            descriptor=plain_descriptor())
+        started = time.monotonic()
         outcome = evaluate_pair(late, equivalence_relation(), case_for(()), budget=0.1)
-        assert outcome.status is RelationStatus.HOLDS
+        assert time.monotonic() - started >= 0.3
+        assert outcome.error_detail == "execution budget of 0.1s exceeded"
         # this one starts after the lost alarm was due, and arms the timer again
         slow = ProgramPair(original=sleeping(5), variant=sleeping(0),
                            descriptor=plain_descriptor())
@@ -445,7 +480,7 @@ def test_sorting_pair_derives_only_the_generation_source(monkeypatch):
     monkeypatch.setattr(core, "derive_seed", counting)
     monkeypatch.setattr(seeds, "derive_seed", counting)
     campaign = get_campaign("sorting-intramorphic")
-    evaluate = campaign.build_evaluator(None, None, 5.0)
+    evaluate = campaign.build_evaluator(campaign.programs(None), None, 5.0)
     payload = campaign.generate(core.generation_source(7, 3))
     assert evaluate(case_for(payload, seed=7, iteration=3)).status is RelationStatus.HOLDS
     assert calls == [(7, 3, 0)]

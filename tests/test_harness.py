@@ -6,19 +6,50 @@ import signal
 import sys
 import threading
 import time
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intramorph.cases import montecarlo, sorting
+from intramorph.campaign import Mutant
+from intramorph.cases import sorting
 from intramorph.core import (DEFAULT_BUDGET_SECONDS, ConfigurationError, InputCase,
                              Provenance, RelationStatus, UnknownCampaignError,
                              UnknownMutantError, generation_source)
 from intramorph.harness import (CampaignConfig, Counterexample, run_campaign,
                                 run_detection_matrix)
 from intramorph.registry import default_registry, get_campaign
+
+
+def replacing(name, **programs):
+    """A copy of the named campaign that runs ``programs`` in place of its
+    components of the same names."""
+    campaign = get_campaign(name)
+    return dataclasses.replace(campaign, components={**campaign.components, **programs})
+
+
+def test_campaign_copy_runs_its_own_components_and_mutants():
+    campaign = get_campaign("sorting-equivalence")
+    calls = []
+
+    def spy(arr):
+        calls.append(list(arr))
+        return sorting.merge_sort(arr)
+
+    report = run_campaign(CampaignConfig(campaign=campaign.name, seed=1, iterations=5),
+                          registry={campaign.name: replacing(campaign.name, merge=spy)})
+    assert (report.iterations_run, report.violations, report.execution_errors) == (5, 0, 0)
+    assert len(calls) == 5
+
+    descending = Mutant("merge-descending", "merge sort returns the reverse order",
+                        {"merge": lambda arr: sorted(arr, reverse=True)})
+    with_mutant = dataclasses.replace(campaign, mutants=campaign.mutants + (descending,))
+    report = run_campaign(CampaignConfig(campaign=campaign.name, seed=1, iterations=100,
+                                         mutant=descending.name),
+                          registry={campaign.name: with_mutant})
+    assert report.violations == 1
+    shrunk = report.counterexample
+    assert shrunk.variant_output == sorted(shrunk.payload, reverse=True) != shrunk.original_output
 
 
 def test_clean_sorting_campaign_has_no_violations():
@@ -97,11 +128,11 @@ def test_non_integer_repetitions_are_rejected_before_any_iteration(repetitions):
         calls.append(n)
         return 3.0
 
-    with mock.patch.object(montecarlo, "pi_approximation", recording):
-        with pytest.raises(ConfigurationError,
-                           match=f"positive odd integer, got {repetitions}$"):
-            run_campaign(CampaignConfig(campaign="montecarlo-convergence", seed=1,
-                                        iterations=3, statistical_repetitions=repetitions))
+    campaign = replacing("montecarlo-convergence", small=recording, large=recording)
+    with pytest.raises(ConfigurationError, match=f"positive odd integer, got {repetitions}$"):
+        run_campaign(CampaignConfig(campaign=campaign.name, seed=1, iterations=3,
+                                    statistical_repetitions=repetitions),
+                     registry={campaign.name: campaign})
     assert calls == []
 
 
@@ -111,19 +142,21 @@ def test_non_integer_seed_and_iterations_are_rejected_before_any_iteration(field
     # a float used to crash the run with a raw TypeError; True ran as 1
     calls = []
     fields = {"seed": 1, "iterations": 2, field: value}
-    with mock.patch.object(sorting, "bubble_sort", lambda arr: calls.append(arr) or arr):
-        with pytest.raises(ConfigurationError, match=f"^{field} must be .*, got {value}$"):
-            run_campaign(CampaignConfig(campaign="sorting-unit", **fields))
+    campaign = replacing("sorting-unit", ascending=lambda arr: calls.append(arr) or arr)
+    with pytest.raises(ConfigurationError, match=f"^{field} must be .*, got {value}$"):
+        run_campaign(CampaignConfig(campaign=campaign.name, **fields),
+                     registry={campaign.name: campaign})
     assert calls == []
 
 
 @pytest.mark.parametrize("budget", [0.0, -1.0, math.nan, math.inf, True, "5"])
 def test_budget_must_be_positive_and_finite(budget):
     calls = []
-    with mock.patch.object(sorting, "bubble_sort", lambda arr: calls.append(arr) or arr):
-        with pytest.raises(ConfigurationError, match=f"got {budget!r}$"):
-            run_campaign(CampaignConfig(campaign="sorting-unit", seed=1, iterations=2,
-                                        budget_seconds=budget))
+    campaign = replacing("sorting-unit", ascending=lambda arr: calls.append(arr) or arr)
+    with pytest.raises(ConfigurationError, match=f"got {budget!r}$"):
+        run_campaign(CampaignConfig(campaign=campaign.name, seed=1, iterations=2,
+                                    budget_seconds=budget),
+                     registry={campaign.name: campaign})
     assert calls == []   # rejected before any evaluation ran
 
 
@@ -154,7 +187,7 @@ def test_shrunk_counterexample_still_violates_and_is_minimal():
     report = run_campaign(CampaignConfig(campaign="sorting-intramorphic", seed=7,
                                          iterations=1000, mutant="swap-index-i"))
     campaign = get_campaign("sorting-intramorphic")
-    evaluator = campaign.build_evaluator("swap-index-i", None, 5.0)
+    evaluator = campaign.build_evaluator(campaign.programs("swap-index-i"), None, 5.0)
     provenance = Provenance(7, report.first_violation_iteration)
     shrunk = InputCase(report.counterexample.payload, provenance)
     assert evaluator(shrunk).status is RelationStatus.VIOLATED
@@ -219,14 +252,14 @@ def test_outside_matrix_mutants_contribute_no_cell():
     assert report.violations == 0
 
 
-# One campaign per oracle style, with the module program its default
-# components read when an evaluator is built.
+# One campaign per oracle style, with the components a broken program
+# replaces and the label the first failing call's detail carries.
 ONE_CAMPAIGN_PER_STYLE = (
-    ("sorting-unit", sorting, "bubble_sort"),
-    ("sorting-differential", sorting, "bubble_sort"),
-    ("sorting-metamorphic", sorting, "bubble_sort"),
-    ("sorting-intramorphic", sorting, "bubble_sort"),
-    ("montecarlo-convergence", montecarlo, "pi_approximation"),
+    ("sorting-unit", ("ascending",), "sort"),
+    ("sorting-differential", ("ascending",), "ascending sort"),
+    ("sorting-metamorphic", ("ascending",), "sort of the full input"),
+    ("sorting-intramorphic", ("ascending",), "original"),
+    ("montecarlo-convergence", ("small", "large"), "original trial 0"),
 )
 
 
@@ -258,18 +291,19 @@ BROKEN_PROGRAMS = ((raising, 5.0), (returning_none, 5.0), (sleeping_past_the_bud
        st.integers(min_value=0, max_value=2**64 - 1))
 def test_failing_program_is_a_counted_execution_error_in_every_style(target, broken_program,
                                                                     seed):
-    name, module, program = target
+    name, components, label = target
     broken, budget = broken_program
     iterations = 3
-    with mock.patch.object(module, program, broken):
-        campaign = get_campaign(name)
-        evaluate = campaign.build_evaluator(None, None, budget)
-        cases = [InputCase(campaign.generate(generation_source(seed, iteration)),
-                           Provenance(seed, iteration))
-                 for iteration in range(1, iterations + 1)]
-        outcomes = [evaluate(case) for case in cases]
-        report = run_campaign(CampaignConfig(campaign=name, seed=seed, iterations=iterations,
-                                             budget_seconds=budget))
+    campaign = replacing(name, **dict.fromkeys(components, broken))
+    evaluate = campaign.build_evaluator(campaign.programs(None), campaign.default_repetitions,
+                                        budget)
+    cases = [InputCase(campaign.generate(generation_source(seed, iteration)),
+                       Provenance(seed, iteration))
+             for iteration in range(1, iterations + 1)]
+    outcomes = [evaluate(case) for case in cases]
+    report = run_campaign(CampaignConfig(campaign=name, seed=seed, iterations=iterations,
+                                         budget_seconds=budget),
+                          registry={name: campaign})
     for case, outcome in zip(cases, outcomes):
         if name == "sorting-metamorphic" and not case.payload:
             # removal is undefined on an empty array, which holds vacuously
@@ -277,6 +311,8 @@ def test_failing_program_is_a_counted_execution_error_in_every_style(target, bro
         else:
             assert outcome.status is RelationStatus.EXECUTION_ERROR
             assert outcome.error_detail
+            if broken is not returning_none:   # the failure is raised inside the call
+                assert outcome.error_detail.startswith(f"{label}: ")
             if broken is sleeping_past_the_budget:
                 assert outcome.error_detail.endswith(f"budget of {budget}s exceeded")
             if broken is exiting:
@@ -291,9 +327,10 @@ def test_keyboard_interrupt_in_a_program_stops_the_run():
     def interrupted(*args):
         raise KeyboardInterrupt
 
-    with mock.patch.object(sorting, "bubble_sort", interrupted), \
-            pytest.raises(KeyboardInterrupt):
-        run_campaign(CampaignConfig(campaign="sorting-intramorphic", seed=1, iterations=3))
+    campaign = replacing("sorting-intramorphic", ascending=interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_campaign(CampaignConfig(campaign=campaign.name, seed=1, iterations=3),
+                     registry={campaign.name: campaign})
     assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
 
@@ -353,10 +390,11 @@ def test_run_stops_a_late_overrun_after_alarms_fired_mid_run():
         time.sleep(5 if len(calls) == 80 else 0.002)
         return descending(arr)
 
+    campaign = replacing("sorting-intramorphic", descending=slow_descending)
     started = time.monotonic()
-    with mock.patch.object(sorting, "bubble_sort_reverse", slow_descending):
-        report = run_campaign(CampaignConfig(campaign="sorting-intramorphic", seed=1,
-                                             iterations=100, budget_seconds=0.05))
+    report = run_campaign(CampaignConfig(campaign=campaign.name, seed=1, iterations=100,
+                                         budget_seconds=0.05),
+                          registry={campaign.name: campaign})
     assert time.monotonic() - started < 2.0
     assert (report.iterations_run, report.violations, report.execution_errors) == (100, 0, 1)
     assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
@@ -410,10 +448,9 @@ def test_shrink_candidate_that_overruns_is_an_error_within_the_budget():
         return descending(arr)
 
     evaluations = []
-    registry = {config.campaign: recording(get_campaign(config.campaign), evaluations)}
+    campaign = replacing(config.campaign, descending=slow_on_first_shrink_candidate)
     started = time.monotonic()
-    with mock.patch.object(sorting, "bubble_sort_reverse", slow_on_first_shrink_candidate):
-        report = run_campaign(config, registry=registry)
+    report = run_campaign(config, registry={campaign.name: recording(campaign, evaluations)})
     assert time.monotonic() - started < 0.8
     outcomes = [outcome for _, outcome in evaluations]
     errors = [outcome for outcome in outcomes if outcome.status is RelationStatus.EXECUTION_ERROR]
@@ -442,13 +479,14 @@ def test_stray_alarm_between_evaluations_leaves_the_report_unchanged(mutant):
 
 def test_run_off_the_main_thread_is_still_bounded(monkeypatch):
     calls = counting_signal_calls(monkeypatch)
-    monkeypatch.setattr(sorting, "bubble_sort", lambda arr: time.sleep(0.3) or arr)
+    campaign = replacing("sorting-unit", ascending=lambda arr: time.sleep(0.3) or arr)
     box = {}
 
     def run():
         started = time.monotonic()
-        box["report"] = run_campaign(CampaignConfig(campaign="sorting-unit", seed=1,
-                                                    iterations=1, budget_seconds=0.05))
+        box["report"] = run_campaign(CampaignConfig(campaign=campaign.name, seed=1,
+                                                    iterations=1, budget_seconds=0.05),
+                                     registry={campaign.name: campaign})
         box["elapsed"] = time.monotonic() - started
 
     runner = threading.Thread(target=run)
@@ -514,7 +552,8 @@ def test_shrink_finds_the_memo_free_counterexample(campaign_name, mutant):
         report = run_campaign(CampaignConfig(campaign=campaign_name, seed=seed,
                                              iterations=1000, mutant=mutant))
         first = report.first_violation_iteration
-        evaluate = campaign.build_evaluator(mutant, None, DEFAULT_BUDGET_SECONDS)
+        evaluate = campaign.build_evaluator(campaign.programs(mutant), None,
+                                            DEFAULT_BUDGET_SECONDS)
         violating = InputCase(campaign.generate(generation_source(seed, first)),
                               Provenance(seed, first))
         outcome = evaluate(violating)

@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intramorph.cases.knapsack import (BudgetExceededError, KnapsackInstance,
-                                       KnapsackItem, KnapsackSolution, dp_reference,
-                                       knapsack_exhaustive,
+                                       KnapsackItem, KnapsackSolution, knapsack_exhaustive,
                                        knapsack_exhaustive_skip_include,
                                        knapsack_greedy,
                                        knapsack_greedy_capacity_off_by_one,
@@ -47,6 +46,21 @@ def best_value_by_enumeration(instance):
             value = sum(c * item.value for c, item in zip(counts, items))
             best = max(best, value)
     return best
+
+
+def dp_reference(instance):
+    """Independent oracle: the classic dynamic program, where best[c] is the
+    max over fitting items of value + best[c - weight]."""
+    best = [0] * (instance.capacity + 1)
+    for cap in range(1, instance.capacity + 1):
+        top = 0
+        for _, value, weight in instance.items:
+            if weight <= cap:
+                candidate = value + best[cap - weight]
+                if candidate > top:
+                    top = candidate
+        best[cap] = top
+    return best[instance.capacity]
 
 
 def plain_exhaustive(instance):

@@ -221,7 +221,7 @@ def all_trials_statistical(pair, config, case):
 @pytest.mark.parametrize("mutant", [None, "wrong-scale", "boundary-strict", "one-coordinate"])
 def test_early_stop_matches_the_all_trials_reference(mutant, repetitions):
     campaign = get_campaign("montecarlo-convergence")
-    evaluator = campaign.build_evaluator(mutant, repetitions, None)
+    evaluator = campaign.build_evaluator(campaign.programs(mutant), repetitions, None)
     seed = 2024
     for iteration, source in enumerate(generation_sources(seed, 30), start=1):
         case = InputCase(campaign.generate(source), Provenance(seed, iteration))

@@ -30,7 +30,7 @@ def test_programs_overlay_the_mutant_on_the_defaults():
         "greedy": knapsack.knapsack_greedy,
         "exhaustive": knapsack.knapsack_exhaustive_skip_include}
     # overlaying never edits the defaults
-    assert campaign.components()["descending"] is sorting.bubble_sort_reverse
+    assert campaign.components["descending"] is sorting.bubble_sort_reverse
 
 
 def test_campaign_lookup_searches_the_given_registry():
@@ -41,9 +41,9 @@ def test_campaign_lookup_searches_the_given_registry():
     assert str(raised.value) == "unknown campaign 'sorting-unit'; known: ['other']"
 
 
-def test_unknown_mutant_raises_through_the_builder():
+def test_unknown_mutant_raises_when_the_programs_are_resolved():
     with pytest.raises(UnknownMutantError):
-        get_campaign("sorting-equivalence").build_evaluator("nope", None, 5.0)
+        get_campaign("sorting-equivalence").programs("nope")
 
 
 def test_campaign_rejects_a_mutant_replacing_an_undeclared_component():

@@ -59,7 +59,8 @@ def test_sorted_copy_leaves_input_alone():
     for name in ("sorting-differential", "sorting-metamorphic", "sorting-intramorphic",
                  "sorting-equivalence"):
         values = [3, 1, 2]
-        get_campaign(name).build_evaluator(None, None, 5.0)(
+        campaign = get_campaign(name)
+        campaign.build_evaluator(campaign.programs(None), None, 5.0)(
             InputCase(values, Provenance(1, 1)))
         assert values == [3, 1, 2], name
 
