@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Callable, Mapping, Optional
 
 from .core import (InputCase, RelationOutcome, TransformationDescriptor,
@@ -24,7 +25,8 @@ class Mutant:
     replacements laid over its default components. ``expected_detected``
     records whether the campaign's oracle should flag the bug; ``in_matrix``
     is False for bugs the oracle provably cannot see per input (they stay
-    runnable but contribute no detection-matrix cell).
+    runnable but contribute no detection-matrix cell). ``replaces`` is held
+    as a read-only copy, so a registered mutant cannot be edited in place.
     """
 
     name: str
@@ -33,6 +35,9 @@ class Mutant:
     expected_detected: bool = True
     in_matrix: bool = True
     note: str = ""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "replaces", MappingProxyType(dict(self.replaces)))
 
     def expectation_label(self) -> str:
         if not self.in_matrix:
@@ -54,6 +59,8 @@ class Campaign:
     ``build_evaluator`` is called with the programs the harness resolved
     from this record (:meth:`programs`), so a copy made with
     ``dataclasses.replace`` runs the ``components`` and ``mutants`` it holds.
+    ``components`` is held as a read-only copy, so a registered campaign
+    cannot be edited in place.
     """
 
     name: str
@@ -70,6 +77,7 @@ class Campaign:
     default_repetitions: Optional[int] = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "components", MappingProxyType(dict(self.components)))
         names = [mutant.name for mutant in self.mutants]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate mutant names in campaign {self.name}: {names}")

@@ -32,8 +32,21 @@ class KnapsackItem(NamedTuple):
 
 @dataclass(frozen=True)
 class KnapsackInstance:
+    """Items with unique names, weights and values >= 1, and a capacity >= 0.
+
+    The constructor validates, so a generated instance or one a user builds
+    is checked. ``_unchecked`` skips the checks, for an instance derived
+    from a valid one that is valid by construction (a shrink candidate)."""
+
     items: tuple[KnapsackItem, ...]
     capacity: int
+
+    @classmethod
+    def _unchecked(cls, items: tuple[KnapsackItem, ...], capacity: int) -> KnapsackInstance:
+        instance = object.__new__(cls)
+        # the frozen class's __setattr__ raises
+        instance.__dict__.update(items=items, capacity=capacity)
+        return instance
 
     def __post_init__(self) -> None:
         names = [item.name for item in self.items]

@@ -8,6 +8,7 @@ reproduced from (seed, iteration) alone.
 
 from __future__ import annotations
 
+import _signal
 import math
 import signal
 import statistics
@@ -275,11 +276,12 @@ def alarm_scope() -> Iterator[None]:
     """Keep the budget's SIGALRM handler installed for the enclosed block.
 
     The outermost scope on the main thread installs the handler, and on exit
-    disarms the timer and restores the previous handler; nested scopes
-    change nothing. Inside a scope, ``guarded_evaluation`` sets a deadline
-    and arms the timer only when no alarm is due by then, so a run of fast
-    evaluations arms it once. Off the main thread, where no signal handler
-    can be set, the scope does nothing.
+    disarms the timer and restores the exact previous disposition (a
+    handler, or ``SIG_DFL`` or ``SIG_IGN`` as the plain int the C layer
+    keeps); nested scopes change nothing. Inside a scope,
+    ``guarded_evaluation`` sets a deadline and arms the timer only when no
+    alarm is due by then, so a run of fast evaluations arms it once. Off the
+    main thread, where no signal handler can be set, the scope does nothing.
     """
     global _scope_depth, _scope_thread, _alarm_due
     if threading.current_thread() is not threading.main_thread():
@@ -287,7 +289,14 @@ def alarm_scope() -> Iterator[None]:
         return
     previous = None
     if _scope_depth == 0:
-        previous = signal.signal(signal.SIGALRM, _on_alarm)
+        # _signal.signal is the C function that signal.signal wraps. The
+        # wrapper converts both ways through the Handlers enum, and with a
+        # Python-function handler each conversion raises and catches an
+        # exception: int(handler) on install, Handlers(handler) on restore,
+        # which also formats the handler's repr. The C function returns the
+        # handler it replaces as stored, SIG_DFL and SIG_IGN as plain ints,
+        # and takes that value back unchanged.
+        previous = _signal.signal(signal.SIGALRM, _on_alarm)
         _scope_thread = threading.get_ident()
     _scope_depth += 1
     try:
@@ -298,7 +307,7 @@ def alarm_scope() -> Iterator[None]:
             _scope_thread = None
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             _alarm_due = math.inf
-            signal.signal(signal.SIGALRM, previous)
+            _signal.signal(signal.SIGALRM, previous)
 
 
 def check_budget(budget: Optional[float]) -> None:

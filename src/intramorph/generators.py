@@ -9,6 +9,8 @@ interesting. All generators are pure functions of the source's seed.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .cases.ast_printing import Constant, ExprNode, Operation, Variable
 from .cases.knapsack import KnapsackInstance, KnapsackItem
 from .seeds import SeededSource
@@ -75,19 +77,23 @@ def shrink_array(payload: tuple[int, ...]) -> list[tuple[int, ...]]:
     at different positions differ where each one cut, so only the
     replacements at one position need deduplicating.
     """
-    candidates: list[tuple[int, ...]] = []
-    for index in range(len(payload)):
-        candidates.append(payload[:index] + payload[index + 1:])
-    # magnitude cuts: towards zero in big steps, then by one
+    candidates = [payload[:index] + payload[index + 1:] for index in range(len(payload))]
     for index, value in enumerate(payload):
         if value == 0:
             continue
-        step_down = value - 1 if value > 0 else value + 1
-        for replacement in dict.fromkeys((0, value // 2, step_down)):
-            if abs(replacement) >= abs(value):
-                continue
-            candidates.append(payload[:index] + (replacement,) + payload[index + 1:])
+        head, tail = payload[:index], payload[index + 1:]
+        for cut in _cuts(value):
+            candidates.append(head + cut + tail)
     return candidates
+
+
+@lru_cache(maxsize=256, typed=True)
+def _cuts(value: int) -> tuple[tuple[int], ...]:
+    """The replacements of a nonzero value, towards zero in big steps, then
+    by one, each as a 1-tuple."""
+    step_down = value - 1 if value > 0 else value + 1
+    return tuple((replacement,) for replacement in dict.fromkeys((0, value // 2, step_down))
+                 if abs(replacement) < abs(value))
 
 
 def shrink_tree(payload: ExprNode) -> list[ExprNode]:
@@ -104,12 +110,17 @@ def shrink_tree(payload: ExprNode) -> list[ExprNode]:
 
 def shrink_knapsack(payload: KnapsackInstance) -> list[KnapsackInstance]:
     """Single-item deletions first, then capacity cuts. A deletion has fewer
-    items than any cut, so only the cut capacities need deduplicating."""
-    candidates: list[KnapsackInstance] = []
-    for index in range(len(payload.items)):
-        candidates.append(KnapsackInstance(
-            payload.items[:index] + payload.items[index + 1:], payload.capacity))
-    if payload.capacity > 0:
-        for smaller in dict.fromkeys((0, payload.capacity // 2, payload.capacity - 1)):
-            candidates.append(KnapsackInstance(payload.items, smaller))
+    items than any cut, so only the cut capacities need deduplicating.
+
+    The candidates are built unchecked: each one of a valid instance is
+    valid, since its items are a subset of uniquely named ones with their
+    weights and values unchanged, and its capacity is 0, half or one less
+    than a capacity >= 1."""
+    items, capacity = payload.items, payload.capacity
+    unchecked = KnapsackInstance._unchecked
+    candidates = [unchecked(items[:index] + items[index + 1:], capacity)
+                  for index in range(len(items))]
+    if capacity > 0:
+        for smaller in dict.fromkeys((0, capacity // 2, capacity - 1)):
+            candidates.append(unchecked(items, smaller))
     return candidates

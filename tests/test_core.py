@@ -1,5 +1,6 @@
 """Pair evaluation semantics: verdicts, determinism, budgets, aggregation."""
 
+import _signal
 import dataclasses
 import gc
 import math
@@ -269,9 +270,9 @@ def test_alarm_scope_installs_once_and_nested_scopes_do_not_restore():
 
 def test_evaluations_inside_a_scope_only_rearm_the_timer(monkeypatch):
     calls = []
-    real_signal = signal.signal
-    monkeypatch.setattr(signal, "signal", lambda *args: calls.append(args) or real_signal(*args))
-    monkeypatch.setattr(signal, "getsignal", lambda *args: calls.append(args))
+    real_signal = _signal.signal
+    monkeypatch.setattr(_signal, "signal", lambda *args: calls.append(args) or real_signal(*args))
+    monkeypatch.setattr(_signal, "getsignal", lambda *args: calls.append(args))
     # outside a scope each evaluation opens its own: install and restore
     evaluate_pair(sort_pair(), REVERSE, case_for((2, 1)), budget=0.05)
     assert len(calls) == 2
@@ -281,6 +282,26 @@ def test_evaluations_inside_a_scope_only_rearm_the_timer(monkeypatch):
             assert evaluate_pair(sort_pair(), REVERSE, case_for((2, 1)),
                                  budget=0.05).status is RelationStatus.HOLDS
     assert len(calls) == 2
+
+
+def ignoring_alarms(signum, frame):
+    pass
+
+
+@pytest.mark.parametrize("previous", [signal.SIG_DFL, signal.SIG_IGN, ignoring_alarms])
+def test_previous_alarm_disposition_is_back_after_a_run_and_a_lone_evaluation(previous):
+    original = signal.signal(signal.SIGALRM, previous)
+    try:
+        report = run_campaign(CampaignConfig(campaign="sorting-intramorphic", seed=42,
+                                             iterations=100, mutant="swap-index-i"))
+        assert report.counterexample is not None
+        assert signal.getsignal(signal.SIGALRM) is previous
+        outcome = evaluate_pair(sort_pair(), REVERSE, case_for((2, 1)), budget=0.05)
+        assert outcome.status is RelationStatus.HOLDS
+        assert signal.getsignal(signal.SIGALRM) is previous
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    finally:
+        signal.signal(signal.SIGALRM, original)
 
 
 def test_stray_alarm_inside_a_scope_is_ignored():

@@ -226,6 +226,69 @@ def test_shrink_knapsack_matches_the_scanning_reference():
             assert shrink_knapsack(payload) == scanning_shrink_knapsack(payload), payload
 
 
+def per_cut_shrink_array(payload):
+    """Reference: the shrinker's earlier body, which slices the payload again
+    for every cut and computes each position's cuts afresh."""
+    candidates = []
+    for index in range(len(payload)):
+        candidates.append(payload[:index] + payload[index + 1:])
+    for index, value in enumerate(payload):
+        if value == 0:
+            continue
+        step_down = value - 1 if value > 0 else value + 1
+        for replacement in dict.fromkeys((0, value // 2, step_down)):
+            if abs(replacement) >= abs(value):
+                continue
+            candidates.append(payload[:index] + (replacement,) + payload[index + 1:])
+    return candidates
+
+
+def validating_shrink_knapsack(payload):
+    """Reference: the shrinker's earlier body, which builds every candidate
+    through the validating constructor."""
+    candidates = []
+    for index in range(len(payload.items)):
+        candidates.append(KnapsackInstance(
+            payload.items[:index] + payload.items[index + 1:], payload.capacity))
+    if payload.capacity > 0:
+        for smaller in dict.fromkeys((0, payload.capacity // 2, payload.capacity - 1)):
+            candidates.append(KnapsackInstance(payload.items, smaller))
+    return candidates
+
+
+arrays = st.lists(st.integers(min_value=-30, max_value=30), max_size=10).map(tuple)
+knapsack_instances = st.builds(
+    lambda rows, capacity: KnapsackInstance(tuple(KnapsackItem(*row) for row in rows), capacity),
+    st.lists(st.tuples(st.text(min_size=1, max_size=2), st.integers(min_value=1, max_value=30),
+                       st.integers(min_value=1, max_value=12)),
+             max_size=7, unique_by=lambda row: row[0]),
+    st.integers(min_value=0, max_value=100))
+
+
+def same_candidates(candidates, reference):
+    return (candidates == reference
+            and [type(candidate) for candidate in candidates]
+            == [type(candidate) for candidate in reference])
+
+
+@given(arrays)
+def test_shrink_array_matches_its_per_cut_reference(payload):
+    candidates = shrink_array(payload)
+    assert same_candidates(candidates, per_cut_shrink_array(payload))
+    assert all(type(value) is int for candidate in candidates for value in candidate)
+
+
+@given(knapsack_instances)
+def test_shrink_knapsack_matches_its_validating_reference(payload):
+    assert same_candidates(shrink_knapsack(payload), validating_shrink_knapsack(payload))
+
+
+@given(knapsack_instances)
+def test_every_knapsack_shrink_candidate_passes_validation(payload):
+    for candidate in shrink_knapsack(payload):
+        KnapsackInstance(candidate.items, candidate.capacity)   # raises if invalid
+
+
 @given(seeds)
 def test_shrink_array_measure_strictly_decreases(seed):
     payload = random_array(SeededSource(seed))

@@ -1,5 +1,6 @@
 """Campaign loop: replay, shrinking, stop/continue modes, the detection matrix."""
 
+import _signal
 import dataclasses
 import math
 import signal
@@ -337,12 +338,13 @@ def test_keyboard_interrupt_in_a_program_stops_the_run():
 # --- the budget's alarm handler is a per-run resource --------------------------
 
 def counting_signal_calls(monkeypatch):
-    """Record every ``signal.signal`` / ``signal.getsignal`` call from now on."""
+    """Record every ``signal`` / ``getsignal`` call from now on, at the C
+    layer that ``alarm_scope`` calls and ``signal.signal`` wraps."""
     calls = []
-    real_signal, real_getsignal = signal.signal, signal.getsignal
-    monkeypatch.setattr(signal, "signal",
+    real_signal, real_getsignal = _signal.signal, _signal.getsignal
+    monkeypatch.setattr(_signal, "signal",
                         lambda *args: calls.append(("signal", args)) or real_signal(*args))
-    monkeypatch.setattr(signal, "getsignal",
+    monkeypatch.setattr(_signal, "getsignal",
                         lambda *args: calls.append(("getsignal", args)) or real_getsignal(*args))
     return calls
 
@@ -360,7 +362,8 @@ def test_one_handler_install_and_restore_per_run(mutant, iterations, monkeypatch
     assert (report.counterexample is not None) == (mutant is not None)
     assert [name for name, _ in calls] == ["signal", "signal"]
     (_, (_, installed)), (_, (_, restored)) = calls
-    assert installed is not before and restored is before
+    # the C layer hands SIG_DFL back as a plain int, equal to the enum member
+    assert installed is not before and restored == before
     assert signal.getsignal(signal.SIGALRM) is before
     assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 

@@ -7,6 +7,7 @@ import pytest
 import intramorph
 from intramorph.cases import knapsack, sorting
 from intramorph.core import UnknownCampaignError, UnknownMutantError
+from intramorph.harness import CampaignConfig, run_campaign
 from intramorph.registry import get_campaign
 
 SORTING_CAMPAIGNS = ("sorting-unit", "sorting-differential", "sorting-metamorphic",
@@ -31,6 +32,21 @@ def test_programs_overlay_the_mutant_on_the_defaults():
         "exhaustive": knapsack.knapsack_exhaustive_skip_include}
     # overlaying never edits the defaults
     assert campaign.components["descending"] is sorting.bubble_sort_reverse
+
+
+def test_registered_campaign_and_mutant_cannot_be_edited_in_place():
+    campaign = get_campaign("sorting-unit")
+    config = CampaignConfig(campaign=campaign.name, seed=1, iterations=50,
+                            mutant="swap-index-i")
+    expected = run_campaign(config)
+    with pytest.raises(TypeError):
+        campaign.components["ascending"] = sorting.bubble_sort_reverse
+    with pytest.raises(TypeError):
+        campaign.mutant("swap-index-i").replaces["ascending"] = sorting.bubble_sort
+    report = run_campaign(config)
+    assert (dataclasses.replace(report, wall_time_ms=0)
+            == dataclasses.replace(expected, wall_time_ms=0))
+    assert report.counterexample is not None
 
 
 def test_campaign_lookup_searches_the_given_registry():
