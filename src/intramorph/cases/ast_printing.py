@@ -3,8 +3,8 @@
 The infix printer must parenthesize an addition that sits directly under a
 multiplication; prefix and postfix need no parentheses at all, which is what
 makes them trustworthy companions. The token-multiset relation compares the
-three renderings after stripping the infix parentheses. One bug is derived
-from the infix printer by one edit; the other two are written out.
+three renderings after stripping the infix parentheses. Two bugs are derived
+from the infix printer by one edit each; the third is written out.
 """
 
 from __future__ import annotations
@@ -102,15 +102,10 @@ def infix_drop_right_operand(node: ExprNode) -> str:
     return infix_drop_right_operand(node.left) + " " + node.operator
 
 
-def infix_paren_missing(node: ExprNode) -> str:
+infix_paren_missing = derive(
+    as_string_infix, "infix_paren_missing",
     """Seeded bug: parentheses are never added.
 
     Known blind spot: the token relation strips parentheses before comparing,
-    so it cannot distinguish this printer from the correct one.
-    """
-    if isinstance(node, Variable):
-        return node.name
-    if isinstance(node, Constant):
-        return str(node.value)
-    return (infix_paren_missing(node.left) + " " + node.operator + " "
-            + infix_paren_missing(node.right))
+    so it cannot distinguish this printer from the correct one.""",
+    ('node.operator == "*"', "False"))

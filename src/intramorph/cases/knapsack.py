@@ -3,7 +3,7 @@
 The production algorithm is the density-ordered greedy; replacing it with an
 exhaustive search over every feasible multiset, filled in one table row by
 remaining capacity, gives an oracle, since the exhaustive value can never be
-worse.
+worse. The search refuses a table of more than ``SEARCH_CELL_BUDGET`` cells.
 Each greedy bug is one edit of the greedy; the exhaustive bug is written out.
 """
 
@@ -16,12 +16,12 @@ from typing import NamedTuple
 from ..core import BudgetExceededError
 from . import derive
 
-# Reject searches whose item-count * (capacity / min weight) bound exceeds
-# this; the generated instances stay orders of magnitude below.
-SEARCH_NODE_BUDGET = 1_000_000
-# Most copies one packing holds plus the item count: no stack limit, since
-# nothing recurses, but kept as the search-size contract.
-SEARCH_DEPTH_BUDGET = 900
+# Reject tables of more cells (items times capacities 0..capacity): the row is
+# allocated in one C call that the budget's alarm cannot interrupt, so only a
+# size bound keeps it small. The search's time grows with the cells and its
+# memory with the row; at the bound, one item at capacity 999,999 took 1.9 s
+# and 206 MB (2 CPUs, Python 3.11). A generated instance has at most 306 cells.
+SEARCH_CELL_BUDGET = 1_000_000
 
 
 class KnapsackItem(NamedTuple):
@@ -94,18 +94,11 @@ def knapsack_greedy(instance: KnapsackInstance) -> KnapsackSolution:
 
 
 def _check_search_budget(instance: KnapsackInstance) -> None:
-    if not instance.items or instance.capacity == 0:
-        return
-    min_weight = min(item.weight for item in instance.items)
-    if len(instance.items) * (instance.capacity / min_weight) > SEARCH_NODE_BUDGET:
+    cells = len(instance.items) * (instance.capacity + 1)
+    if cells > SEARCH_CELL_BUDGET:
         raise BudgetExceededError(
-            f"search bound exceeds {SEARCH_NODE_BUDGET} nodes for {len(instance.items)} "
-            f"items at capacity {instance.capacity}")
-    most_copies = instance.capacity // min_weight
-    if most_copies + len(instance.items) > SEARCH_DEPTH_BUDGET:
-        raise BudgetExceededError(
-            f"search size exceeds {SEARCH_DEPTH_BUDGET}: up to {most_copies} copies in one "
-            f"packing plus {len(instance.items)} items")
+            f"search table of {cells} cells exceeds {SEARCH_CELL_BUDGET}: "
+            f"{len(instance.items)} items at capacity {instance.capacity}")
 
 
 def knapsack_exhaustive(instance: KnapsackInstance) -> KnapsackSolution:
@@ -118,6 +111,8 @@ def knapsack_exhaustive(instance: KnapsackInstance) -> KnapsackSolution:
     order, when ``best[c - weight]`` already holds ``(c - weight, index)``.
     Exclusion wins ties: one more copy must be strictly more valuable."""
     _check_search_budget(instance)
+    if not instance.items:   # no table, so no row: the bound counts no cells
+        return KnapsackSolution((), 0, 0, instance.capacity)
     # (value, weight, names) of the best packing of each remaining capacity;
     # names is a cons chain (name, rest) to share tails
     best = [(0, 0, None)] * (instance.capacity + 1)

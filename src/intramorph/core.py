@@ -59,7 +59,8 @@ class UnknownMutantError(ConfigurationError):
 
 
 class BudgetExceededError(IntramorphError):
-    """A program exceeded its execution budget (time or search size)."""
+    """A program refused an input past its size bound, as the knapsack search
+    does past its table's cells; an overrun of the time budget is not this."""
 
 
 class RelationStatus(Enum):
@@ -411,12 +412,12 @@ def guarded_evaluation(body: Callable[[InputCase], RelationOutcome], case: Input
         return RelationOutcome.execution_error(_describe(exc, budget))
 
 
-def _run_program(side: str, fn: Callable, payload: Any, source: SeededSource) -> Any:
-    """fn(payload, source), with a failure labelled by its side."""
+def _run_program(label: str, fn: Callable, *args: Any) -> Any:
+    """fn(*args), with a failure, an overrun included, labelled ``label``."""
     try:
-        return fn(payload, source)
+        return fn(*args)
     except EXECUTION_FAILURES as exc:
-        raise ProgramFailed(side) from exc
+        raise ProgramFailed(label) from exc
 
 
 def pair_evaluation(pair: ProgramPair, relation: IntramorphicRelation

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 from .campaign import Campaign, Evaluator
 from .core import (ConfigurationError, InputCase, Provenance, RelationStatus,
@@ -194,30 +194,21 @@ class MatrixReport:
         return sum(cell.violations for cell in self.cells)
 
 
-def run_detection_matrix(campaigns: Optional[Sequence[str]] = None, *,
-                         seed: int, iterations: int,
-                         mutants: Optional[Sequence[str]] = None,
+def run_detection_matrix(*, seed: int, iterations: int,
                          registry: Optional[dict[str, Campaign]] = None) -> MatrixReport:
     """One campaign run per (oracle, mutant) cell, plus an unmutated control
     column per campaign as the false-alarm check.
 
-    ``campaigns`` and ``mutants`` select subsets by name; by default every
-    registered campaign runs against its full matrix catalog.
+    Every campaign of ``registry`` (by default the registered ones) runs
+    against its matrix catalog, in catalog order.
     """
     registry = registry if registry is not None else default_registry()
-    if campaigns is None:
-        selected = list(registry.values())
-    else:
-        selected = [get_campaign(name, registry) for name in campaigns]
-
     started = time.monotonic()
     cells: list[MatrixCell] = []
-    for campaign in selected:
+    for campaign in registry.values():
         columns: list[tuple[Optional[str], Optional[bool]]] = [(None, None)]
-        for mutant in campaign.matrix_mutants():
-            if mutants is not None and mutant.name not in mutants:
-                continue
-            columns.append((mutant.name, mutant.expected_detected))
+        columns += [(mutant.name, mutant.expected_detected)
+                    for mutant in campaign.matrix_mutants()]
         for mutant_name, expected in columns:
             report = run_campaign(CampaignConfig(
                 campaign=campaign.name, seed=seed, iterations=iterations,

@@ -1,7 +1,7 @@
 """Printers, the token-multiset relation, and the printer bug catalog."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intramorph.cases.ast_printing import (Constant, Operation, Variable,
@@ -111,6 +111,22 @@ def test_paren_missing_is_invisible_to_the_token_relation(tree):
 def test_paren_missing_differs_textually():
     assert infix_paren_missing(EXAMPLE) == "a + 3 * 2"
     assert infix_paren_missing(EXAMPLE) != as_string_infix(EXAMPLE)
+
+
+def hand_written_paren_missing(node):
+    """The body ``infix_paren_missing`` was written as before it was derived."""
+    if isinstance(node, Variable):
+        return node.name
+    if isinstance(node, Constant):
+        return str(node.value)
+    return (hand_written_paren_missing(node.left) + " " + node.operator + " "
+            + hand_written_paren_missing(node.right))
+
+
+@given(seeded_trees())
+@settings(max_examples=300)
+def test_derived_paren_missing_equals_the_hand_written_one(tree):
+    assert infix_paren_missing(tree) == hand_written_paren_missing(tree)
 
 
 def test_inject_ast_mutant_lookup():

@@ -5,20 +5,22 @@ import inspect
 import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intramorph.cases.knapsack import (BudgetExceededError, KnapsackInstance,
-                                       KnapsackItem, KnapsackSolution, knapsack_exhaustive,
+from intramorph.cases.knapsack import (SEARCH_CELL_BUDGET, BudgetExceededError,
+                                       KnapsackInstance, KnapsackItem, KnapsackSolution,
+                                       knapsack_exhaustive,
                                        knapsack_exhaustive_skip_include,
                                        knapsack_greedy,
                                        knapsack_greedy_capacity_off_by_one,
                                        knapsack_greedy_sorted_ascending,
                                        optimality_relation)
 from intramorph.core import UnknownMutantError, generation_source
-from intramorph.generators import random_knapsack_instance
+from intramorph.generators import random_knapsack_instance, shrink_knapsack
 from intramorph.harness import CampaignConfig, run_campaign
 from intramorph.registry import get_campaign
 from intramorph.seeds import SeededSource
@@ -264,13 +266,61 @@ def test_instance_validation():
 
 def test_search_budget_guards_oversized_instances():
     wide = make_instance([(f"I{i}", 1, 1) for i in range(30)], capacity=100_000)
-    with pytest.raises(BudgetExceededError, match=r"^search bound exceeds 1000000 nodes "
-                                                  r"for 30 items at capacity 100000$"):
+    with pytest.raises(BudgetExceededError, match=r"^search table of 3000030 cells exceeds "
+                                                  r"1000000: 30 items at capacity 100000$"):
         knapsack_exhaustive(wide)
+    with pytest.raises(BudgetExceededError, match=r"^search table of 3000030 cells"):
+        knapsack_exhaustive_skip_include(wide)
+    # 5,001 cells, though the packing holds 5,000 copies
     deep = make_instance([("A", 1, 1)], capacity=5000)
-    with pytest.raises(BudgetExceededError, match=r"^search size exceeds 900: up to 5000 "
-                                                  r"copies in one packing plus 1 items$"):
-        knapsack_exhaustive(deep)
+    solution = knapsack_exhaustive(deep)
+    assert solution == KnapsackSolution(("A",) * 5000, 5000, 5000, 5000)
+    assert solution.cum_value == dp_reference(deep)
+
+
+def test_heavy_item_instance_is_rejected_before_its_row_is_built():
+    # a single copy fits 100 times, but the row would hold 2,000,001 slots
+    # (16 MB of pointers), allocated in one call that no alarm interrupts
+    heavy = make_instance([("A", 1, 20_000)], capacity=2_000_000)
+    with pytest.raises(BudgetExceededError, match=r"^search table of 2000001 cells exceeds "
+                                                  r"1000000: 1 items at capacity 2000000$"):
+        knapsack_exhaustive(heavy)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            knapsack_exhaustive(heavy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_search_with_no_items_builds_no_row():
+    # no items means no cells, so the bound admits any capacity
+    empty = make_instance([], capacity=10_000_000)
+    tracemalloc.start()
+    try:
+        solution = knapsack_exhaustive(empty)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solution == KnapsackSolution((), 0, 0, 10_000_000)
+    assert peak < 1_000_000
+
+
+def table_cells(instance):
+    return len(instance.items) * (instance.capacity + 1)
+
+
+@given(seeds)
+@settings(max_examples=200)
+def test_generated_instances_and_their_shrink_candidates_are_within_the_bound(seed):
+    instance = random_knapsack_instance(SeededSource(seed))
+    # the generator's domain: at most 6 items at capacity 50 at most
+    assert table_cells(instance) <= 6 * 51 <= SEARCH_CELL_BUDGET
+    for candidate in shrink_knapsack(instance):
+        assert table_cells(candidate) <= table_cells(instance)
+        knapsack_exhaustive(candidate)   # raises past the bound
 
 
 # --- mutants -----------------------------------------------------------------
