@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .core import ProgramFailed, RelationOutcome, _run_program
+from .core import EXECUTION_FAILURES, ProgramFailed, RelationOutcome
 from .seeds import SeededSource
 
 SortFunction = Callable[[list], list]
@@ -20,7 +20,10 @@ SortFunction = Callable[[list], list]
 def _sort_copy(sort_fn: SortFunction, values: Sequence[int], label: str) -> list:
     """Sorts a private copy; a sort that returns no list failed, not answered.
     A failure, an overrun included, is labelled with ``label``."""
-    output = _run_program(label, sort_fn, list(values))
+    try:
+        output = sort_fn(list(values))
+    except EXECUTION_FAILURES as exc:
+        raise ProgramFailed(label) from exc
     if not isinstance(output, list):
         raise ProgramFailed(label) from TypeError(
             f"sort returned {type(output).__name__}, not a list")

@@ -6,11 +6,9 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, Optional
 
-from .core import (InputCase, RelationOutcome, TransformationDescriptor,
-                   UnknownMutantError)
+from .core import Evaluator, TransformationDescriptor, UnknownMutantError
 from .seeds import SeededSource
 
-Evaluator = Callable[[InputCase], RelationOutcome]
 # build_evaluator(programs, statistical_repetitions, budget_seconds)
 EvaluatorFactory = Callable[[Mapping[str, Callable], Optional[int], Optional[float]],
                             Evaluator]

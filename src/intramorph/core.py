@@ -112,7 +112,8 @@ class TransformationDescriptor:
 
 # Provenance, InputCase and RelationOutcome are built on every evaluation,
 # shrink candidates included, so they are NamedTuples: immutable like a
-# frozen dataclass, at about half its construction cost.
+# frozen dataclass, at about half its construction cost. The hot paths call
+# tuple.__new__, which skips the generated __new__'s frame: 0.15 us, not 0.35.
 class Provenance(NamedTuple):
     """Root seed plus iteration index; regenerates the payload exactly."""
 
@@ -192,6 +193,9 @@ class RelationOutcome(NamedTuple):
         return RelationOutcome(RelationStatus.EXECUTION_ERROR, error_detail=detail)
 
 
+Evaluator = Callable[[InputCase], RelationOutcome]
+
+
 def generation_source(seed: int, iteration: int) -> SeededSource:
     return SeededSource(derive_seed(seed, iteration, _SALT_GENERATE))
 
@@ -230,7 +234,7 @@ def picker_source(provenance: Provenance) -> SeededSource:
 
 class _BudgetExpired(BaseException):
     """Raised on overrun; not an Exception, so only a program that catches
-    BaseException can swallow it, and ``_timed`` still counts that
+    BaseException can swallow it, and its evaluator still counts that
     evaluation as an overrun once it ends past its deadline."""
 
 
@@ -245,8 +249,8 @@ EXECUTION_FAILURES = (Exception, SystemExit, _BudgetExpired)
 
 # The budget's SIGALRM handler is installed once per alarm scope (a whole
 # campaign run) on the main thread, where each evaluation sets a deadline and
-# arms the one-shot timer only when no alarm is due by it (``_timed``). This
-# state is read and written on the main thread only.
+# arms the one-shot timer only when no alarm is due by it
+# (``guarded_evaluator``). This state is read and written on the main thread.
 _scope_depth = 0         # open alarm scopes; the outermost one owns the handler
 _scope_thread = None     # thread ident of the open scopes' owner, None with none open
 _deadline = None         # time.monotonic() deadline of the running evaluation
@@ -279,8 +283,8 @@ def alarm_scope() -> Iterator[None]:
     The outermost scope on the main thread installs the handler, and on exit
     disarms the timer and restores the exact previous disposition (a
     handler, or ``SIG_DFL`` or ``SIG_IGN`` as the plain int the C layer
-    keeps); nested scopes change nothing. Inside a scope,
-    ``guarded_evaluation`` sets a deadline and arms the timer only when no
+    keeps); nested scopes change nothing. Inside a scope, an evaluator of
+    ``guarded_evaluator`` sets a deadline and arms the timer only when no
     alarm is due by then, so a run of fast evaluations arms it once. Off the
     main thread, where no signal handler can be set, the scope does nothing.
     """
@@ -332,84 +336,110 @@ def _describe(exc: BaseException, budget: Optional[float]) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _timed(body: Callable[[InputCase], RelationOutcome], case: InputCase,
-           budget: float) -> RelationOutcome:
-    """body(case) under a deadline ``budget`` seconds away; needs an open
-    alarm scope on the main thread.
+def guarded_evaluator(budget: Optional[float], body: Optional[Evaluator] = None, *,
+                      pair: Optional[ProgramPair] = None,
+                      relation: Optional[IntramorphicRelation] = None) -> Evaluator:
+    """The one evaluation path: the evaluator of one run, built once for it.
 
-    The timer is armed only when no alarm is due by the deadline: on the
-    scope's first evaluation, under a budget shorter than the pending alarm
-    allows, or after the handler found nothing running. Otherwise the
-    pending alarm comes first, and the handler re-arms it for the time left.
-    The deadline is set before the timer is checked, so an alarm that lands
-    in between finds the evaluation running.
+    It judges a case by ``body(case)``, or by running both programs of
+    ``pair``, each on a source derived from the case's provenance, and
+    judging ``relation``, median-of-k if it has a statistical config.
 
-    An evaluation that ends at or past its deadline is an overrun even when
-    no alarm stopped it: its program may have swallowed ``_BudgetExpired``,
-    or set SIGALRM to ``SIG_IGN``, which leaves the scope's later
-    evaluations unbounded but still counted. A program that disarms the
-    timer itself (``setitimer(ITIMER_REAL, 0)``) leaves its own evaluation
-    and those that start before its lost alarm was due unbounded, but
-    counted; an evaluation that starts later arms it again.
+    The budget covers the whole evaluation. An overrun, an exception the
+    evaluation raises, or its ``sys.exit()``, becomes EXECUTION_ERROR with a
+    detail, prefixed with the side for a program's failure; a
+    KeyboardInterrupt still stops the caller. On the main thread the budget
+    is a deadline that a SIGALRM timer enforces, inside the caller's
+    ``alarm_scope`` or a scope of its own; off it, the evaluation runs in a
+    daemon worker that can be abandoned, not killed.
+
+    The timer is armed only when no alarm is due by the deadline; otherwise
+    the handler re-arms the pending alarm for the time left. The deadline is
+    set before the timer is checked, so an alarm that lands in between finds
+    the evaluation running. An evaluation that ends past its deadline is an
+    overrun even when no alarm stopped it, as when its program swallowed
+    ``_BudgetExpired``, set SIGALRM to ``SIG_IGN`` or disarmed the timer.
     """
-    global _deadline, _budget, _alarm_due
-    _budget = budget
-    try:
-        now = time.monotonic()
-        _deadline = deadline = now + budget
-        if not now < _alarm_due <= deadline:
-            signal.setitimer(signal.ITIMER_REAL, budget)
-            _alarm_due = deadline
-        outcome = body(case)
-    finally:
-        _deadline = None
-    if time.monotonic() >= deadline:
-        raise _BudgetExpired()
-    return outcome
+    if pair is not None:
+        if (relation.statistical is not None) != pair.descriptor.false_alarm_possible:
+            raise ConfigurationError(
+                "statistical config must be present exactly when the descriptor "
+                "declares false alarms possible")
+        config = relation.statistical
+        if config is not None:
+            return guarded_evaluator(
+                budget, lambda case: _evaluate_statistical(pair, config, case))
+        original, variant, check = pair.original, pair.variant, relation.check
+    holds, violated = RelationStatus.HOLDS, RelationStatus.VIOLATED
+    new, monotonic, get_ident = tuple.__new__, time.monotonic, threading.get_ident
 
-
-def guarded_evaluation(body: Callable[[InputCase], RelationOutcome], case: InputCase,
-                       budget: Optional[float]) -> RelationOutcome:
-    """The one evaluation path: run ``body(case)`` under one wall-clock budget.
-
-    The budget covers the whole body: every program call and trial, the
-    relation and any summary. An overrun, an exception the body raises, or
-    its ``sys.exit()``, becomes EXECUTION_ERROR with a detail, prefixed with
-    the side for a program's failure; a KeyboardInterrupt still stops the
-    caller. On the main thread the budget is a deadline that a
-    SIGALRM timer enforces, inside the caller's ``alarm_scope`` or,
-    outside one, inside a scope of its own for this one evaluation, which
-    arms the timer and disarms it again. Off the main thread, where no
-    interval timer can be used, the body runs in a daemon worker that can be
-    abandoned, not killed.
-    """
-    try:
-        if budget is None:
-            return body(case)
-        if threading.get_ident() == _scope_thread:
-            return _timed(body, case, budget)
-        if threading.current_thread() is threading.main_thread():
-            with alarm_scope():
-                return _timed(body, case, budget)
-
-        box: dict = {}
-
-        def _worker():
+    def evaluate(case: InputCase) -> RelationOutcome:
+        global _deadline, _budget, _alarm_due
+        if budget is not None and get_ident() != _scope_thread:
+            if threading.current_thread() is threading.main_thread():
+                with alarm_scope():
+                    return evaluate(case)
+            return _in_worker(guarded_evaluator(None, body, pair=pair, relation=relation),
+                              case, budget)
+        side = None   # the running program, whose failure it labels
+        try:
+            if budget is not None:
+                _budget = budget
+                now = monotonic()
+                _deadline = deadline = now + budget
+                if not now < _alarm_due <= deadline:
+                    signal.setitimer(signal.ITIMER_REAL, budget)
+                    _alarm_due = deadline
             try:
-                box["value"] = body(case)
-            except BaseException as exc:  # re-raised on the caller's thread below
-                box["error"] = exc
+                if body is not None:
+                    outcome = body(case)
+                else:
+                    payload, (seed, iteration) = case
+                    side = "original"
+                    first = original(payload, DerivedSource(seed, iteration, _SALT_ORIGINAL, 0))
+                    side = "variant"
+                    second = variant(payload, DerivedSource(seed, iteration, _SALT_VARIANT, 0))
+                    side = None
+                    outcome = new(RelationOutcome, (holds if check(first, second) else violated,
+                                                    first, second, None))
+            finally:
+                if budget is not None:
+                    _deadline = None
+            if budget is not None and monotonic() >= deadline:
+                raise _BudgetExpired()
+            return outcome
+        except EXECUTION_FAILURES as exc:
+            detail = _describe(exc, budget)
+            return new(RelationOutcome, (RelationStatus.EXECUTION_ERROR, None, None,
+                                         detail if side is None else f"{side}: {detail}"))
 
-        worker = threading.Thread(target=_worker, daemon=True)
-        worker.start()
-        worker.join(budget)
-        if worker.is_alive():
-            raise _BudgetExpired()
-        if "error" in box:
-            raise box["error"]
-        return box["value"]
-    except EXECUTION_FAILURES as exc:
-        return RelationOutcome.execution_error(_describe(exc, budget))
+    return evaluate
+
+
+def _in_worker(unbounded: Evaluator, case: InputCase, budget: float) -> RelationOutcome:
+    """``unbounded(case)`` in a daemon worker awaited for ``budget`` seconds."""
+    box: dict = {}
+
+    def _worker():
+        try:
+            box["value"] = unbounded(case)
+        except BaseException as exc:  # re-raised on the caller's thread below
+            box["error"] = exc
+
+    worker = threading.Thread(target=_worker, daemon=True)
+    worker.start()
+    worker.join(budget)
+    if worker.is_alive():
+        return RelationOutcome.execution_error(_describe(_BudgetExpired(), budget))
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+def guarded_evaluation(body: Evaluator, case: InputCase, budget: Optional[float]
+                       ) -> RelationOutcome:
+    """``body(case)`` judged once through :func:`guarded_evaluator`."""
+    return guarded_evaluator(budget, body)(case)
 
 
 def _run_program(label: str, fn: Callable, *args: Any) -> Any:
@@ -420,36 +450,11 @@ def _run_program(label: str, fn: Callable, *args: Any) -> Any:
         raise ProgramFailed(label) from exc
 
 
-def pair_evaluation(pair: ProgramPair, relation: IntramorphicRelation
-                    ) -> Callable[[InputCase], RelationOutcome]:
-    """The unguarded body that runs both programs on a case and judges the
-    relation, median-of-k if it has a statistical config. Each side draws
-    from its own source derived from the case's provenance, so the outcome
-    is a pure function of (pair, relation, case)."""
-    if (relation.statistical is not None) != pair.descriptor.false_alarm_possible:
-        raise ConfigurationError(
-            "statistical config must be present exactly when the descriptor "
-            "declares false alarms possible")
-    if relation.statistical is None:
-        return lambda case: _evaluate_single(pair, relation, case)
-    return lambda case: _evaluate_statistical(pair, relation.statistical, case)
-
-
 def evaluate_pair(pair: ProgramPair, relation: IntramorphicRelation, case: InputCase,
                   *, budget: Optional[float] = DEFAULT_BUDGET_SECONDS) -> RelationOutcome:
     """Judge the relation on one case through the guarded evaluation path."""
     check_budget(budget)
-    return guarded_evaluation(pair_evaluation(pair, relation), case, budget)
-
-
-def _evaluate_single(pair: ProgramPair, relation: IntramorphicRelation,
-                     case: InputCase) -> RelationOutcome:
-    original_out = _run_program("original", pair.original, case.payload,
-                                original_source(case.provenance, 0))
-    variant_out = _run_program("variant", pair.variant, case.payload,
-                               variant_source(case.provenance, 0))
-    return RelationOutcome.from_check(relation.check(original_out, variant_out),
-                                      original_out, variant_out)
+    return guarded_evaluator(budget, pair=pair, relation=relation)(case)
 
 
 def _evaluate_statistical(pair: ProgramPair, config: StatisticalConfig,

@@ -86,6 +86,7 @@ def _shrink_violation(case: InputCase, outcome, evaluator: Evaluator,
     """
     current_case, current_outcome = case, outcome
     tried: set = set()
+    new, violated = tuple.__new__, RelationStatus.VIOLATED
     improved = True
     while improved:
         improved = False
@@ -96,9 +97,9 @@ def _shrink_violation(case: InputCase, outcome, evaluator: Evaluator,
                 tried.add(candidate_payload)
             except TypeError:   # unhashable payload
                 pass
-            candidate = InputCase(candidate_payload, current_case.provenance)
+            candidate = new(InputCase, (candidate_payload, current_case.provenance))
             candidate_outcome = evaluator(candidate)
-            if candidate_outcome.status is RelationStatus.VIOLATED:
+            if candidate_outcome.status is violated:
                 current_case, current_outcome = candidate, candidate_outcome
                 improved = True
                 break
@@ -132,19 +133,21 @@ def run_campaign(config: CampaignConfig, registry: Optional[dict[str, Campaign]]
     counterexample: Optional[Counterexample] = None
     iterations_run = 0
 
+    generate, seed, new = campaign.generate, config.seed, tuple.__new__
+    failed, violated = RelationStatus.EXECUTION_ERROR, RelationStatus.VIOLATED
     # one SIGALRM handler for the whole run, shrinking included; evaluations
     # set deadlines and arm the timer only when no alarm is due by theirs
     with alarm_scope():
-        sources = generation_sources(config.seed, config.iterations)
-        for iteration, source in enumerate(sources, start=1):
+        for iteration, source in enumerate(generation_sources(seed, config.iterations),
+                                           start=1):
             iterations_run = iteration
-            payload = campaign.generate(source)
-            case = InputCase(payload, Provenance(config.seed, iteration))
+            case = new(InputCase, (generate(source), new(Provenance, (seed, iteration))))
             outcome = evaluator(case)
-            if outcome.status is RelationStatus.EXECUTION_ERROR:
+            status = outcome.status
+            if status is failed:
                 execution_errors += 1
                 continue
-            if outcome.status is RelationStatus.VIOLATED:
+            if status is violated:
                 violations += 1
                 if first_violation is None:
                     first_violation = iteration

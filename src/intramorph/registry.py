@@ -1,10 +1,10 @@
 """The default campaign registry: four case studies, eight runnable oracles.
 
 Each campaign is one row of a declarative table: its default components,
-an oracle over the resolved components, a generator, renderers, a shrinker
-and the mutant catalog. Every mutant is one record naming the components it
-replaces and the buggy programs it puts in their place, so every campaign
-shares one evaluator builder, which guards every evaluation.
+an evaluator builder, a generator, renderers, a shrinker and the mutant
+catalog. Every mutant is one record naming the components it replaces and
+the buggy programs it puts in their place. Every row builds its run's
+evaluator through this module's global ``guarded_evaluator``.
 """
 
 from __future__ import annotations
@@ -14,17 +14,15 @@ from typing import Callable, Mapping, Optional
 
 from .baselines import (UnitCase, differential_oracle, metamorphic_removal_oracle,
                         unit_oracle)
-from .campaign import Campaign, Evaluator, Mutant
+from .campaign import Campaign, Mutant
 from .cases import ast_printing, knapsack, montecarlo, sorting
 from .core import (ApplicationMode, Automation, Granularity, IntramorphicRelation,
                    ProgramPair, RelationOutcome, TransformationDescriptor,
-                   UnknownCampaignError, equivalence_relation, guarded_evaluation,
-                   pair_evaluation, picker_source)
+                   UnknownCampaignError, equivalence_relation, guarded_evaluator,
+                   picker_source)
 from .generators import (random_array, random_knapsack_instance, random_tree,
                          shrink_array, shrink_knapsack, shrink_tree)
 
-# oracle(programs, statistical_repetitions) -> unguarded evaluation body
-Oracle = Callable[[Mapping[str, Callable], Optional[int]], Evaluator]
 Side = Callable[[Mapping[str, Callable]], Callable]
 
 UNIT_CASE = UnitCase(values=(3, 1, 2), expected=(1, 2, 3))
@@ -41,27 +39,16 @@ def _added_alongside(granularity: Granularity) -> TransformationDescriptor:
 DEFAULT_BUDGETS = montecarlo.SampleBudgetPair()
 
 
-def _campaign(oracle: Oracle, **fields) -> Campaign:
-    """One table row as a Campaign. Its evaluator builder, the same for every
-    campaign, guards every evaluation of the body the row's oracle returns
-    for the programs the harness resolved."""
-    def build_evaluator(programs, repetitions, budget):
-        body = oracle(programs, repetitions)
-        return lambda case: guarded_evaluation(body, case, budget)
-
-    return Campaign(build_evaluator=build_evaluator, **fields)
-
-
 def _pair_campaign(relation: IntramorphicRelation, original: Side, variant: Side,
                    descriptor: TransformationDescriptor, **fields) -> Campaign:
-    """A campaign whose oracle judges ``relation`` on a program pair under
+    """A campaign that judges ``relation`` on a program pair under
     ``descriptor``; ``original`` and ``variant`` turn the resolved programs
     into the two (payload, source) programs."""
-    def oracle(programs, repetitions):
+    def build_evaluator(programs, repetitions, budget):
         pair = ProgramPair(original(programs), variant(programs), descriptor)
-        return pair_evaluation(pair, relation)
+        return guarded_evaluator(budget, pair=pair, relation=relation)
 
-    return _campaign(oracle, descriptor=descriptor, **fields)
+    return Campaign(build_evaluator=build_evaluator, descriptor=descriptor, **fields)
 
 
 def _sorts(name: str) -> Side:
@@ -87,17 +74,17 @@ def _prefix_and_postfix(programs):
     return lambda tree, src: (prefix(tree), postfix(tree))
 
 
-def _unit_oracle(programs, repetitions):
+def _unit_evaluator(programs, repetitions, budget):
     sort_fn = programs["ascending"]
-    return lambda case: unit_oracle(sort_fn, case.payload)
+    return guarded_evaluator(budget, lambda case: unit_oracle(sort_fn, case.payload))
 
 
-def _differential_oracle(programs, repetitions):
+def _differential_evaluator(programs, repetitions, budget):
     algorithms = {f"{name} sort": programs[name] for name in ("ascending", "merge", "insertion")}
-    return lambda case: differential_oracle(algorithms, case.payload)
+    return guarded_evaluator(budget, lambda case: differential_oracle(algorithms, case.payload))
 
 
-def _metamorphic_oracle(programs, repetitions):
+def _metamorphic_evaluator(programs, repetitions, budget):
     sort_fn = programs["ascending"]
 
     def evaluate(case):
@@ -107,12 +94,13 @@ def _metamorphic_oracle(programs, repetitions):
         return metamorphic_removal_oracle(sort_fn, case.payload,
                                           picker_source(case.provenance))
 
-    return evaluate
+    return guarded_evaluator(budget, evaluate)
 
 
-def _convergence_oracle(programs, repetitions):
-    return pair_evaluation(montecarlo.make_estimator_pair(programs["small"], programs["large"]),
-                           montecarlo.make_convergence_relation(repetitions))
+def _convergence_evaluator(programs, repetitions, budget):
+    return guarded_evaluator(
+        budget, pair=montecarlo.make_estimator_pair(programs["small"], programs["large"]),
+        relation=montecarlo.make_convergence_relation(repetitions))
 
 
 def _render_array(payload) -> str:
@@ -136,22 +124,24 @@ def _campaign_table() -> tuple[Campaign, ...]:
                         generate=random_array,
                         render_payload=_render_array, shrink_payload=shrink_array)
     return (
-        _campaign(
-            _unit_oracle, name="sorting-unit", case_study="sorting", oracle_style="unit",
+        Campaign(
+            name="sorting-unit", case_study="sorting", oracle_style="unit",
+            build_evaluator=_unit_evaluator,
             components={"ascending": sorting.bubble_sort},
             generate=lambda src: UNIT_CASE,   # a unit test re-checks its fixed case
             render_payload=lambda case: (f"sort({list(case.values)}) "
                                          f"== {list(case.expected)}"),
             shrink_payload=lambda payload: [],
             mutants=(swap_index,)),
-        _campaign(
-            _differential_oracle, name="sorting-differential", oracle_style="differential",
+        Campaign(
+            name="sorting-differential", oracle_style="differential",
+            build_evaluator=_differential_evaluator,
             components={"ascending": sorting.bubble_sort, "merge": sorting.merge_sort,
                         "insertion": sorting.insertion_sort},
             mutants=(swap_index,), **array_fields),
-        _campaign(
-            _metamorphic_oracle, name="sorting-metamorphic", oracle_style="metamorphic",
-            components={"ascending": sorting.bubble_sort},
+        Campaign(
+            name="sorting-metamorphic", oracle_style="metamorphic",
+            build_evaluator=_metamorphic_evaluator, components={"ascending": sorting.bubble_sort},
             mutants=(swap_index,), **array_fields),
         _pair_campaign(
             IntramorphicRelation("reverse-order", sorting.reverse_relation),
@@ -203,9 +193,9 @@ def _campaign_table() -> tuple[Campaign, ...]:
                        expected_detected=False,
                        note="blind spot: the relation strips parentheses before comparing"),
             )),
-        _campaign(
-            _convergence_oracle, name="montecarlo-convergence", case_study="montecarlo",
-            oracle_style="intramorphic",
+        Campaign(
+            name="montecarlo-convergence", case_study="montecarlo", oracle_style="intramorphic",
+            build_evaluator=_convergence_evaluator,
             # mutants replace the large-budget side only: mutating both sides
             # would shift both error distributions together and mask the bug
             components={"small": montecarlo.pi_approximation,

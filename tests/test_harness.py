@@ -1,12 +1,14 @@
 """Campaign loop: replay, shrinking, stop/continue modes, the detection matrix."""
 
 import _signal
+import contextlib
 import dataclasses
 import math
 import signal
 import sys
 import threading
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,12 +16,16 @@ from hypothesis import strategies as st
 
 from intramorph.campaign import Mutant
 from intramorph.cases import sorting
+import intramorph.core as core
+import intramorph.registry as registry
 from intramorph.core import (DEFAULT_BUDGET_SECONDS, ConfigurationError, InputCase,
-                             Provenance, RelationStatus, UnknownCampaignError,
-                             UnknownMutantError, generation_source)
+                             Provenance, RelationOutcome, RelationStatus,
+                             UnknownCampaignError, UnknownMutantError, generation_source,
+                             generation_sources)
 from intramorph.harness import (CampaignConfig, Counterexample, run_campaign,
                                 run_detection_matrix)
 from intramorph.registry import default_registry, get_campaign
+from intramorph.report import campaign_report_csv, campaign_report_document, to_json
 
 
 def replacing(name, **programs):
@@ -292,16 +298,71 @@ def exiting(*args):
     sys.exit(3)
 
 
-# each broken program with the budget it runs under: the sleeper's is short,
-# so every evaluation of it is an overrun on the main thread
+def recursing(*args):
+    return recursing(*args)
+
+
+def correct_answer(*args):
+    """What a correct component returns: a sort's sorted copy, or for an
+    estimator's (sample count, source) the exact value of pi."""
+    return sorted(args[0]) if len(args) == 1 else math.pi
+
+
+def swallowing_the_alarm(*args):
+    """Sleeps 0.012 s, past its 0.01 s budget, catching the budget's own
+    exception, and then answers correctly."""
+    until = time.monotonic() + 0.012
+    while time.monotonic() < until:
+        try:
+            time.sleep(max(0.0, until - time.monotonic()))
+        except BaseException:   # the budget's own exception included
+            pass
+    return correct_answer(*args)
+
+
+def ignoring_the_alarm(*args):
+    """Sleeps past its budget with SIGALRM ignored, then restores the
+    disposition, so later examples keep their budget, and answers correctly."""
+    previous = signal.signal(signal.SIGALRM, signal.SIG_IGN)
+    try:
+        time.sleep(0.012)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    return correct_answer(*args)
+
+
+class Unrenderable(list):
+    def __repr__(self):
+        raise RuntimeError("no repr")
+
+
+def returning_unrenderable(*args):
+    """A list equal to no sort's output, whose repr raises: a baseline or a
+    relation that compares it finds a violation, and its report must still
+    render."""
+    return Unrenderable([None])
+
+
+# each broken program with the budget it runs under: the three that sleep
+# have a short one, so every evaluation of them is an overrun on the main
+# thread, even when their program swallows or ignores the alarm
 BROKEN_PROGRAMS = ((raising, 5.0), (returning_none, 5.0), (sleeping_past_the_budget, 0.05),
-                   (exiting, 5.0))
+                   (exiting, 5.0), (recursing, 5.0), (swallowing_the_alarm, 0.01),
+                   (ignoring_the_alarm, 0.01), (returning_unrenderable, 5.0))
+# the failure is raised inside the broken program's call, which labels it
+RAISED_INSIDE_THE_CALL = (raising, sleeping_past_the_budget, exiting, recursing)
+# the program answers correctly, so its only failure is the overrun it hid
+HIDDEN_OVERRUNS = (swallowing_the_alarm, ignoring_the_alarm)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(ONE_CAMPAIGN_PER_STYLE), st.sampled_from(BROKEN_PROGRAMS),
        st.integers(min_value=0, max_value=2**64 - 1))
 @example(ONE_CAMPAIGN_PER_STYLE[0], (returning_none, 5.0), 1)
+@example(ONE_CAMPAIGN_PER_STYLE[0], (recursing, 5.0), 2)
+@example(ONE_CAMPAIGN_PER_STYLE[1], (returning_unrenderable, 5.0), 3)
+@example(ONE_CAMPAIGN_PER_STYLE[3], (swallowing_the_alarm, 0.01), 4)
+@example(ONE_CAMPAIGN_PER_STYLE[4], (ignoring_the_alarm, 0.01), 5)
 def test_failing_program_is_a_counted_execution_error_in_every_style(target, broken_program,
                                                                     seed):
     name, components, label = target
@@ -315,28 +376,171 @@ def test_failing_program_is_a_counted_execution_error_in_every_style(target, bro
              for iteration in range(1, iterations + 1)]
     outcomes = [evaluate(case) for case in cases]
     report = run_campaign(CampaignConfig(campaign=name, seed=seed, iterations=iterations,
-                                         budget_seconds=budget),
+                                         budget_seconds=budget, stop_on_first_violation=False),
                           registry={name: campaign})
     for case, outcome in zip(cases, outcomes):
         if name == "sorting-metamorphic" and not case.payload:
             # removal is undefined on an empty array, which holds vacuously
             assert outcome.status is RelationStatus.HOLDS
+        elif broken is returning_unrenderable:
+            # a violation, or an error where the output is used as a number or
+            # its element is looked for in the input
+            assert outcome.status is not RelationStatus.HOLDS
+            assert outcome.error_detail or outcome.status is RelationStatus.VIOLATED
         else:
             assert outcome.status is RelationStatus.EXECUTION_ERROR
             assert outcome.error_detail
-            if broken is not returning_none:   # the failure is raised inside the call
+            if broken in RAISED_INSIDE_THE_CALL:
                 assert outcome.error_detail.startswith(f"{label}: ")
-            elif campaign.oracle_style != "intramorphic":   # a baseline checks for a list
+            elif broken is returning_none and campaign.oracle_style != "intramorphic":
+                # a baseline checks for a list
                 assert outcome.error_detail == (
                     f"{label}: TypeError: sort returned NoneType, not a list")
             if broken is sleeping_past_the_budget:
                 assert outcome.error_detail.endswith(f"budget of {budget}s exceeded")
+            if broken in HIDDEN_OVERRUNS:
+                assert outcome.error_detail == f"execution budget of {budget}s exceeded"
             if broken is exiting:
                 assert outcome.error_detail.endswith("SystemExit: 3")
+            if broken is recursing:
+                assert "RecursionError: " in outcome.error_detail
     assert report.iterations_run == iterations
-    assert report.violations == 0
+    assert report.violations == sum(
+        outcome.status is RelationStatus.VIOLATED for outcome in outcomes)
     assert report.execution_errors == sum(
         outcome.status is RelationStatus.EXECUTION_ERROR for outcome in outcomes)
+    document = campaign_report_document(report, campaign)
+    text = to_json(document) + campaign_report_csv(document)
+    if report.counterexample is not None:
+        assert "<unrenderable output: RuntimeError: no repr>" in text
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+
+# --- the flat evaluator against the layered composition it replaced ---------
+#
+# Until guarded_evaluator built one closure per run, every evaluation went
+# through six layers: the registry's lambda, guarded_evaluation, _timed, the
+# pair body, _evaluate_single and _run_program per side. That composition is
+# kept here as the reference, installed through the registry's module global
+# guarded_evaluator, and the two must give the same outcomes, error details
+# byte for byte. The comparisons run on the main thread, so the reference
+# leaves out the daemon-worker path.
+
+def layered_run_program(label, fn, *args):
+    try:
+        return fn(*args)
+    except core.EXECUTION_FAILURES as exc:
+        raise core.ProgramFailed(label) from exc
+
+
+def layered_describe(exc, budget):
+    if isinstance(exc, core.ProgramFailed):
+        return f"{exc}: {layered_describe(exc.__cause__, budget)}"
+    if isinstance(exc, core._BudgetExpired):
+        return f"execution budget of {budget}s exceeded"
+    return f"{type(exc).__name__}: {exc}"
+
+
+def layered_timed(body, case, budget):
+    core._budget = budget
+    try:
+        now = time.monotonic()
+        core._deadline = deadline = now + budget
+        if not now < core._alarm_due <= deadline:
+            signal.setitimer(signal.ITIMER_REAL, budget)
+            core._alarm_due = deadline
+        outcome = body(case)
+    finally:
+        core._deadline = None
+    if time.monotonic() >= deadline:
+        raise core._BudgetExpired()
+    return outcome
+
+
+def layered_guarded_evaluation(body, case, budget):
+    try:
+        if budget is None:
+            return body(case)
+        if threading.get_ident() == core._scope_thread:
+            return layered_timed(body, case, budget)
+        with core.alarm_scope():
+            return layered_timed(body, case, budget)
+    except core.EXECUTION_FAILURES as exc:
+        return RelationOutcome.execution_error(layered_describe(exc, budget))
+
+
+def layered_evaluate_single(pair, relation, case):
+    original_out = layered_run_program("original", pair.original, case.payload,
+                                       core.original_source(case.provenance, 0))
+    variant_out = layered_run_program("variant", pair.variant, case.payload,
+                                      core.variant_source(case.provenance, 0))
+    return RelationOutcome.from_check(relation.check(original_out, variant_out),
+                                      original_out, variant_out)
+
+
+def layered_evaluator(budget, body=None, *, pair=None, relation=None):
+    """Reference for ``registry.guarded_evaluator``, with its signature."""
+    if pair is not None:
+        if (relation.statistical is not None) != pair.descriptor.false_alarm_possible:
+            raise ConfigurationError("statistical config and descriptor disagree")
+        if relation.statistical is None:
+            body = lambda case: layered_evaluate_single(pair, relation, case)
+        else:
+            body = lambda case: core._evaluate_statistical(pair, relation.statistical, case)
+    return lambda case: layered_guarded_evaluation(body, case, budget)
+
+
+def assert_flat_equals_layered(campaign, budget, iterations, seed=11, scoped=True):
+    """Both evaluators of ``campaign``'s run under ``budget`` judge the same
+    generated cases alike, inside the run's alarm scope or each in its own."""
+    programs = campaign.programs(None)
+    flat = campaign.build_evaluator(programs, campaign.default_repetitions, budget)
+    with mock.patch.object(registry, "guarded_evaluator", layered_evaluator):
+        layered = campaign.build_evaluator(programs, campaign.default_repetitions, budget)
+    cases = [InputCase(campaign.generate(source), Provenance(seed, iteration))
+             for iteration, source in enumerate(generation_sources(seed, iterations), start=1)]
+    with core.alarm_scope() if scoped else contextlib.nullcontext():
+        pairs = [(flat(case), layered(case)) for case in cases]
+    for iteration, (got, expected) in enumerate(pairs, start=1):
+        assert tuple(got) == tuple(expected), iteration
+        assert type(got) is RelationOutcome and type(got.status) is RelationStatus
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+
+def campaign_cells():
+    for campaign in default_registry().values():
+        for mutant in (None, *(mutant.name for mutant in campaign.mutants)):
+            yield pytest.param(campaign.name, mutant, id=f"{campaign.name}-{mutant}")
+
+
+@pytest.mark.parametrize("name, mutant", campaign_cells())
+def test_flat_evaluator_matches_the_layered_one_on_every_cell(name, mutant):
+    campaign = get_campaign(name)
+    if mutant is not None:
+        campaign = dataclasses.replace(
+            campaign, components=campaign.programs(mutant), mutants=())
+    iterations = 3 if campaign.stochastic else 20
+    for budget in (None, 5.0):
+        for scoped in (True, False):
+            assert_flat_equals_layered(campaign, budget, iterations, scoped=scoped)
+
+
+# the property's broken originals, and a broken variant
+BROKEN_SIDES = (*((name, components) for name, components, _ in ONE_CAMPAIGN_PER_STYLE),
+                ("sorting-intramorphic", ("descending",)))
+
+
+@pytest.mark.parametrize("broken, budget", BROKEN_PROGRAMS,
+                         ids=[broken.__name__ for broken, _ in BROKEN_PROGRAMS])
+@pytest.mark.parametrize("name, components", BROKEN_SIDES,
+                         ids=[f"{name}-{components[0]}" for name, components in BROKEN_SIDES])
+def test_flat_evaluator_matches_the_layered_one_on_broken_programs(name, components, broken,
+                                                                  budget):
+    campaign = replacing(name, **dict.fromkeys(components, broken))
+    # a program that sleeps runs only under its own short budget
+    budgets = (budget,) if budget < 1 else (None, budget)
+    for run_budget in budgets:
+        assert_flat_equals_layered(campaign, run_budget, 2)
 
 
 def test_keyboard_interrupt_in_a_program_stops_the_run():
