@@ -1,10 +1,10 @@
 """Unbounded knapsack case study: greedy solver vs. exhaustive replacement.
 
 The production algorithm is the density-ordered greedy; replacing it with an
-exhaustive search over every feasible multiset, filled in one table row by
-remaining capacity, gives an oracle, since the exhaustive value can never be
-worse. The search refuses a table of more than ``SEARCH_CELL_BUDGET`` cells.
-Each greedy bug is one edit of the greedy; the exhaustive bug is written out.
+exhaustive search over every feasible multiset (a value row and a decision row
+per item, at most ``SEARCH_CELL_BUDGET`` cells) gives an oracle, since the
+exhaustive value can never be worse. Each greedy bug is one edit of the greedy;
+the exhaustive bug is written out, as a derived copy would still fill each row.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from typing import NamedTuple
 from ..core import BudgetExceededError
 from . import derive
 
-# Reject tables of more cells (items times capacities 0..capacity): the row is
+# Reject tables of more cells (items times capacities 0..capacity): each row is
 # allocated in one C call that the budget's alarm cannot interrupt, so only a
-# size bound keeps it small. The search's time grows with the cells and its
-# memory with the row; at the bound, one item at capacity 999,999 took 1.9 s
-# and 206 MB (2 CPUs, Python 3.11). A generated instance has at most 306 cells.
+# size bound keeps it small. Cells bound the bytes too, about 57 per capacity
+# plus 1 per cell: at the bound, one item at capacity 999,999 took 0.2 s and
+# 55 MB (2 CPUs, Python 3.11). A generated instance has at most 306 cells.
 SEARCH_CELL_BUDGET = 1_000_000
 
 
@@ -105,28 +105,28 @@ def knapsack_exhaustive(instance: KnapsackInstance) -> KnapsackSolution:
     """The most valuable feasible multiset, by the include-or-move-past search.
 
     At ``(capacity, index)`` the search includes one more copy of the item
-    (index unchanged) or moves past it. Its states are filled bottom-up in one
-    row ``best`` by remaining capacity: walking the items in reverse, ``best[c]``
+    (index unchanged) or moves past it. Walking the items in reverse, ``best[c]``
     holds ``(c, index + 1)`` until the item's pass reaches ``c`` in increasing
-    order, when ``best[c - weight]`` already holds ``(c - weight, index)``.
-    Exclusion wins ties: one more copy must be strictly more valuable."""
+    order, when ``best[c - weight]`` holds ``(c - weight, index)``. The item's
+    row marks each ``c`` where one more copy is strictly more valuable (exclusion
+    wins ties); the packing is read back from ``(capacity, 0)`` by those marks."""
     _check_search_budget(instance)
     if not instance.items:   # no table, so no row: the bound counts no cells
         return KnapsackSolution((), 0, 0, instance.capacity)
-    # (value, weight, names) of the best packing of each remaining capacity;
-    # names is a cons chain (name, rest) to share tails
-    best = [(0, 0, None)] * (instance.capacity + 1)
-    for name, value, weight in reversed(instance.items):
-        for capacity in range(weight, len(best)):
-            sub_value, sub_weight, sub_names = best[capacity - weight]
-            if value + sub_value > best[capacity][0]:
-                best[capacity] = (value + sub_value, weight + sub_weight, (name, sub_names))
-    cum_value, cum_weight, chain = best[-1]
-    names: list[str] = []
-    while chain is not None:
-        names.append(chain[0])
-        chain = chain[1]
-    return KnapsackSolution(tuple(names), cum_value, cum_weight, instance.capacity)
+    best = [0] * (instance.capacity + 1)
+    takes = [bytearray(len(best)) for _ in instance.items]   # one row per item
+    for (_, value, weight), row in zip(reversed(instance.items), reversed(takes)):
+        for c in range(weight, len(best)):
+            included = value + best[c - weight]
+            if included > best[c]:
+                best[c] = included
+                row[c] = 1
+    names, left = [], instance.capacity
+    for (name, _, weight), row in zip(instance.items, takes):
+        while row[left]:
+            names.append(name)
+            left -= weight
+    return KnapsackSolution(tuple(names), best[-1], instance.capacity - left, instance.capacity)
 
 
 def optimality_relation(exhaustive_solution: KnapsackSolution,
@@ -152,7 +152,7 @@ knapsack_greedy_capacity_off_by_one = derive(
 
 def knapsack_exhaustive_skip_include(instance: KnapsackInstance) -> KnapsackSolution:
     """Seeded bug: the include branch is never taken, so only the empty packing
-    is ever explored."""
+    is ever explored. Written out: a derived copy would fill every row, 5x slower."""
     _check_search_budget(instance)
     return KnapsackSolution((), 0, 0, instance.capacity)
 

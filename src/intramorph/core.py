@@ -436,12 +436,6 @@ def _in_worker(unbounded: Evaluator, case: InputCase, budget: float) -> Relation
     return box["value"]
 
 
-def guarded_evaluation(body: Evaluator, case: InputCase, budget: Optional[float]
-                       ) -> RelationOutcome:
-    """``body(case)`` judged once through :func:`guarded_evaluator`."""
-    return guarded_evaluator(budget, body)(case)
-
-
 def _run_program(label: str, fn: Callable, *args: Any) -> Any:
     """fn(*args), with a failure, an overrun included, labelled ``label``."""
     try:

@@ -17,9 +17,8 @@ from .baselines import (UnitCase, differential_oracle, metamorphic_removal_oracl
 from .campaign import Campaign, Mutant
 from .cases import ast_printing, knapsack, montecarlo, sorting
 from .core import (ApplicationMode, Automation, Granularity, IntramorphicRelation,
-                   ProgramPair, RelationOutcome, TransformationDescriptor,
-                   UnknownCampaignError, equivalence_relation, guarded_evaluator,
-                   picker_source)
+                   ProgramPair, TransformationDescriptor, UnknownCampaignError,
+                   equivalence_relation, guarded_evaluator, picker_source)
 from .generators import (random_array, random_knapsack_instance, random_tree,
                          shrink_array, shrink_knapsack, shrink_tree)
 
@@ -86,15 +85,8 @@ def _differential_evaluator(programs, repetitions, budget):
 
 def _metamorphic_evaluator(programs, repetitions, budget):
     sort_fn = programs["ascending"]
-
-    def evaluate(case):
-        if len(case.payload) == 0:
-            # removal is undefined on empty input; vacuously holds
-            return RelationOutcome.from_check(True, [], [])
-        return metamorphic_removal_oracle(sort_fn, case.payload,
-                                          picker_source(case.provenance))
-
-    return guarded_evaluator(budget, evaluate)
+    return guarded_evaluator(budget, lambda case: metamorphic_removal_oracle(
+        sort_fn, case.payload, picker_source(case.provenance)))
 
 
 def _convergence_evaluator(programs, repetitions, budget):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from intramorph.baselines import (UnitCase, differential_oracle,
                                   metamorphic_removal_oracle, unit_oracle)
 from intramorph.cases import sorting
-from intramorph.core import InputCase, Provenance, RelationStatus, guarded_evaluation
+from intramorph.core import InputCase, Provenance, RelationStatus, guarded_evaluator
 from intramorph.registry import UNIT_CASE, get_campaign
 from intramorph.seeds import SeededSource
 
@@ -53,8 +53,8 @@ def test_unit_oracle_reports_crash():
     def broken(arr):
         raise IndexError("off the end")
 
-    outcome = guarded_evaluation(lambda case: unit_oracle(broken, case.payload),
-                                 InputCase(HANDWRITTEN_CASE, Provenance(0, 1)), None)
+    evaluate = guarded_evaluator(None, lambda case: unit_oracle(broken, case.payload))
+    outcome = evaluate(InputCase(HANDWRITTEN_CASE, Provenance(0, 1)))
     assert outcome.status is RelationStatus.EXECUTION_ERROR
     assert "IndexError" in outcome.error_detail
 
@@ -117,9 +117,9 @@ def test_differential_reports_which_algorithm_failed():
     def broken(arr):
         raise IndexError("off the end")
 
-    outcome = guarded_evaluation(
-        lambda case: differential_oracle({**ALL_SORTS, "broken": broken}, case.payload),
-        InputCase((3, 1, 2), Provenance(0, 1)), None)
+    evaluate = guarded_evaluator(
+        None, lambda case: differential_oracle({**ALL_SORTS, "broken": broken}, case.payload))
+    outcome = evaluate(InputCase((3, 1, 2), Provenance(0, 1)))
     assert outcome.status is RelationStatus.EXECUTION_ERROR
     assert outcome.error_detail == "broken: IndexError: off the end"
 
@@ -160,9 +160,14 @@ def test_removal_singleton_reduces_to_empty():
     assert outcome.variant_output == []
 
 
-def test_removal_rejects_empty_input():
-    with pytest.raises(ValueError):
-        metamorphic_removal_oracle(sorting.bubble_sort, [], FixedPicker(0))
+def test_removal_holds_vacuously_on_empty_input_without_sorting():
+    def unreachable_sort(arr):
+        raise AssertionError("an empty input must not be sorted")
+
+    outcome = metamorphic_removal_oracle(unreachable_sort, [], FixedPicker(0))
+    assert outcome.status is RelationStatus.HOLDS
+    assert outcome.original_output == []
+    assert outcome.variant_output == []
 
 
 @given(arrays.filter(lambda v: len(v) >= 1),

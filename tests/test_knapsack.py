@@ -1,5 +1,6 @@
 """Knapsack solvers cross-checked against an independent enumeration oracle
-and against the plain (unmemoized) recursive search."""
+and against the plain include-or-move-past recursion that the table search
+solves bottom-up."""
 
 import inspect
 import itertools
@@ -306,6 +307,20 @@ def test_search_with_no_items_builds_no_row():
         tracemalloc.stop()
     assert solution == KnapsackSolution((), 0, 0, 10_000_000)
     assert peak < 1_000_000
+
+
+def test_search_memory_grows_by_under_100_bytes_per_capacity():
+    # one int per capacity and one decision byte per cell, about 57 bytes per
+    # capacity; a packing held in tuples per cell would take about 207
+    deep = make_instance([("A", 1, 1)], capacity=20_000)
+    tracemalloc.start()
+    try:
+        solution = knapsack_exhaustive(deep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solution.cum_value == 20_000
+    assert peak < 100 * 20_000
 
 
 def table_cells(instance):
