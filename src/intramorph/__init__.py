@@ -9,8 +9,8 @@ from .campaign import Campaign, Mutant
 from .core import (ApplicationMode, Automation, BudgetExceededError, ConfigurationError,
                    Granularity, InputCase, IntramorphicRelation, IntramorphError,
                    ProgramPair, Provenance, RelationOutcome, RelationStatus,
-                   StatisticalConfig, TransformationDescriptor, UnknownCampaignError,
-                   UnknownMutantError, equivalence_relation, evaluate_pair)
+                   TransformationDescriptor, UnknownCampaignError, UnknownMutantError,
+                   equivalence_relation, evaluate_pair)
 from .generators import random_array, random_knapsack_instance, random_tree
 from .harness import (CampaignConfig, CampaignReport, Counterexample, MatrixCell,
                       MatrixReport, run_campaign, run_detection_matrix)
@@ -22,7 +22,7 @@ __all__ = [
     "CampaignReport", "ConfigurationError", "Counterexample", "Granularity", "InputCase",
     "IntramorphError", "IntramorphicRelation", "MatrixCell", "MatrixReport", "Mutant",
     "ProgramPair", "Provenance", "RelationOutcome", "RelationStatus", "SeededSource",
-    "StatisticalConfig", "TransformationDescriptor", "UnitCase", "UnknownCampaignError",
+    "TransformationDescriptor", "UnitCase", "UnknownCampaignError",
     "UnknownMutantError", "all_campaigns", "default_registry", "derive_seed",
     "differential_oracle", "equivalence_relation", "evaluate_pair", "get_campaign",
     "metamorphic_removal_oracle", "random_array", "random_knapsack_instance", "random_tree",

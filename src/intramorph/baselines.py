@@ -9,12 +9,17 @@ is labelled by its side; the registry guards them like every other oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .core import EXECUTION_FAILURES, ProgramFailed, RelationOutcome
 from .seeds import SeededSource
 
 SortFunction = Callable[[list], list]
+
+
+def not_a_list(output: Any) -> TypeError:
+    """The failure of a sort that returned ``output`` where a list was due."""
+    return TypeError(f"sort returned {type(output).__name__}, not a list")
 
 
 def _sort_copy(sort_fn: SortFunction, values: Sequence[int], label: str) -> list:
@@ -25,8 +30,7 @@ def _sort_copy(sort_fn: SortFunction, values: Sequence[int], label: str) -> list
     except EXECUTION_FAILURES as exc:
         raise ProgramFailed(label) from exc
     if not isinstance(output, list):
-        raise ProgramFailed(label) from TypeError(
-            f"sort returned {type(output).__name__}, not a list")
+        raise ProgramFailed(label) from not_a_list(output)
     return output
 
 

@@ -17,8 +17,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from ..core import (ApplicationMode, Automation, ConfigurationError, Granularity,
-                    IntramorphicRelation, ProgramPair, StatisticalConfig,
-                    TransformationDescriptor)
+                    IntramorphicRelation, ProgramPair, TransformationDescriptor)
 from ..seeds import UNIT_BLOCK_CHUNK, SeededSource
 from . import derive
 
@@ -93,19 +92,15 @@ def error_from_pi(estimate: float) -> float:
 
 def make_estimator_pair(small_side: Callable[[int, SeededSource], float],
                         large_side: Callable[[int, SeededSource], float]) -> ProgramPair:
-    """Pair the small-budget instantiation against the large-budget one."""
+    """Pair the small-budget instantiation against the large-budget one; each
+    side returns its estimate's distance from pi, which the relation compares."""
     return ProgramPair(
-        original=lambda budgets, src: small_side(budgets.n_small, src),
-        variant=lambda budgets, src: large_side(budgets.n_large, src),
+        original=lambda budgets, src: error_from_pi(small_side(budgets.n_small, src)),
+        variant=lambda budgets, src: error_from_pi(large_side(budgets.n_large, src)),
         descriptor=MONTECARLO_DESCRIPTOR,
     )
 
 
 def make_convergence_relation(repetitions: int) -> IntramorphicRelation:
-    """More samples must not land farther from pi, on median-of-k errors."""
-    return IntramorphicRelation(
-        name="more-samples-at-least-as-close",
-        check=lambda small_est, large_est: error_from_pi(small_est) >= error_from_pi(large_est),
-        statistical=StatisticalConfig(repetitions=repetitions, summary=error_from_pi,
-                                      compare=operator.ge),
-    )
+    """More samples must not land farther from pi, on median-of-k distances."""
+    return IntramorphicRelation("more-samples-at-least-as-close", operator.ge, repetitions)

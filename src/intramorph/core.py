@@ -141,40 +141,29 @@ class ProgramPair:
 
 
 @dataclass(frozen=True)
-class StatisticalConfig:
-    """Median-of-k aggregation for relations that can raise false alarms.
+class IntramorphicRelation:
+    """Total predicate over (original output, variant output).
 
-    ``summary`` maps one output to the scalar the relation is really about,
-    and ``compare`` must agree with the owning relation's ``check`` in the
-    sense that check(o, v) == compare(summary(o), summary(v)).
-
-    For every fixed ``m``, the summaries ``v`` with ``compare(m, v)`` must
-    form a down-set or an up-set of the summaries' order (as they do for
-    ``operator.ge`` or ``operator.le``). Then, for odd k, ``compare(m,
-    median(V))`` holds exactly when ``compare(m, v)`` holds for at least
+    With ``repetitions`` k set, the relation is median-of-k: each side runs
+    k times and ``check`` judges the two sides' median outputs. For every
+    fixed ``m``, the outputs ``v`` with ``check(m, v)`` must form a
+    down-set or an up-set of the outputs' order (as they do for
+    ``operator.ge`` or ``operator.le``). Then, for odd k, ``check(m,
+    median(V))`` holds exactly when ``check(m, v)`` holds for at least
     (k+1)/2 elements v of V, which is what lets the evaluation stop once
     that many variant trials pass.
     """
 
-    repetitions: int
-    summary: Callable[[Any], float]
-    compare: Callable[[float, float], bool]
+    name: str
+    check: Callable[[Any, Any], bool]
+    repetitions: Optional[int] = None
 
     def __post_init__(self) -> None:
         # exactly int: a float k cannot index trials, and True would run as k=1
-        if (type(self.repetitions) is not int or self.repetitions < 1
-                or self.repetitions % 2 == 0):
+        k = self.repetitions
+        if k is not None and (type(k) is not int or k < 1 or k % 2 == 0):
             raise ConfigurationError(
-                f"statistical repetitions must be a positive odd integer, got {self.repetitions!r}")
-
-
-@dataclass(frozen=True)
-class IntramorphicRelation:
-    """Total predicate over (original output, variant output)."""
-
-    name: str
-    check: Callable[[Any, Any], bool]
-    statistical: Optional[StatisticalConfig] = None
+                f"statistical repetitions must be a positive odd integer, got {k!r}")
 
 
 class RelationOutcome(NamedTuple):
@@ -251,8 +240,7 @@ EXECUTION_FAILURES = (Exception, SystemExit, _BudgetExpired)
 # campaign run) on the main thread, where each evaluation sets a deadline and
 # arms the one-shot timer only when no alarm is due by it
 # (``guarded_evaluator``). This state is read and written on the main thread.
-_scope_depth = 0         # open alarm scopes; the outermost one owns the handler
-_scope_thread = None     # thread ident of the open scopes' owner, None with none open
+_scope_thread = None     # thread ident of the open scope's owner, None with none open
 _deadline = None         # time.monotonic() deadline of the running evaluation
 _budget = 0.0            # the running evaluation's budget
 _alarm_due = math.inf    # earliest time the last armed alarm fires; inf if none is armed
@@ -288,31 +276,26 @@ def alarm_scope() -> Iterator[None]:
     alarm is due by then, so a run of fast evaluations arms it once. Off the
     main thread, where no signal handler can be set, the scope does nothing.
     """
-    global _scope_depth, _scope_thread, _alarm_due
-    if threading.current_thread() is not threading.main_thread():
+    global _scope_thread, _alarm_due
+    if threading.current_thread() is not threading.main_thread() or _scope_thread is not None:
         yield
         return
-    previous = None
-    if _scope_depth == 0:
-        # _signal.signal is the C function that signal.signal wraps. The
-        # wrapper converts both ways through the Handlers enum, and with a
-        # Python-function handler each conversion raises and catches an
-        # exception: int(handler) on install, Handlers(handler) on restore,
-        # which also formats the handler's repr. The C function returns the
-        # handler it replaces as stored, SIG_DFL and SIG_IGN as plain ints,
-        # and takes that value back unchanged.
-        previous = _signal.signal(signal.SIGALRM, _on_alarm)
-        _scope_thread = threading.get_ident()
-    _scope_depth += 1
+    # _signal.signal is the C function that signal.signal wraps. The
+    # wrapper converts both ways through the Handlers enum, and with a
+    # Python-function handler each conversion raises and catches an
+    # exception: int(handler) on install, Handlers(handler) on restore,
+    # which also formats the handler's repr. The C function returns the
+    # handler it replaces as stored, SIG_DFL and SIG_IGN as plain ints,
+    # and takes that value back unchanged.
+    previous = _signal.signal(signal.SIGALRM, _on_alarm)
+    _scope_thread = threading.get_ident()
     try:
         yield
     finally:
-        _scope_depth -= 1
-        if _scope_depth == 0:
-            _scope_thread = None
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            _alarm_due = math.inf
-            _signal.signal(signal.SIGALRM, previous)
+        _scope_thread = None
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        _alarm_due = math.inf
+        _signal.signal(signal.SIGALRM, previous)
 
 
 def check_budget(budget: Optional[float]) -> None:
@@ -343,7 +326,7 @@ def guarded_evaluator(budget: Optional[float], body: Optional[Evaluator] = None,
 
     It judges a case by ``body(case)``, or by running both programs of
     ``pair``, each on a source derived from the case's provenance, and
-    judging ``relation``, median-of-k if it has a statistical config.
+    judging ``relation``, median-of-k if it has repetitions.
 
     The budget covers the whole evaluation. An overrun, an exception the
     evaluation raises, or its ``sys.exit()``, becomes EXECUTION_ERROR with a
@@ -361,14 +344,13 @@ def guarded_evaluator(budget: Optional[float], body: Optional[Evaluator] = None,
     ``_BudgetExpired``, set SIGALRM to ``SIG_IGN`` or disarmed the timer.
     """
     if pair is not None:
-        if (relation.statistical is not None) != pair.descriptor.false_alarm_possible:
+        if (relation.repetitions is not None) != pair.descriptor.false_alarm_possible:
             raise ConfigurationError(
-                "statistical config must be present exactly when the descriptor "
+                "statistical repetitions must be set exactly when the descriptor "
                 "declares false alarms possible")
-        config = relation.statistical
-        if config is not None:
+        if relation.repetitions is not None:
             return guarded_evaluator(
-                budget, lambda case: _evaluate_statistical(pair, config, case))
+                budget, lambda case: _evaluate_statistical(pair, relation, case))
         original, variant, check = pair.original, pair.variant, relation.check
     holds, violated = RelationStatus.HOLDS, RelationStatus.VIOLATED
     new, monotonic, get_ident = tuple.__new__, time.monotonic, threading.get_ident
@@ -451,35 +433,36 @@ def evaluate_pair(pair: ProgramPair, relation: IntramorphicRelation, case: Input
     return guarded_evaluator(budget, pair=pair, relation=relation)(case)
 
 
-def _evaluate_statistical(pair: ProgramPair, config: StatisticalConfig,
+def _evaluate_statistical(pair: ProgramPair, relation: IntramorphicRelation,
                           case: InputCase) -> RelationOutcome:
     """Median-of-k: each side runs up to k times on derived sub-sources, and
-    the verdict compares the two sides' median summaries; with k=1 it
-    coincides with the single-run verdict.
+    ``check`` judges the two sides' median outputs; with k=1 it coincides
+    with the single-run verdict.
 
     The k original trials run first. The variant trials then run in trial
-    order and stop as soon as (k+1)/2 of them satisfy ``compare`` against
-    the original median: by the down-set/up-set requirement on ``compare``,
-    the variant median then satisfies it too, whatever the remaining trials
+    order and stop as soon as (k+1)/2 of them satisfy ``check`` against the
+    original median: by the down-set/up-set requirement on ``check``, the
+    variant median then satisfies it too, whatever the remaining trials
     would give. Such a holding outcome carries the original median and no
     variant output. A violation runs every trial and carries both medians.
     """
+    k, check = relation.repetitions, relation.check
     original_median = statistics.median(
-        config.summary(_run_program(f"original trial {trial}", pair.original, case.payload,
-                                    original_source(case.provenance, trial)))
-        for trial in range(config.repetitions))
-    passes_needed = (config.repetitions + 1) // 2
-    variant_summaries = []
-    for trial in range(config.repetitions):
+        _run_program(f"original trial {trial}", pair.original, case.payload,
+                     original_source(case.provenance, trial))
+        for trial in range(k))
+    passes_needed = (k + 1) // 2
+    variant_outputs = []
+    for trial in range(k):
         out = _run_program(f"variant trial {trial}", pair.variant, case.payload,
                            variant_source(case.provenance, trial))
-        variant_summaries.append(config.summary(out))
-        if config.compare(original_median, variant_summaries[-1]):
+        variant_outputs.append(out)
+        if check(original_median, out):
             passes_needed -= 1
             if passes_needed == 0:
                 return RelationOutcome(RelationStatus.HOLDS, original_median)
     return RelationOutcome(RelationStatus.VIOLATED, original_median,
-                           statistics.median(variant_summaries))
+                           statistics.median(variant_outputs))
 
 
 def equivalence_relation() -> IntramorphicRelation:

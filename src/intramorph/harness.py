@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Mapping, Optional
 
 from .campaign import Campaign, Evaluator
 from .core import (ConfigurationError, InputCase, Provenance, RelationStatus,
@@ -106,7 +106,7 @@ def _shrink_violation(case: InputCase, outcome, evaluator: Evaluator,
     return current_case, current_outcome
 
 
-def run_campaign(config: CampaignConfig, registry: Optional[dict[str, Campaign]] = None
+def run_campaign(config: CampaignConfig, registry: Optional[Mapping[str, Campaign]] = None
                  ) -> CampaignReport:
     """Evaluate up to ``iterations`` generated inputs.
 
@@ -198,7 +198,7 @@ class MatrixReport:
 
 
 def run_detection_matrix(*, seed: int, iterations: int,
-                         registry: Optional[dict[str, Campaign]] = None) -> MatrixReport:
+                         registry: Optional[Mapping[str, Campaign]] = None) -> MatrixReport:
     """One campaign run per (oracle, mutant) cell, plus an unmutated control
     column per campaign as the false-alarm check.
 

@@ -10,10 +10,11 @@ evaluator through this module's global ``guarded_evaluator``.
 from __future__ import annotations
 
 import dataclasses
+from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
 from .baselines import (UnitCase, differential_oracle, metamorphic_removal_oracle,
-                        unit_oracle)
+                        not_a_list, unit_oracle)
 from .campaign import Campaign, Mutant
 from .cases import ast_printing, knapsack, montecarlo, sorting
 from .core import (ApplicationMode, Automation, Granularity, IntramorphicRelation,
@@ -51,10 +52,18 @@ def _pair_campaign(relation: IntramorphicRelation, original: Side, variant: Side
 
 
 def _sorts(name: str) -> Side:
-    """Side that sorts a private copy of the payload with the named component."""
+    """Side that sorts a private copy of the payload with the named component;
+    a sort that returns no list fails, as it does in the baselines."""
     def side(programs):
         sort = programs[name]
-        return lambda payload, src: sort(list(payload))
+
+        def run(payload, src):
+            output = sort(list(payload))
+            if not isinstance(output, list):
+                raise not_a_list(output)
+            return output
+
+        return run
 
     return side
 
@@ -188,8 +197,9 @@ def _campaign_table() -> tuple[Campaign, ...]:
         Campaign(
             name="montecarlo-convergence", case_study="montecarlo", oracle_style="intramorphic",
             build_evaluator=_convergence_evaluator,
-            # mutants replace the large-budget side only: mutating both sides
-            # would shift both error distributions together and mask the bug
+            # mutants replace the large-budget side only. With both sides mutated
+            # (seeds 42, 7, 1234; 100 iterations each) wrong-scale is still caught at
+            # iteration 1 and one-coordinate on none; boundary-strict is blind either way
             components={"small": montecarlo.pi_approximation,
                         "large": montecarlo.pi_approximation},
             generate=lambda src: DEFAULT_BUDGETS,   # entropy comes from provenance
@@ -235,13 +245,14 @@ def _campaign_table() -> tuple[Campaign, ...]:
     )
 
 
-_REGISTRY: Optional[dict[str, Campaign]] = None
+_REGISTRY: Optional[Mapping[str, Campaign]] = None
 
 
-def default_registry() -> dict[str, Campaign]:
+def default_registry() -> Mapping[str, Campaign]:
+    """The campaigns by name, built once and read-only: every later run shares it."""
     global _REGISTRY
     if _REGISTRY is None:
-        _REGISTRY = {campaign.name: campaign for campaign in _campaign_table()}
+        _REGISTRY = MappingProxyType({campaign.name: campaign for campaign in _campaign_table()})
     return _REGISTRY
 
 

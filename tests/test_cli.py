@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 
+from intramorph import registry
 from intramorph.cli import main
 from intramorph.registry import default_registry, get_campaign
 
@@ -118,9 +119,10 @@ def test_unrenderable_output_is_reported_as_a_placeholder(capsys, monkeypatch):
     # the original sort returns an object whose repr raises: the run finds a
     # violation, and its report must still be printed
     campaign = get_campaign("sorting-intramorphic")
-    monkeypatch.setitem(default_registry(), campaign.name, dataclasses.replace(
-        campaign, components={**campaign.components,
-                              "ascending": lambda *args: [Unprintable()]}))
+    unprintable = dataclasses.replace(campaign, components={
+        **campaign.components, "ascending": lambda *args: [Unprintable()]})
+    # the default registry is read-only, so the CLI looks campaigns up in a copy
+    monkeypatch.setattr(registry, "_REGISTRY", {**default_registry(), campaign.name: unprintable})
     argv = ["run", "--campaign", "sorting-intramorphic", "--seed", "1", "--iterations", "5"]
     placeholder = "<unrenderable output: RuntimeError: no repr>"
 
@@ -195,7 +197,7 @@ def test_run_statistical_k_override(capsys):
 
 
 def test_montecarlo_counterexample_input_does_not_name_a_k(capsys):
-    # k comes from the relation's statistical config, so the rendered input
+    # k comes from the relation's repetitions, so the rendered input
     # names only the two sample budgets, whatever --k the run was given
     code, out, _ = run_cli(capsys, "run", "--campaign", "montecarlo-convergence",
                            "--mutant", "wrong-scale", "--k", "3", "--seed", "1",

@@ -22,9 +22,8 @@ from intramorph.harness import CampaignConfig, run_campaign
 from intramorph.registry import get_campaign
 from intramorph.core import (ApplicationMode, Automation, ConfigurationError,
                              Granularity, InputCase, IntramorphicRelation, ProgramPair,
-                             Provenance, RelationStatus, StatisticalConfig,
-                             TransformationDescriptor, alarm_scope,
-                             equivalence_relation, evaluate_pair)
+                             Provenance, RelationStatus, TransformationDescriptor,
+                             alarm_scope, equivalence_relation, evaluate_pair)
 
 
 def plain_descriptor(false_alarms=False):
@@ -37,15 +36,6 @@ def plain_descriptor(false_alarms=False):
 
 
 REVERSE = IntramorphicRelation("reverse-order", sorting.reverse_relation)
-
-
-def recheck_outputs(relation, original_output, variant_output):
-    """Re-validate the outputs attached to an outcome. For statistical
-    relations they are the per-side median summaries, so the median
-    comparison applies, not ``check``."""
-    if relation.statistical is not None:
-        return relation.statistical.compare(original_output, variant_output)
-    return relation.check(original_output, variant_output)
 
 
 def sort_pair(forward=sorting.bubble_sort, reverse=sorting.bubble_sort_reverse):
@@ -126,7 +116,7 @@ def test_violated_outputs_are_self_certifying():
     pair = sort_pair(forward=sorting.bubble_sort_swap_index)
     outcome = evaluate_pair(pair, REVERSE, case_for((3, 1, 2)))
     assert outcome.status is RelationStatus.VIOLATED
-    assert recheck_outputs(REVERSE, outcome.original_output, outcome.variant_output) is False
+    assert REVERSE.check(outcome.original_output, outcome.variant_output) is False
 
 
 def test_crash_becomes_execution_error():
@@ -552,10 +542,7 @@ def at_most(a, b):
 
 
 def median_relation(k, compare=at_most):
-    return IntramorphicRelation(
-        name="median-compare",
-        check=compare,
-        statistical=StatisticalConfig(repetitions=k, summary=float, compare=compare))
+    return IntramorphicRelation("median-compare", compare, repetitions=k)
 
 
 def test_statistical_uses_medians_per_side():
@@ -584,10 +571,15 @@ def test_statistical_failures_name_the_trial_or_become_errors():
     outcome = evaluate_pair(pair, median_relation(3), case_for(None))
     assert outcome.error_detail == "original trial 1: RuntimeError: second trial"
 
-    # a summary that raises is contained the same way
-    outcome = evaluate_pair(scripted_pair([None], [1.0]), median_relation(3), case_for(None))
+
+def test_statistical_check_that_raises_is_an_unlabelled_execution_error():
+    def refusing(original_median, variant_output):
+        raise TypeError("no comparison")
+
+    outcome = evaluate_pair(scripted_pair([1.0], [2.0]), median_relation(3, refusing),
+                            case_for(None))
     assert outcome.status is RelationStatus.EXECUTION_ERROR
-    assert outcome.error_detail.startswith("TypeError: ")
+    assert outcome.error_detail == "TypeError: no comparison"
 
 
 def test_statistical_violation_carries_medians():
@@ -598,7 +590,7 @@ def test_statistical_violation_carries_medians():
     outcome = evaluate_pair(pair, relation, case_for(None))
     assert outcome.status is RelationStatus.VIOLATED
     assert (outcome.original_output, outcome.variant_output) == (5.0, 4.0)
-    assert recheck_outputs(relation, outcome.original_output, outcome.variant_output) is False
+    assert relation.check(outcome.original_output, outcome.variant_output) is False
 
 
 def scripted_trials(k):
@@ -645,18 +637,18 @@ def test_statistical_k1_matches_single_run_verdict(first, second):
 
 
 def test_statistical_rejects_even_k():
-    # k lives in the relation's config, which refuses an even value, so no
+    # k lives in the relation, which refuses an even value, so no
     # statistical evaluation can run with one
     with pytest.raises(ConfigurationError,
                        match="statistical repetitions must be a positive odd integer, got 4"):
         median_relation(4)
 
 
-def test_statistical_config_validates_repetitions():
+def test_relation_validates_repetitions():
     for repetitions in (2, 0, -1, 3.0, True):
-        with pytest.raises(ConfigurationError):
-            StatisticalConfig(repetitions=repetitions, summary=float,
-                              compare=lambda a, b: a <= b)
+        with pytest.raises(ConfigurationError,
+                           match=f"positive odd integer, got {repetitions!r}$"):
+            IntramorphicRelation("le", lambda a, b: a <= b, repetitions=repetitions)
 
 
 def test_mismatched_statistical_config_is_rejected():

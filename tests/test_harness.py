@@ -349,8 +349,10 @@ def returning_unrenderable(*args):
 BROKEN_PROGRAMS = ((raising, 5.0), (returning_none, 5.0), (sleeping_past_the_budget, 0.05),
                    (exiting, 5.0), (recursing, 5.0), (swallowing_the_alarm, 0.01),
                    (ignoring_the_alarm, 0.01), (returning_unrenderable, 5.0))
-# the failure is raised inside the broken program's call, which labels it
-RAISED_INSIDE_THE_CALL = (raising, sleeping_past_the_budget, exiting, recursing)
+# the failure is raised inside the broken program's call, which labels it; a
+# None answer fails where its side checks for a list or takes pi's distance
+RAISED_INSIDE_THE_CALL = (raising, returning_none, sleeping_past_the_budget, exiting,
+                          recursing)
 # the program answers correctly, so its only failure is the overrun it hid
 HIDDEN_OVERRUNS = (swallowing_the_alarm, ignoring_the_alarm)
 
@@ -392,8 +394,8 @@ def test_failing_program_is_a_counted_execution_error_in_every_style(target, bro
             assert outcome.error_detail
             if broken in RAISED_INSIDE_THE_CALL:
                 assert outcome.error_detail.startswith(f"{label}: ")
-            elif broken is returning_none and campaign.oracle_style != "intramorphic":
-                # a baseline checks for a list
+            if broken is returning_none and campaign.case_study == "sorting":
+                # every oracle style checks a sort's answer for a list
                 assert outcome.error_detail == (
                     f"{label}: TypeError: sort returned NoneType, not a list")
             if broken is sleeping_past_the_budget:
@@ -481,12 +483,12 @@ def layered_evaluate_single(pair, relation, case):
 def layered_evaluator(budget, body=None, *, pair=None, relation=None):
     """Reference for ``registry.guarded_evaluator``, with its signature."""
     if pair is not None:
-        if (relation.statistical is not None) != pair.descriptor.false_alarm_possible:
-            raise ConfigurationError("statistical config and descriptor disagree")
-        if relation.statistical is None:
+        if (relation.repetitions is not None) != pair.descriptor.false_alarm_possible:
+            raise ConfigurationError("statistical repetitions and descriptor disagree")
+        if relation.repetitions is None:
             body = lambda case: layered_evaluate_single(pair, relation, case)
         else:
-            body = lambda case: core._evaluate_statistical(pair, relation.statistical, case)
+            body = lambda case: core._evaluate_statistical(pair, relation, case)
     return lambda case: layered_guarded_evaluation(body, case, budget)
 
 

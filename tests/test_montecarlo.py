@@ -168,16 +168,24 @@ def test_budget_pair_validation():
 
 def test_relation_check_is_reflexive_on_equal_outputs():
     relation = make_convergence_relation(5)
-    assert relation.check(3.2, 3.2) is True
-    assert relation.statistical.compare(error_from_pi(3.2), error_from_pi(3.2)) is True
+    assert relation.check(error_from_pi(3.2), error_from_pi(3.2)) is True
 
 
-@given(st.floats(0, 4), st.floats(0, 4))
-def test_relation_check_agrees_with_summary_compare(small_est, large_est):
-    # the invariant that makes median aggregation consistent with check
-    relation = make_convergence_relation(5)
-    assert relation.check(small_est, large_est) == relation.statistical.compare(
-        relation.statistical.summary(small_est), relation.statistical.summary(large_est))
+def test_estimator_sides_return_their_distance_from_pi():
+    pair = make_estimator_pair(pi_approximation, pi_wrong_scale)
+    budgets = SampleBudgetPair(n_small=10, n_large=1000)
+    assert pair.original(budgets, SeededSource(3)) == error_from_pi(
+        pi_approximation(10, SeededSource(3)))
+    assert pair.variant(budgets, SeededSource(3)) == error_from_pi(
+        pi_wrong_scale(1000, SeededSource(3)))
+
+
+def test_estimator_that_returns_no_number_fails_its_labelled_trial():
+    pair = make_estimator_pair(lambda n, src: None, pi_approximation)
+    outcome = evaluate_pair(pair, make_convergence_relation(3),
+                            InputCase(SampleBudgetPair(), Provenance(1, 1)))
+    assert outcome.status is RelationStatus.EXECUTION_ERROR
+    assert outcome.error_detail.startswith("original trial 0: TypeError: ")
 
 
 def test_convergence_relation_holds_over_small_run():
@@ -198,22 +206,22 @@ def test_convergence_outcome_carries_median_errors():
 
 # --- early-stopping median-of-k against the all-trials reference -------------
 
-def all_trials_statistical(pair, config, case):
+def all_trials_statistical(pair, relation, case):
     """Reference for ``core._evaluate_statistical``: every trial of both
-    sides runs, interleaved, and the verdict compares the two full medians."""
-    original_summaries = []
-    variant_summaries = []
-    for trial in range(config.repetitions):
-        out = core._run_program(f"original trial {trial}", pair.original, case.payload,
-                                original_source(case.provenance, trial))
-        original_summaries.append(config.summary(out))
-        out = core._run_program(f"variant trial {trial}", pair.variant, case.payload,
-                                variant_source(case.provenance, trial))
-        variant_summaries.append(config.summary(out))
+    sides runs, interleaved, and the verdict checks the two full medians."""
+    original_outputs = []
+    variant_outputs = []
+    for trial in range(relation.repetitions):
+        original_outputs.append(core._run_program(
+            f"original trial {trial}", pair.original, case.payload,
+            original_source(case.provenance, trial)))
+        variant_outputs.append(core._run_program(
+            f"variant trial {trial}", pair.variant, case.payload,
+            variant_source(case.provenance, trial)))
 
-    original_median = statistics.median(original_summaries)
-    variant_median = statistics.median(variant_summaries)
-    return RelationOutcome.from_check(config.compare(original_median, variant_median),
+    original_median = statistics.median(original_outputs)
+    variant_median = statistics.median(variant_outputs)
+    return RelationOutcome.from_check(relation.check(original_median, variant_median),
                                       original_median, variant_median)
 
 

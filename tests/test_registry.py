@@ -6,7 +6,7 @@ import pytest
 
 import intramorph
 from intramorph.cases import knapsack, sorting
-from intramorph.core import UnknownCampaignError, UnknownMutantError
+from intramorph.core import InputCase, Provenance, UnknownCampaignError, UnknownMutantError
 from intramorph.harness import CampaignConfig, run_campaign
 from intramorph.registry import get_campaign
 
@@ -78,3 +78,36 @@ def test_every_public_name_resolves():
     # a name in __all__ that the package does not define makes the import raise
     exec("from intramorph import *", namespace)
     assert set(intramorph.__all__) <= set(namespace)
+
+
+def test_default_registry_cannot_be_edited():
+    registry = intramorph.default_registry()
+    with pytest.raises(TypeError):
+        registry["sorting-unit"] = get_campaign("sorting-equivalence")
+    with pytest.raises(TypeError):
+        del registry["sorting-unit"]
+    assert get_campaign("sorting-unit").name == "sorting-unit"
+
+
+def returning_none(values):
+    return None
+
+
+# a sort that returns None fails its side, labelled, whichever sort of a
+# pair it is and whether or not the other side fails alike
+@pytest.mark.parametrize("name, components, detail", [
+    ("sorting-equivalence", ("merge",), "variant: TypeError: sort returned NoneType, not a list"),
+    ("sorting-equivalence", ("ascending", "merge"),
+     "original: TypeError: sort returned NoneType, not a list"),
+    ("sorting-intramorphic", ("descending",),
+     "variant: TypeError: sort returned NoneType, not a list"),
+])
+def test_pair_side_whose_sort_returns_none_is_a_labelled_error(name, components, detail):
+    campaign = get_campaign(name)
+    broken = dataclasses.replace(
+        campaign, components={**campaign.components, **dict.fromkeys(components, returning_none)})
+    report = run_campaign(CampaignConfig(campaign=name, seed=1, iterations=5),
+                          registry={name: broken})
+    assert (report.violations, report.execution_errors) == (0, 5)
+    evaluate = broken.build_evaluator(broken.programs(None), None, None)
+    assert evaluate(InputCase((2, 1), Provenance(1, 1))).error_detail == detail
