@@ -50,7 +50,8 @@ class Campaign:
     ``oracle_style`` is one of unit / differential / metamorphic /
     intramorphic; intramorphic campaigns must carry a transformation
     descriptor, and a campaign is stochastic exactly when that descriptor
-    admits false alarms.
+    admits false alarms. A stochastic campaign, and only such a one, has
+    ``default_repetitions``: the k of its median-of-k relation.
 
     ``components`` maps the name of each program the oracle runs to its
     default implementation; mutants may replace only these.
@@ -87,8 +88,9 @@ class Campaign:
                     f"the components {sorted(declared)}, got {sorted(mutant.replaces)}")
         if self.oracle_style == "intramorphic" and self.descriptor is None:
             raise ValueError(f"campaign {self.name} is intramorphic but has no descriptor")
-        if self.stochastic and self.default_repetitions is None:
-            raise ValueError(f"stochastic campaign {self.name} needs default repetitions")
+        if self.stochastic != (self.default_repetitions is not None):
+            raise ValueError(f"campaign {self.name} must have default repetitions exactly "
+                             f"when it is stochastic, got {self.default_repetitions!r}")
 
     @property
     def stochastic(self) -> bool:

@@ -1,38 +1,21 @@
 """Monte Carlo case study: pi estimation with a sample-count parameter.
 
-The estimator was parameterized over its sample count; the oracle compares
-the same estimator instantiated at a small and a large budget and expects
-the large budget to land at least as close to pi, judged on median-of-k
-trials because a single unlucky trial can flip the comparison. Each seeded
-bug is derived from the correct estimator by one edit.
+The estimator gained a sample-count parameter, so one program runs at the
+small and the large budget of a :class:`SampleBudgetPair`; more samples must
+land at least as close to pi. Each seeded bug is one edit of the estimator.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from ..core import (ApplicationMode, Automation, ConfigurationError, Granularity,
-                    IntramorphicRelation, ProgramPair, TransformationDescriptor)
+from ..core import ConfigurationError
 from ..seeds import UNIT_BLOCK_CHUNK, SeededSource
 from . import derive
-
-# An existing function gained a sample-count parameter; single trials can
-# produce false alarms, hence the statistical aggregation requirement.
-MONTECARLO_DESCRIPTOR = TransformationDescriptor(
-    granularity=Granularity.PARAMETER_ADDED,
-    application_mode=ApplicationMode.IN_PLACE_MODIFIED,
-    automation=Automation.MANUAL,
-    relation_complete=True,
-    false_alarm_possible=True,
-)
-
-# Median-of-k trials per comparison unless a run overrides k.
-DEFAULT_REPETITIONS = 5
 
 
 @dataclass(frozen=True)
@@ -88,19 +71,3 @@ pi_one_coordinate = derive(
 
 def error_from_pi(estimate: float) -> float:
     return abs(estimate - math.pi)
-
-
-def make_estimator_pair(small_side: Callable[[int, SeededSource], float],
-                        large_side: Callable[[int, SeededSource], float]) -> ProgramPair:
-    """Pair the small-budget instantiation against the large-budget one; each
-    side returns its estimate's distance from pi, which the relation compares."""
-    return ProgramPair(
-        original=lambda budgets, src: error_from_pi(small_side(budgets.n_small, src)),
-        variant=lambda budgets, src: error_from_pi(large_side(budgets.n_large, src)),
-        descriptor=MONTECARLO_DESCRIPTOR,
-    )
-
-
-def make_convergence_relation(repetitions: int) -> IntramorphicRelation:
-    """More samples must not land farther from pi, on median-of-k distances."""
-    return IntramorphicRelation("more-samples-at-least-as-close", operator.ge, repetitions)

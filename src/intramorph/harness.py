@@ -121,9 +121,8 @@ def run_campaign(config: CampaignConfig, registry: Optional[Mapping[str, Campaig
     # what runs is resolved from the record in hand, so a campaign copy runs
     # the components and mutants it holds
     programs = campaign.programs(config.mutant)   # raises UnknownMutantError
-    repetitions = config.statistical_repetitions
-    if campaign.stochastic and repetitions is None:
-        repetitions = campaign.default_repetitions
+    repetitions = (campaign.default_repetitions if config.statistical_repetitions is None
+                   else config.statistical_repetitions)
     evaluator = campaign.build_evaluator(programs, repetitions, config.budget_seconds)
 
     started = time.monotonic()
@@ -170,7 +169,7 @@ def run_campaign(config: CampaignConfig, registry: Optional[Mapping[str, Campaig
         first_violation_iteration=first_violation,
         counterexample=counterexample,
         execution_errors=execution_errors,
-        statistical_repetitions=repetitions if campaign.stochastic else None,
+        statistical_repetitions=repetitions,
         wall_time_ms=wall_time_ms)
 
 

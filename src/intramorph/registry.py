@@ -10,6 +10,7 @@ evaluator through this module's global ``guarded_evaluator``.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
@@ -43,12 +44,16 @@ def _pair_campaign(relation: IntramorphicRelation, original: Side, variant: Side
                    descriptor: TransformationDescriptor, **fields) -> Campaign:
     """A campaign that judges ``relation`` on a program pair under
     ``descriptor``; ``original`` and ``variant`` turn the resolved programs
-    into the two (payload, source) programs."""
+    into the two (payload, source) programs. The relation's k is the
+    campaign's default, and a run with another k judges a copy that has it."""
     def build_evaluator(programs, repetitions, budget):
         pair = ProgramPair(original(programs), variant(programs), descriptor)
-        return guarded_evaluator(budget, pair=pair, relation=relation)
+        judged = (relation if repetitions == relation.repetitions
+                  else dataclasses.replace(relation, repetitions=repetitions))
+        return guarded_evaluator(budget, pair=pair, relation=judged)
 
-    return Campaign(build_evaluator=build_evaluator, descriptor=descriptor, **fields)
+    return Campaign(build_evaluator=build_evaluator, descriptor=descriptor,
+                    default_repetitions=relation.repetitions, **fields)
 
 
 def _sorts(name: str) -> Side:
@@ -82,6 +87,18 @@ def _prefix_and_postfix(programs):
     return lambda tree, src: (prefix(tree), postfix(tree))
 
 
+def _distance_from_pi(name: str, sample_count: str) -> Side:
+    """Side that runs the named estimator at the budget pair's
+    ``sample_count`` and returns its estimate's distance from pi."""
+    distance, count = montecarlo.error_from_pi, operator.attrgetter(sample_count)
+
+    def side(programs):
+        estimate = programs[name]
+        return lambda budgets, src: distance(estimate(count(budgets), src))
+
+    return side
+
+
 def _unit_evaluator(programs, repetitions, budget):
     sort_fn = programs["ascending"]
     return guarded_evaluator(budget, lambda case: unit_oracle(sort_fn, case.payload))
@@ -96,12 +113,6 @@ def _metamorphic_evaluator(programs, repetitions, budget):
     sort_fn = programs["ascending"]
     return guarded_evaluator(budget, lambda case: metamorphic_removal_oracle(
         sort_fn, case.payload, picker_source(case.provenance)))
-
-
-def _convergence_evaluator(programs, repetitions, budget):
-    return guarded_evaluator(
-        budget, pair=montecarlo.make_estimator_pair(programs["small"], programs["large"]),
-        relation=montecarlo.make_convergence_relation(repetitions))
 
 
 def _render_array(payload) -> str:
@@ -194,9 +205,12 @@ def _campaign_table() -> tuple[Campaign, ...]:
                        expected_detected=False,
                        note="blind spot: the relation strips parentheses before comparing"),
             )),
-        Campaign(
+        _pair_campaign(
+            # a single trial can flip the comparison, so each side runs k times
+            # and the relation judges their median distances
+            IntramorphicRelation("more-samples-at-least-as-close", operator.ge, repetitions=5),
+            _distance_from_pi("small", "n_small"), _distance_from_pi("large", "n_large"),
             name="montecarlo-convergence", case_study="montecarlo", oracle_style="intramorphic",
-            build_evaluator=_convergence_evaluator,
             # mutants replace the large-budget side only. With both sides mutated
             # (seeds 42, 7, 1234; 100 iterations each) wrong-scale is still caught at
             # iteration 1 and one-coordinate on none; boundary-strict is blind either way
@@ -206,8 +220,11 @@ def _campaign_table() -> tuple[Campaign, ...]:
             render_payload=lambda budgets: (f"n_small={budgets.n_small}, "
                                             f"n_large={budgets.n_large}"),
             shrink_payload=lambda payload: [],
-            descriptor=montecarlo.MONTECARLO_DESCRIPTOR,
-            default_repetitions=montecarlo.DEFAULT_REPETITIONS,
+            # the estimator gained a sample-count parameter, and single trials
+            # can give false alarms
+            descriptor=TransformationDescriptor(
+                Granularity.PARAMETER_ADDED, ApplicationMode.IN_PLACE_MODIFIED, Automation.MANUAL,
+                relation_complete=True, false_alarm_possible=True),
             mutants=(
                 Mutant("wrong-scale", "estimator returns 2*hits/n and converges to pi/2",
                        {"large": montecarlo.pi_wrong_scale}),

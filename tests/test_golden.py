@@ -1,6 +1,7 @@
 """Golden CLI outputs: the campaign list, every mutant catalog, the detection
 matrix as CSV and as JSON, the JSON run report of every (campaign, mutant)
-pair, control included, and a few run reports as CSV.
+pair, control included, a few run reports as CSV, and one run at a k other
+than its campaign's default.
 
 Each output is compared byte for byte with its file under ``tests/golden/``,
 without its wall time: JSON ``wall_time_ms`` lines are stripped, and so is
@@ -29,6 +30,8 @@ CSV_RUNS = (("sorting-intramorphic", "swap-index-i"),
             ("knapsack-optimality", "exhaustive-skip-include"),
             ("montecarlo-convergence", "wrong-scale"),
             ("montecarlo-convergence", None))
+# (campaign, mutant, k) runs whose k replaces the campaign's default
+K_RUNS = (("montecarlo-convergence", "wrong-scale", 3),)
 
 
 def run_argv(campaign: str, mutant) -> list[str]:
@@ -50,6 +53,9 @@ def golden_commands() -> dict[str, list[str]]:
     for campaign, mutant in CSV_RUNS:
         commands[f"csv/{campaign}--{mutant or 'control'}.csv"] = (
             run_argv(campaign, mutant) + ["--format", "csv"])
+    for campaign, mutant, k in K_RUNS:
+        commands[f"k{k}/{campaign}--{mutant}.json"] = (
+            run_argv(campaign, mutant) + ["--k", str(k)])
     return commands
 
 

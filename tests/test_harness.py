@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intramorph.campaign import Mutant
-from intramorph.cases import sorting
+from intramorph.cases import montecarlo, sorting
 import intramorph.core as core
 import intramorph.registry as registry
 from intramorph.core import (DEFAULT_BUDGET_SECONDS, ConfigurationError, InputCase,
@@ -216,6 +216,29 @@ def test_statistical_repetitions_override():
     report = run_campaign(CampaignConfig(campaign="montecarlo-convergence", seed=42,
                                          iterations=2, statistical_repetitions=1))
     assert report.statistical_repetitions == 1
+
+
+@pytest.mark.parametrize("repetitions, trials", [(3, 3), (None, 5)])
+def test_run_k_sets_the_trials_of_each_side(repetitions, trials):
+    # every original trial runs the small estimator once; the large one stops
+    # as soon as a majority of its trials hold
+    calls = []
+
+    def recording(side):
+        def estimate(n, src):
+            calls.append(side)
+            return montecarlo.pi_approximation(n, src)
+        return estimate
+
+    campaign = replacing("montecarlo-convergence", small=recording("small"),
+                         large=recording("large"))
+    report = run_campaign(CampaignConfig(campaign=campaign.name, seed=42, iterations=4,
+                                         statistical_repetitions=repetitions),
+                          registry={campaign.name: campaign})
+    assert (report.iterations_run, report.violations) == (4, 0)
+    assert report.statistical_repetitions == trials
+    assert calls.count("small") == 4 * trials
+    assert 4 * (trials + 1) // 2 <= calls.count("large") <= 4 * trials
 
 
 # --- detection matrix -----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Pi estimator, the convergence relation, and the estimator bug catalog."""
 
+import dataclasses
 import math
 import statistics
 from unittest import mock
@@ -9,14 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intramorph.cases.montecarlo import (SampleBudgetPair, error_from_pi,
-                                         make_convergence_relation, make_estimator_pair,
-                                         pi_approximation,
+from intramorph.cases.montecarlo import (SampleBudgetPair, error_from_pi, pi_approximation,
                                          pi_boundary_strict, pi_one_coordinate,
                                          pi_wrong_scale)
 import intramorph.core as core
-from intramorph.core import (ConfigurationError, InputCase, Provenance, RelationOutcome,
-                             RelationStatus, UnknownMutantError, evaluate_pair,
+from intramorph.core import (DEFAULT_BUDGET_SECONDS, ConfigurationError, InputCase,
+                             Provenance, RelationOutcome, RelationStatus, UnknownMutantError,
                              generation_sources, original_source, variant_source)
 from intramorph.harness import CampaignConfig, run_campaign
 from intramorph.registry import get_campaign
@@ -25,12 +24,19 @@ from intramorph.seeds import UNIT_BLOCK_CHUNK, DerivedSource, SeededSource
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 
 
+def convergence_evaluator(repetitions, mutant=None, **components):
+    """The campaign's evaluator at k = ``repetitions``, with ``components``
+    in place of its estimators of the same names."""
+    campaign = get_campaign("montecarlo-convergence")
+    campaign = dataclasses.replace(campaign, components={**campaign.components, **components})
+    return campaign.build_evaluator(campaign.programs(mutant), repetitions,
+                                    DEFAULT_BUDGET_SECONDS)
+
+
 def convergence_relation(budgets, source, repetitions):
     """One median-of-k convergence check, with entropy drawn from ``source``."""
-    pair = make_estimator_pair(pi_approximation, pi_approximation)
-    relation = make_convergence_relation(repetitions)
     case = InputCase(budgets, Provenance(seed=source.next_u64(), iteration=0))
-    return evaluate_pair(pair, relation, case)
+    return convergence_evaluator(repetitions)(case)
 
 
 class ZeroSource:
@@ -167,23 +173,29 @@ def test_budget_pair_validation():
 
 
 def test_relation_check_is_reflexive_on_equal_outputs():
-    relation = make_convergence_relation(5)
-    assert relation.check(error_from_pi(3.2), error_from_pi(3.2)) is True
+    # both sides estimate 3.2, so their distances from pi are equal
+    evaluate = convergence_evaluator(5, small=lambda n, src: 3.2, large=lambda n, src: 3.2)
+    outcome = evaluate(InputCase(SampleBudgetPair(), Provenance(1, 1)))
+    assert outcome.status is RelationStatus.HOLDS
+    assert outcome.original_output == error_from_pi(3.2)
 
 
 def test_estimator_sides_return_their_distance_from_pi():
-    pair = make_estimator_pair(pi_approximation, pi_wrong_scale)
     budgets = SampleBudgetPair(n_small=10, n_large=1000)
-    assert pair.original(budgets, SeededSource(3)) == error_from_pi(
-        pi_approximation(10, SeededSource(3)))
-    assert pair.variant(budgets, SeededSource(3)) == error_from_pi(
-        pi_wrong_scale(1000, SeededSource(3)))
+    provenance = Provenance(3, 1)
+    # at k=1 the medians are the single trials' outputs; wrong-scale's
+    # distance (about pi/2) exceeds the small side's, so both are reported
+    outcome = convergence_evaluator(1, "wrong-scale")(InputCase(budgets, provenance))
+    assert outcome.status is RelationStatus.VIOLATED
+    assert outcome.original_output == error_from_pi(
+        pi_approximation(10, original_source(provenance, 0)))
+    assert outcome.variant_output == error_from_pi(
+        pi_wrong_scale(1000, variant_source(provenance, 0)))
 
 
 def test_estimator_that_returns_no_number_fails_its_labelled_trial():
-    pair = make_estimator_pair(lambda n, src: None, pi_approximation)
-    outcome = evaluate_pair(pair, make_convergence_relation(3),
-                            InputCase(SampleBudgetPair(), Provenance(1, 1)))
+    evaluate = convergence_evaluator(3, small=lambda n, src: None)
+    outcome = evaluate(InputCase(SampleBudgetPair(), Provenance(1, 1)))
     assert outcome.status is RelationStatus.EXECUTION_ERROR
     assert outcome.error_detail.startswith("original trial 0: TypeError: ")
 

@@ -73,6 +73,36 @@ def test_campaign_rejects_a_mutant_replacing_an_undeclared_component():
         dataclasses.replace(campaign, mutants=campaign.mutants + (empty,))
 
 
+def test_campaign_rejects_duplicate_mutant_names():
+    campaign = get_campaign("sorting-unit")
+    with pytest.raises(ValueError, match="duplicate mutant names in campaign sorting-unit"):
+        dataclasses.replace(campaign, mutants=campaign.mutants * 2)
+
+
+def test_intramorphic_campaign_needs_a_descriptor():
+    with pytest.raises(ValueError,
+                       match="campaign sorting-equivalence is intramorphic but has no descriptor"):
+        dataclasses.replace(get_campaign("sorting-equivalence"), descriptor=None)
+
+
+# default repetitions are the k of a median-of-k relation, so a campaign
+# has them exactly when its descriptor admits false alarms
+def test_campaign_has_default_repetitions_exactly_when_stochastic():
+    stochastic = get_campaign("montecarlo-convergence")
+    deterministic_descriptor = dataclasses.replace(stochastic.descriptor,
+                                                   false_alarm_possible=False)
+    copies = [
+        lambda: dataclasses.replace(get_campaign("sorting-unit"), default_repetitions=3),
+        lambda: dataclasses.replace(get_campaign("sorting-equivalence"), default_repetitions=3),
+        lambda: dataclasses.replace(stochastic, default_repetitions=None),
+        lambda: dataclasses.replace(stochastic, descriptor=deterministic_descriptor),
+    ]
+    for copy in copies:
+        with pytest.raises(ValueError, match="must have default repetitions exactly "
+                                             "when it is stochastic"):
+            copy()
+
+
 def test_every_public_name_resolves():
     namespace = {}
     # a name in __all__ that the package does not define makes the import raise
