@@ -1,9 +1,14 @@
 #!/usr/bin/env python3
-"""Measure how often the pi convergence check fails without aggregation.
+"""Count how often the pi convergence check fails without aggregation.
 
-A single unlucky trial can leave the small-sample estimate closer to pi than
-the large-sample one. This script quantifies that false-alarm rate at k=1 and
-contrasts it with the median-of-k campaign at the same seed.
+A single unlucky trial could leave the small-sample estimate closer to pi
+than the large-sample one. This script counts such violations at k=1 and in
+the median-of-k campaign at the same seed. At the campaign's sample counts
+it finds none, so it shows that the rate is negligible rather than measuring
+it: with n_small=10 the small estimate moves in steps of 0.4, and the one
+closest to pi, 3.2, is 0.058 away, about 11 standard deviations of the
+100,000-point estimate (sigma ~ 0.0052). At seed 42 both rates read 0.0000%,
+over 200 and over 1,000 iterations.
 """
 
 import argparse

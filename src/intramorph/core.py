@@ -209,14 +209,6 @@ def generation_sources(seed: int, iterations: int) -> Iterator[SeededSource]:
         size = min(2 * size, _LARGEST_BLOCK)
 
 
-def original_source(provenance: Provenance, trial: int) -> SeededSource:
-    return DerivedSource(provenance.seed, provenance.iteration, _SALT_ORIGINAL, trial)
-
-
-def variant_source(provenance: Provenance, trial: int) -> SeededSource:
-    return DerivedSource(provenance.seed, provenance.iteration, _SALT_VARIANT, trial)
-
-
 def picker_source(provenance: Provenance) -> SeededSource:
     return DerivedSource(provenance.seed, provenance.iteration, _SALT_PICKER)
 
@@ -228,7 +220,7 @@ class _BudgetExpired(BaseException):
 
 
 class ProgramFailed(Exception):
-    """A program raised or overran; carries its label, chains the cause."""
+    """A baseline oracle's sort call failed; carries its label, chains the cause."""
 
 
 # what an evaluation may raise and still be counted as an execution error;
@@ -326,15 +318,22 @@ def guarded_evaluator(budget: Optional[float], body: Optional[Evaluator] = None,
 
     It judges a case by ``body(case)``, or by running both programs of
     ``pair``, each on a source derived from the case's provenance, and
-    judging ``relation``, median-of-k if it has repetitions.
+    judging ``relation``.
+
+    With ``relation.repetitions`` k set, the k original trials run first,
+    then the variant trials until (k+1)/2 of them satisfy ``check`` against
+    the original median, which settles the median-of-k verdict (see
+    ``IntramorphicRelation``): a holding outcome carries no variant output,
+    and a violation runs every trial and carries both medians.
 
     The budget covers the whole evaluation. An overrun, an exception the
     evaluation raises, or its ``sys.exit()``, becomes EXECUTION_ERROR with a
-    detail, prefixed with the side for a program's failure; a
-    KeyboardInterrupt still stops the caller. On the main thread the budget
-    is a deadline that a SIGALRM timer enforces, inside the caller's
-    ``alarm_scope`` or a scope of its own; off it, the evaluation runs in a
-    daemon worker that can be abandoned, not killed.
+    detail, prefixed with the side (``original``, or ``variant trial 2``
+    under median-of-k) for a program's failure; a KeyboardInterrupt still
+    stops the caller. On the main thread the budget is a deadline that a
+    SIGALRM timer enforces, inside the caller's ``alarm_scope`` or a scope of
+    its own; off it, the evaluation runs in a daemon worker that can be
+    abandoned, not killed.
 
     The timer is armed only when no alarm is due by the deadline; otherwise
     the handler re-arms the pending alarm for the time left. The deadline is
@@ -348,10 +347,8 @@ def guarded_evaluator(budget: Optional[float], body: Optional[Evaluator] = None,
             raise ConfigurationError(
                 "statistical repetitions must be set exactly when the descriptor "
                 "declares false alarms possible")
-        if relation.repetitions is not None:
-            return guarded_evaluator(
-                budget, lambda case: _evaluate_statistical(pair, relation, case))
         original, variant, check = pair.original, pair.variant, relation.check
+        k = relation.repetitions
     holds, violated = RelationStatus.HOLDS, RelationStatus.VIOLATED
     new, monotonic, get_ident = tuple.__new__, time.monotonic, threading.get_ident
 
@@ -375,6 +372,29 @@ def guarded_evaluator(budget: Optional[float], body: Optional[Evaluator] = None,
             try:
                 if body is not None:
                     outcome = body(case)
+                elif k is not None:
+                    payload, (seed, iteration) = case
+                    outputs = []
+                    # side spans the program's call only, not its source or output
+                    for trial in range(k):
+                        source = DerivedSource(seed, iteration, _SALT_ORIGINAL, trial)
+                        side = f"original trial {trial}"
+                        outputs.append(original(payload, source))
+                        side = None
+                    median = statistics.median(outputs)
+                    outputs, passes_needed = [], (k + 1) // 2
+                    for trial in range(k):
+                        source = DerivedSource(seed, iteration, _SALT_VARIANT, trial)
+                        side = f"variant trial {trial}"
+                        outputs.append(variant(payload, source))
+                        side = None
+                        if check(median, outputs[-1]):
+                            passes_needed -= 1
+                            if passes_needed == 0:
+                                outcome = RelationOutcome(holds, median)
+                                break
+                    else:
+                        outcome = RelationOutcome(violated, median, statistics.median(outputs))
                 else:
                     payload, (seed, iteration) = case
                     side = "original"
@@ -418,51 +438,11 @@ def _in_worker(unbounded: Evaluator, case: InputCase, budget: float) -> Relation
     return box["value"]
 
 
-def _run_program(label: str, fn: Callable, *args: Any) -> Any:
-    """fn(*args), with a failure, an overrun included, labelled ``label``."""
-    try:
-        return fn(*args)
-    except EXECUTION_FAILURES as exc:
-        raise ProgramFailed(label) from exc
-
-
 def evaluate_pair(pair: ProgramPair, relation: IntramorphicRelation, case: InputCase,
                   *, budget: Optional[float] = DEFAULT_BUDGET_SECONDS) -> RelationOutcome:
     """Judge the relation on one case through the guarded evaluation path."""
     check_budget(budget)
     return guarded_evaluator(budget, pair=pair, relation=relation)(case)
-
-
-def _evaluate_statistical(pair: ProgramPair, relation: IntramorphicRelation,
-                          case: InputCase) -> RelationOutcome:
-    """Median-of-k: each side runs up to k times on derived sub-sources, and
-    ``check`` judges the two sides' median outputs; with k=1 it coincides
-    with the single-run verdict.
-
-    The k original trials run first. The variant trials then run in trial
-    order and stop as soon as (k+1)/2 of them satisfy ``check`` against the
-    original median: by the down-set/up-set requirement on ``check``, the
-    variant median then satisfies it too, whatever the remaining trials
-    would give. Such a holding outcome carries the original median and no
-    variant output. A violation runs every trial and carries both medians.
-    """
-    k, check = relation.repetitions, relation.check
-    original_median = statistics.median(
-        _run_program(f"original trial {trial}", pair.original, case.payload,
-                     original_source(case.provenance, trial))
-        for trial in range(k))
-    passes_needed = (k + 1) // 2
-    variant_outputs = []
-    for trial in range(k):
-        out = _run_program(f"variant trial {trial}", pair.variant, case.payload,
-                           variant_source(case.provenance, trial))
-        variant_outputs.append(out)
-        if check(original_median, out):
-            passes_needed -= 1
-            if passes_needed == 0:
-                return RelationOutcome(RelationStatus.HOLDS, original_median)
-    return RelationOutcome(RelationStatus.VIOLATED, original_median,
-                           statistics.median(variant_outputs))
 
 
 def equivalence_relation() -> IntramorphicRelation:

@@ -582,6 +582,21 @@ def test_statistical_check_that_raises_is_an_unlabelled_execution_error():
     assert outcome.error_detail == "TypeError: no comparison"
 
 
+def never_none(original_median, variant_output):
+    return variant_output is not None and original_median <= variant_output
+
+
+@pytest.mark.parametrize("original, variant", [
+    ([1.0, None], [2.0]),   # the original median cannot order its trials
+    ([1.0], [None]),        # every variant trial fails, so the variant median runs
+], ids=["original-median", "variant-median"])
+def test_statistical_median_that_raises_is_an_unlabelled_execution_error(original, variant):
+    outcome = evaluate_pair(scripted_pair(original, variant), median_relation(3, never_none),
+                            case_for(None))
+    assert outcome.status is RelationStatus.EXECUTION_ERROR
+    assert outcome.error_detail.startswith("TypeError: '<' not supported between instances")
+
+
 def test_statistical_violation_carries_medians():
     # the variant's first trial passes against the original median 5 and the
     # other two fail, so every trial runs and the variant median is 4
@@ -591,6 +606,58 @@ def test_statistical_violation_carries_medians():
     assert outcome.status is RelationStatus.VIOLATED
     assert (outcome.original_output, outcome.variant_output) == (5.0, 4.0)
     assert relation.check(outcome.original_output, outcome.variant_output) is False
+
+
+def off_main_thread(evaluate):
+    box = {}
+    worker = threading.Thread(target=lambda: box.setdefault("outcome", evaluate()))
+    worker.start()
+    worker.join(10)
+    return box["outcome"]
+
+
+def raising_on_call(failing_call):
+    """A program that returns 2.0, except on call ``failing_call`` (from 1)."""
+    calls = []
+
+    def program(payload, src):
+        calls.append(None)
+        if len(calls) == failing_call:
+            raise RuntimeError("trial failed")
+        return 2.0
+
+    return program
+
+
+@pytest.mark.parametrize("make_pair, expected", [
+    (lambda: scripted_pair([1.0, 9.0, 2.0], [5.0, 4.0, 6.0]),
+     (RelationStatus.HOLDS, 2.0, None, None)),
+    (lambda: scripted_pair([9.0, 1.0, 5.0], [7.0, 4.0, 2.0]),
+     (RelationStatus.VIOLATED, 5.0, 4.0, None)),
+    # variant trial 0 passes, so trial 1 runs and raises
+    (lambda: ProgramPair(original=Replay([1.0]), variant=raising_on_call(2),
+                         descriptor=plain_descriptor(false_alarms=True)),
+     (RelationStatus.EXECUTION_ERROR, None, None, "variant trial 1: RuntimeError: trial failed")),
+], ids=["holds", "violated", "variant-trial-raises"])
+def test_median_of_k_under_a_budget_judges_alike_on_and_off_the_main_thread(make_pair,
+                                                                            expected):
+    def evaluate():
+        return evaluate_pair(make_pair(), median_relation(3), case_for(None), budget=5.0)
+
+    assert tuple(evaluate()) == expected
+    assert tuple(off_main_thread(evaluate)) == expected
+
+
+def test_median_of_k_trial_past_the_budget_is_an_overrun_on_and_off_the_main_thread():
+    def evaluate():
+        pair = ProgramPair(original=Replay([1.0]), variant=sleeping(1),
+                           descriptor=plain_descriptor(false_alarms=True))
+        return evaluate_pair(pair, median_relation(3), case_for(None), budget=0.05)
+
+    # the alarm stops the sleeping trial, which labels it; off the main
+    # thread the worker running the trials is abandoned, unlabelled
+    assert evaluate().error_detail == "variant trial 0: execution budget of 0.05s exceeded"
+    assert off_main_thread(evaluate).error_detail == "execution budget of 0.05s exceeded"
 
 
 def scripted_trials(k):

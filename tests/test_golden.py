@@ -1,7 +1,7 @@
 """Golden CLI outputs: the campaign list, every mutant catalog, the detection
 matrix as CSV and as JSON, the JSON run report of every (campaign, mutant)
-pair, control included, a few run reports as CSV, and one run at a k other
-than its campaign's default.
+pair, control included, a few run reports as CSV, and runs at a k other
+than their campaign's default.
 
 Each output is compared byte for byte with its file under ``tests/golden/``,
 without its wall time: JSON ``wall_time_ms`` lines are stripped, and so is
@@ -31,7 +31,8 @@ CSV_RUNS = (("sorting-intramorphic", "swap-index-i"),
             ("montecarlo-convergence", "wrong-scale"),
             ("montecarlo-convergence", None))
 # (campaign, mutant, k) runs whose k replaces the campaign's default
-K_RUNS = (("montecarlo-convergence", "wrong-scale", 3),)
+K_RUNS = (("montecarlo-convergence", "wrong-scale", 1),
+          ("montecarlo-convergence", "wrong-scale", 3))
 
 
 def run_argv(campaign: str, mutant) -> list[str]:

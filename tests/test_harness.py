@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import math
 import signal
+import statistics
 import sys
 import threading
 import time
@@ -26,6 +27,7 @@ from intramorph.harness import (CampaignConfig, Counterexample, run_campaign,
                                 run_detection_matrix)
 from intramorph.registry import default_registry, get_campaign
 from intramorph.report import campaign_report_csv, campaign_report_document, to_json
+from intramorph.seeds import DerivedSource
 
 
 def replacing(name, **programs):
@@ -445,11 +447,12 @@ def test_failing_program_is_a_counted_execution_error_in_every_style(target, bro
 #
 # Until guarded_evaluator built one closure per run, every evaluation went
 # through six layers: the registry's lambda, guarded_evaluation, _timed, the
-# pair body, _evaluate_single and _run_program per side. That composition is
-# kept here as the reference, installed through the registry's module global
-# guarded_evaluator, and the two must give the same outcomes, error details
-# byte for byte. The comparisons run on the main thread, so the reference
-# leaves out the daemon-worker path.
+# pair body, _evaluate_single (or the median-of-k _evaluate_statistical) and
+# _run_program per side. That composition is kept here as the reference,
+# installed through the registry's module global guarded_evaluator, and the
+# two must give the same outcomes, error details byte for byte. The
+# comparisons run on the main thread, so the reference leaves out the
+# daemon-worker path.
 
 def layered_run_program(label, fn, *args):
     try:
@@ -494,13 +497,39 @@ def layered_guarded_evaluation(body, case, budget):
         return RelationOutcome.execution_error(layered_describe(exc, budget))
 
 
+def trial_source(case, salt, trial):
+    return DerivedSource(case.provenance.seed, case.provenance.iteration, salt, trial)
+
+
 def layered_evaluate_single(pair, relation, case):
     original_out = layered_run_program("original", pair.original, case.payload,
-                                       core.original_source(case.provenance, 0))
+                                       trial_source(case, core._SALT_ORIGINAL, 0))
     variant_out = layered_run_program("variant", pair.variant, case.payload,
-                                      core.variant_source(case.provenance, 0))
+                                      trial_source(case, core._SALT_VARIANT, 0))
     return RelationOutcome.from_check(relation.check(original_out, variant_out),
                                       original_out, variant_out)
+
+
+def layered_evaluate_statistical(pair, relation, case):
+    """The k original trials, their median, then the variant trials until
+    (k+1)/2 of them pass against it."""
+    k, check = relation.repetitions, relation.check
+    original_median = statistics.median(
+        layered_run_program(f"original trial {trial}", pair.original, case.payload,
+                            trial_source(case, core._SALT_ORIGINAL, trial))
+        for trial in range(k))
+    passes_needed = (k + 1) // 2
+    variant_outputs = []
+    for trial in range(k):
+        out = layered_run_program(f"variant trial {trial}", pair.variant, case.payload,
+                                  trial_source(case, core._SALT_VARIANT, trial))
+        variant_outputs.append(out)
+        if check(original_median, out):
+            passes_needed -= 1
+            if passes_needed == 0:
+                return RelationOutcome(RelationStatus.HOLDS, original_median)
+    return RelationOutcome(RelationStatus.VIOLATED, original_median,
+                           statistics.median(variant_outputs))
 
 
 def layered_evaluator(budget, body=None, *, pair=None, relation=None):
@@ -511,7 +540,7 @@ def layered_evaluator(budget, body=None, *, pair=None, relation=None):
         if relation.repetitions is None:
             body = lambda case: layered_evaluate_single(pair, relation, case)
         else:
-            body = lambda case: core._evaluate_statistical(pair, relation, case)
+            body = lambda case: layered_evaluate_statistical(pair, relation, case)
     return lambda case: layered_guarded_evaluation(body, case, budget)
 
 

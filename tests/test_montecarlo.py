@@ -14,9 +14,10 @@ from intramorph.cases.montecarlo import (SampleBudgetPair, error_from_pi, pi_app
                                          pi_boundary_strict, pi_one_coordinate,
                                          pi_wrong_scale)
 import intramorph.core as core
+import intramorph.registry as registry
 from intramorph.core import (DEFAULT_BUDGET_SECONDS, ConfigurationError, InputCase,
                              Provenance, RelationOutcome, RelationStatus, UnknownMutantError,
-                             generation_sources, original_source, variant_source)
+                             generation_sources)
 from intramorph.harness import CampaignConfig, run_campaign
 from intramorph.registry import get_campaign
 from intramorph.seeds import UNIT_BLOCK_CHUNK, DerivedSource, SeededSource
@@ -188,9 +189,9 @@ def test_estimator_sides_return_their_distance_from_pi():
     outcome = convergence_evaluator(1, "wrong-scale")(InputCase(budgets, provenance))
     assert outcome.status is RelationStatus.VIOLATED
     assert outcome.original_output == error_from_pi(
-        pi_approximation(10, original_source(provenance, 0)))
+        pi_approximation(10, DerivedSource(*provenance, core._SALT_ORIGINAL, 0)))
     assert outcome.variant_output == error_from_pi(
-        pi_wrong_scale(1000, variant_source(provenance, 0)))
+        pi_wrong_scale(1000, DerivedSource(*provenance, core._SALT_VARIANT, 0)))
 
 
 def test_estimator_that_returns_no_number_fails_its_labelled_trial():
@@ -218,18 +219,25 @@ def test_convergence_outcome_carries_median_errors():
 
 # --- early-stopping median-of-k against the all-trials reference -------------
 
+def run_trial(label, program, case, salt, trial):
+    """``program`` on its trial's source, with a failure labelled ``label``."""
+    source = DerivedSource(case.provenance.seed, case.provenance.iteration, salt, trial)
+    try:
+        return program(case.payload, source)
+    except core.EXECUTION_FAILURES as exc:
+        raise core.ProgramFailed(label) from exc
+
+
 def all_trials_statistical(pair, relation, case):
-    """Reference for ``core._evaluate_statistical``: every trial of both
-    sides runs, interleaved, and the verdict checks the two full medians."""
+    """Reference for the median-of-k evaluation: every trial of both sides
+    runs, interleaved, and the verdict checks the two full medians."""
     original_outputs = []
     variant_outputs = []
     for trial in range(relation.repetitions):
-        original_outputs.append(core._run_program(
-            f"original trial {trial}", pair.original, case.payload,
-            original_source(case.provenance, trial)))
-        variant_outputs.append(core._run_program(
-            f"variant trial {trial}", pair.variant, case.payload,
-            variant_source(case.provenance, trial)))
+        original_outputs.append(run_trial(f"original trial {trial}", pair.original, case,
+                                          core._SALT_ORIGINAL, trial))
+        variant_outputs.append(run_trial(f"variant trial {trial}", pair.variant, case,
+                                         core._SALT_VARIANT, trial))
 
     original_median = statistics.median(original_outputs)
     variant_median = statistics.median(variant_outputs)
@@ -241,13 +249,20 @@ def all_trials_statistical(pair, relation, case):
 @pytest.mark.parametrize("mutant", [None, "wrong-scale", "boundary-strict", "one-coordinate"])
 def test_early_stop_matches_the_all_trials_reference(mutant, repetitions):
     campaign = get_campaign("montecarlo-convergence")
-    evaluator = campaign.build_evaluator(campaign.programs(mutant), repetitions, None)
+    programs = campaign.programs(mutant)
+    evaluator = campaign.build_evaluator(programs, repetitions, None)
+
+    def all_trials_evaluator(budget, *, pair, relation):
+        return core.guarded_evaluator(
+            budget, lambda case: all_trials_statistical(pair, relation, case))
+
+    with mock.patch.object(registry, "guarded_evaluator", all_trials_evaluator):
+        reference = campaign.build_evaluator(programs, repetitions, None)
     seed = 2024
     for iteration, source in enumerate(generation_sources(seed, 30), start=1):
         case = InputCase(campaign.generate(source), Provenance(seed, iteration))
         outcome = evaluator(case)
-        with mock.patch.object(core, "_evaluate_statistical", all_trials_statistical):
-            expected = evaluator(case)
+        expected = reference(case)
         assert outcome.status is expected.status, iteration
         assert outcome.original_output == expected.original_output, iteration
         if outcome.status is RelationStatus.VIOLATED:
