@@ -24,7 +24,7 @@ def not_a_list(output: Any) -> TypeError:
 
 def _sort_copy(sort_fn: SortFunction, values: Sequence[int], label: str) -> list:
     """Sorts a private copy; a sort that returns no list failed, not answered.
-    A failure, an overrun included, is labelled with ``label``."""
+    A failure of the sort is labelled with ``label``; an overrun is not."""
     try:
         output = sort_fn(list(values))
     except EXECUTION_FAILURES as exc:

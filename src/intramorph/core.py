@@ -128,16 +128,15 @@ class InputCase(NamedTuple):
 
 @dataclass(frozen=True)
 class ProgramPair:
-    """Original and variant as pure functions of (payload, source).
-
-    Both callables must be deterministic given their arguments; stochastic
+    """Original and variant as pure functions of (payload, source); how the
+    variant was derived is its campaign's descriptor, not the pair's. Both
+    callables must be deterministic given their arguments; stochastic
     programs draw all randomness from the explicit source. Payloads are
     immutable values, so neither side can disturb the other.
     """
 
     original: Callable[[Any, SeededSource], Any]
     variant: Callable[[Any, SeededSource], Any]
-    descriptor: TransformationDescriptor
 
 
 @dataclass(frozen=True)
@@ -214,18 +213,18 @@ def picker_source(provenance: Provenance) -> SeededSource:
 
 
 class _BudgetExpired(BaseException):
-    """Raised on overrun; not an Exception, so only a program that catches
-    BaseException can swallow it, and its evaluator still counts that
-    evaluation as an overrun once it ends past its deadline."""
+    """Raised by the alarm at an evaluation's deadline. Not an Exception, so
+    only a program that catches BaseException can swallow it, and no side's
+    label wraps it: the evaluator makes it the one unlabelled overrun."""
 
 
 class ProgramFailed(Exception):
     """A baseline oracle's sort call failed; carries its label, chains the cause."""
 
 
-# what an evaluation may raise and still be counted as an execution error;
-# a KeyboardInterrupt stops the caller
-EXECUTION_FAILURES = (Exception, SystemExit, _BudgetExpired)
+# what a program may raise itself, counted as an execution error labelled
+# with its side; an overrun is never labelled, and a KeyboardInterrupt stops the run
+EXECUTION_FAILURES = (Exception, SystemExit)
 
 
 # The budget's SIGALRM handler is installed once per alarm scope (a whole
@@ -303,12 +302,14 @@ def check_budget(budget: Optional[float]) -> None:
             f"budget must be None or a positive finite number of seconds, got {budget!r}")
 
 
-def _describe(exc: BaseException, budget: Optional[float]) -> str:
+def _describe(exc: BaseException) -> str:
     if isinstance(exc, ProgramFailed):
-        return f"{exc}: {_describe(exc.__cause__, budget)}"
-    if isinstance(exc, _BudgetExpired):
-        return f"execution budget of {budget}s exceeded"
+        return f"{exc}: {_describe(exc.__cause__)}"
     return f"{type(exc).__name__}: {exc}"
+
+
+def _overrun(budget: float) -> RelationOutcome:   # built only when a budget is overrun
+    return RelationOutcome.execution_error(f"execution budget of {budget}s exceeded")
 
 
 def guarded_evaluator(budget: Optional[float], body: Optional[Evaluator] = None, *,
@@ -317,36 +318,31 @@ def guarded_evaluator(budget: Optional[float], body: Optional[Evaluator] = None,
     """The one evaluation path: the evaluator of one run, built once for it.
 
     It judges a case by ``body(case)``, or by running both programs of
-    ``pair``, each on a source derived from the case's provenance, and
-    judging ``relation``.
-
+    ``pair`` (which carries no descriptor), each on a source derived from
+    the case's provenance, and judging ``relation`` at whatever k it has.
     With ``relation.repetitions`` k set, the k original trials run first,
     then the variant trials until (k+1)/2 of them satisfy ``check`` against
     the original median, which settles the median-of-k verdict (see
     ``IntramorphicRelation``): a holding outcome carries no variant output,
     and a violation runs every trial and carries both medians.
 
-    The budget covers the whole evaluation. An overrun, an exception the
-    evaluation raises, or its ``sys.exit()``, becomes EXECUTION_ERROR with a
-    detail, prefixed with the side (``original``, or ``variant trial 2``
-    under median-of-k) for a program's failure; a KeyboardInterrupt still
-    stops the caller. On the main thread the budget is a deadline that a
-    SIGALRM timer enforces, inside the caller's ``alarm_scope`` or a scope of
-    its own; off it, the evaluation runs in a daemon worker that can be
-    abandoned, not killed.
-
-    The timer is armed only when no alarm is due by the deadline; otherwise
-    the handler re-arms the pending alarm for the time left. The deadline is
-    set before the timer is checked, so an alarm that lands in between finds
-    the evaluation running. An evaluation that ends past its deadline is an
-    overrun even when no alarm stopped it, as when its program swallowed
-    ``_BudgetExpired``, set SIGALRM to ``SIG_IGN`` or disarmed the timer.
+    The budget covers the whole evaluation. An exception the evaluation
+    raises, or its ``sys.exit()``, becomes EXECUTION_ERROR with a detail,
+    prefixed with the side (``original``, or ``variant trial 2`` under
+    median-of-k) for a program's failure; a KeyboardInterrupt still stops
+    the caller. An overrun is never labelled, since its cause is the budget:
+    its detail is ``execution budget of {budget}s exceeded`` on either
+    thread, wherever the alarm lands, and when the evaluation ends past its
+    deadline unstopped, as when its program swallowed ``_BudgetExpired``,
+    set SIGALRM to ``SIG_IGN`` or disarmed the timer. On the main thread the
+    budget is a deadline that a SIGALRM timer enforces, inside the caller's
+    ``alarm_scope`` or a scope of its own, armed only when no alarm is due
+    by the deadline (else the handler re-arms the pending alarm for the time
+    left); the deadline is set first, so an alarm that lands in between
+    finds the evaluation running. Off it, the evaluation runs in a daemon
+    worker that can be abandoned, not killed.
     """
     if pair is not None:
-        if (relation.repetitions is not None) != pair.descriptor.false_alarm_possible:
-            raise ConfigurationError(
-                "statistical repetitions must be set exactly when the descriptor "
-                "declares false alarms possible")
         original, variant, check = pair.original, pair.variant, relation.check
         k = relation.repetitions
     holds, violated = RelationStatus.HOLDS, RelationStatus.VIOLATED
@@ -408,10 +404,12 @@ def guarded_evaluator(budget: Optional[float], body: Optional[Evaluator] = None,
                 if budget is not None:
                     _deadline = None
             if budget is not None and monotonic() >= deadline:
-                raise _BudgetExpired()
+                return _overrun(budget)
             return outcome
+        except _BudgetExpired:
+            return _overrun(budget)
         except EXECUTION_FAILURES as exc:
-            detail = _describe(exc, budget)
+            detail = _describe(exc)
             return new(RelationOutcome, (RelationStatus.EXECUTION_ERROR, None, None,
                                          detail if side is None else f"{side}: {detail}"))
 
@@ -432,7 +430,7 @@ def _in_worker(unbounded: Evaluator, case: InputCase, budget: float) -> Relation
     worker.start()
     worker.join(budget)
     if worker.is_alive():
-        return RelationOutcome.execution_error(_describe(_BudgetExpired(), budget))
+        return _overrun(budget)
     if "error" in box:
         raise box["error"]
     return box["value"]
@@ -440,7 +438,8 @@ def _in_worker(unbounded: Evaluator, case: InputCase, budget: float) -> Relation
 
 def evaluate_pair(pair: ProgramPair, relation: IntramorphicRelation, case: InputCase,
                   *, budget: Optional[float] = DEFAULT_BUDGET_SECONDS) -> RelationOutcome:
-    """Judge the relation on one case through the guarded evaluation path."""
+    """Judge the relation on one case, at its k if it has one, through the
+    guarded evaluation path, where an overrun names no side."""
     check_budget(budget)
     return guarded_evaluator(budget, pair=pair, relation=relation)(case)
 

@@ -41,18 +41,18 @@ DEFAULT_BUDGETS = montecarlo.SampleBudgetPair()
 
 
 def _pair_campaign(relation: IntramorphicRelation, original: Side, variant: Side,
-                   descriptor: TransformationDescriptor, **fields) -> Campaign:
-    """A campaign that judges ``relation`` on a program pair under
-    ``descriptor``; ``original`` and ``variant`` turn the resolved programs
-    into the two (payload, source) programs. The relation's k is the
-    campaign's default, and a run with another k judges a copy that has it."""
+                   **fields) -> Campaign:
+    """A campaign that judges ``relation`` on a program pair; ``original``
+    and ``variant`` turn the resolved programs into the two (payload,
+    source) programs. The relation's k is the campaign's default, and a run
+    with another k judges a copy that has it."""
     def build_evaluator(programs, repetitions, budget):
-        pair = ProgramPair(original(programs), variant(programs), descriptor)
+        pair = ProgramPair(original(programs), variant(programs))
         judged = (relation if repetitions == relation.repetitions
                   else dataclasses.replace(relation, repetitions=repetitions))
         return guarded_evaluator(budget, pair=pair, relation=judged)
 
-    return Campaign(build_evaluator=build_evaluator, descriptor=descriptor,
+    return Campaign(build_evaluator=build_evaluator,
                     default_repetitions=relation.repetitions, **fields)
 
 

@@ -17,22 +17,14 @@ from hypothesis import strategies as st
 
 import intramorph.core as core
 import intramorph.seeds as seeds
+from intramorph.baselines import differential_oracle
 from intramorph.cases import sorting
 from intramorph.harness import CampaignConfig, run_campaign
 from intramorph.registry import get_campaign
 from intramorph.core import (ApplicationMode, Automation, ConfigurationError,
-                             Granularity, InputCase, IntramorphicRelation, ProgramPair,
+                             InputCase, IntramorphicRelation, ProgramPair,
                              Provenance, RelationStatus, TransformationDescriptor,
                              alarm_scope, equivalence_relation, evaluate_pair)
-
-
-def plain_descriptor(false_alarms=False):
-    return TransformationDescriptor(
-        granularity=Granularity.OPERATOR,
-        application_mode=ApplicationMode.ADDED_ALONGSIDE,
-        automation=Automation.MANUAL,
-        relation_complete=True,
-        false_alarm_possible=false_alarms)
 
 
 REVERSE = IntramorphicRelation("reverse-order", sorting.reverse_relation)
@@ -41,12 +33,32 @@ REVERSE = IntramorphicRelation("reverse-order", sorting.reverse_relation)
 def sort_pair(forward=sorting.bubble_sort, reverse=sorting.bubble_sort_reverse):
     return ProgramPair(
         original=lambda payload, src: forward(list(payload)),
-        variant=lambda payload, src: reverse(list(payload)),
-        descriptor=plain_descriptor())
+        variant=lambda payload, src: reverse(list(payload)))
 
 
 def case_for(payload, seed=0, iteration=1):
     return InputCase(payload, Provenance(seed, iteration))
+
+
+# an overrun reads alike on both threads: the alarm stops the program on the
+# main thread, and off it the worker running the program is abandoned
+OVERRUN = "execution budget of 0.05s exceeded"
+
+
+def on_main_thread(evaluate):
+    return evaluate()
+
+
+def off_main_thread(evaluate):
+    box = {}
+    worker = threading.Thread(target=lambda: box.setdefault("outcome", evaluate()))
+    worker.start()
+    worker.join(10)
+    return box["outcome"]
+
+
+on_and_off_the_main_thread = pytest.mark.parametrize(
+    "run_on", [on_main_thread, off_main_thread], ids=["main-thread", "off-main-thread"])
 
 
 def test_reverse_pair_holds_on_example():
@@ -71,8 +83,7 @@ def test_buggy_original_violates_reverse_relation():
 def test_equivalence_holds_for_interchangeable_sorts():
     pair = ProgramPair(
         original=lambda payload, src: sorting.bubble_sort(list(payload)),
-        variant=lambda payload, src: sorting.merge_sort(list(payload)),
-        descriptor=plain_descriptor())
+        variant=lambda payload, src: sorting.merge_sort(list(payload)))
     outcome = evaluate_pair(pair, equivalence_relation(), case_for((3, 1, 2)))
     assert outcome.status is RelationStatus.HOLDS
     assert outcome.original_output == outcome.variant_output == [1, 2, 3]
@@ -81,8 +92,7 @@ def test_equivalence_holds_for_interchangeable_sorts():
 def test_equivalence_flags_buggy_side():
     pair = ProgramPair(
         original=lambda payload, src: sorting.bubble_sort_swap_index(list(payload)),
-        variant=lambda payload, src: sorting.merge_sort(list(payload)),
-        descriptor=plain_descriptor())
+        variant=lambda payload, src: sorting.merge_sort(list(payload)))
     outcome = evaluate_pair(pair, equivalence_relation(), case_for((3, 1, 2)))
     assert outcome.status is RelationStatus.VIOLATED
     assert outcome.original_output == [1, 2, 1]
@@ -93,8 +103,7 @@ def test_equivalence_flags_buggy_side():
 def test_variant_equal_to_original_always_holds(values):
     pair = ProgramPair(
         original=lambda payload, src: sorting.bubble_sort(list(payload)),
-        variant=lambda payload, src: sorting.bubble_sort(list(payload)),
-        descriptor=plain_descriptor())
+        variant=lambda payload, src: sorting.bubble_sort(list(payload)))
     outcome = evaluate_pair(pair, equivalence_relation(), case_for(tuple(values)))
     assert outcome.status is RelationStatus.HOLDS
 
@@ -124,47 +133,27 @@ def test_crash_becomes_execution_error():
         raise RuntimeError("boom")
 
     pair = ProgramPair(original=exploding,
-                       variant=lambda payload, src: list(payload),
-                       descriptor=plain_descriptor())
+                       variant=lambda payload, src: list(payload))
     outcome = evaluate_pair(pair, equivalence_relation(), case_for((1,)))
     assert outcome.status is RelationStatus.EXECUTION_ERROR
     assert "RuntimeError" in outcome.error_detail
     assert outcome.original_output is None
 
 
-def test_divergence_hits_the_budget_on_main_thread():
+@on_and_off_the_main_thread
+def test_divergence_hits_the_budget(run_on):
     def sleepy(payload, src):
         time.sleep(5)
         return []
 
     pair = ProgramPair(original=sleepy,
-                       variant=lambda payload, src: list(payload),
-                       descriptor=plain_descriptor())
+                       variant=lambda payload, src: list(payload))
     started = time.monotonic()
-    outcome = evaluate_pair(pair, equivalence_relation(), case_for((1,)), budget=0.05)
+    outcome = run_on(lambda: evaluate_pair(pair, equivalence_relation(), case_for((1,)),
+                                           budget=0.05))
     assert outcome.status is RelationStatus.EXECUTION_ERROR
-    assert outcome.error_detail == "original: execution budget of 0.05s exceeded"
+    assert outcome.error_detail == OVERRUN
     assert time.monotonic() - started < 2.0
-
-
-def test_divergence_hits_the_budget_off_main_thread():
-    def sleepy(payload, src):
-        time.sleep(5)
-        return []
-
-    pair = ProgramPair(original=sleepy,
-                       variant=lambda payload, src: list(payload),
-                       descriptor=plain_descriptor())
-    box = {}
-
-    def run():
-        box["outcome"] = evaluate_pair(pair, equivalence_relation(), case_for((1,)),
-                                       budget=0.05)
-
-    worker = threading.Thread(target=run)
-    worker.start()
-    worker.join(10)
-    assert box["outcome"].status is RelationStatus.EXECUTION_ERROR
 
 
 def test_relation_failure_becomes_execution_error():
@@ -192,8 +181,7 @@ def sleeping(seconds):
 
 def test_budget_covers_both_programs_together():
     # each side alone fits the budget; the evaluation as a whole does not
-    pair = ProgramPair(original=sleeping(0.03), variant=sleeping(0.03),
-                       descriptor=plain_descriptor())
+    pair = ProgramPair(original=sleeping(0.03), variant=sleeping(0.03))
     outcome = evaluate_pair(pair, equivalence_relation(), case_for(()), budget=0.05)
     assert outcome.status is RelationStatus.EXECUTION_ERROR
     assert "budget" in outcome.error_detail
@@ -208,7 +196,7 @@ def test_budget_covers_the_relation():
     started = time.monotonic()
     outcome = evaluate_pair(sort_pair(), slow, case_for((2, 1)), budget=0.05)
     assert outcome.status is RelationStatus.EXECUTION_ERROR
-    assert outcome.error_detail == "execution budget of 0.05s exceeded"
+    assert outcome.error_detail == OVERRUN
     assert time.monotonic() - started < 2.0
 
 
@@ -235,7 +223,7 @@ def test_guard_restores_the_alarm_handler(monkeypatch):
 def test_evaluate_pair_rejects_a_budget_that_is_not_positive_and_finite(budget):
     calls = []
     pair = ProgramPair(original=lambda payload, src: calls.append(payload) or [],
-                       variant=lambda payload, src: [], descriptor=plain_descriptor())
+                       variant=lambda payload, src: [])
     with pytest.raises(ConfigurationError, match=f"got {budget!r}$"):
         evaluate_pair(pair, equivalence_relation(), case_for(()), budget=budget)
     assert calls == []
@@ -250,10 +238,9 @@ def test_alarm_scope_installs_once_and_nested_scopes_do_not_restore():
             pass
         # the inner scope left the outer scope's handler in place
         assert signal.getsignal(signal.SIGALRM) is installed
-        pair = ProgramPair(original=sleeping(5), variant=sleeping(0),
-                           descriptor=plain_descriptor())
+        pair = ProgramPair(original=sleeping(5), variant=sleeping(0))
         outcome = evaluate_pair(pair, equivalence_relation(), case_for(()), budget=0.05)
-        assert outcome.error_detail == "original: execution budget of 0.05s exceeded"
+        assert outcome.error_detail == OVERRUN
         assert signal.getsignal(signal.SIGALRM) is installed
     assert signal.getsignal(signal.SIGALRM) is before
 
@@ -313,11 +300,10 @@ def test_program_cannot_swallow_the_budget():
                 pass
         return []
 
-    pair = ProgramPair(original=stubborn, variant=lambda payload, src: [],
-                       descriptor=plain_descriptor())
+    pair = ProgramPair(original=stubborn, variant=lambda payload, src: [])
     started = time.monotonic()
     outcome = evaluate_pair(pair, equivalence_relation(), case_for(()), budget=0.05)
-    assert outcome.error_detail == "original: execution budget of 0.05s exceeded"
+    assert outcome.error_detail == OVERRUN
     assert time.monotonic() - started < 0.9
 
 
@@ -329,11 +315,10 @@ def test_overrun_that_a_program_swallows_as_a_base_exception_is_still_counted():
             pass
         return []
 
-    pair = ProgramPair(original=swallowing, variant=lambda payload, src: [],
-                       descriptor=plain_descriptor())
+    pair = ProgramPair(original=swallowing, variant=lambda payload, src: [])
     started = time.monotonic()
     outcome = evaluate_pair(pair, equivalence_relation(), case_for(()), budget=0.05)
-    assert outcome.error_detail == "execution budget of 0.05s exceeded"
+    assert outcome.error_detail == OVERRUN
     assert time.monotonic() - started < 0.9
 
 
@@ -344,10 +329,9 @@ def test_overrun_of_a_program_that_ignores_the_alarm_is_still_counted():
         return []
 
     before = signal.getsignal(signal.SIGALRM)
-    pair = ProgramPair(original=ignoring, variant=lambda payload, src: [],
-                       descriptor=plain_descriptor())
+    pair = ProgramPair(original=ignoring, variant=lambda payload, src: [])
     outcome = evaluate_pair(pair, equivalence_relation(), case_for(()), budget=0.05)
-    assert outcome.error_detail == "execution budget of 0.05s exceeded"
+    assert outcome.error_detail == OVERRUN
     assert signal.getsignal(signal.SIGALRM) is before
 
 
@@ -375,7 +359,7 @@ def test_alarm_lost_in_a_gc_callback_fires_again(monkeypatch):
     elapsed = time.monotonic() - started
     # the collector swallowed the first alarm (and any that hit another callback)
     assert swallowed and set(swallowed) == {core._BudgetExpired}
-    assert outcome.error_detail == "variant: execution budget of 0.05s exceeded"
+    assert outcome.error_detail == OVERRUN
     assert elapsed < 0.5
 
 
@@ -395,7 +379,7 @@ def recording_setitimer(monkeypatch):
 
 
 def test_alarm_due_for_an_earlier_evaluation_does_not_cut_a_later_one_short(monkeypatch):
-    pair = ProgramPair(original=sleeping(0.005), variant=sleeping(0), descriptor=plain_descriptor())
+    pair = ProgramPair(original=sleeping(0.005), variant=sleeping(0))
     with alarm_scope():
         delays = recording_setitimer(monkeypatch)
         outcomes = [evaluate_pair(pair, equivalence_relation(), case_for(()), budget=0.1)
@@ -411,8 +395,8 @@ def test_alarm_due_for_an_earlier_evaluation_does_not_cut_a_later_one_short(monk
 def test_later_evaluation_over_budget_is_stopped(gap):
     # with no gap the first evaluation's alarm is still pending; after the gap
     # it has fired with nothing running and left the timer unarmed
-    quick = ProgramPair(original=sleeping(0), variant=sleeping(0), descriptor=plain_descriptor())
-    slow = ProgramPair(original=sleeping(0), variant=sleeping(5), descriptor=plain_descriptor())
+    quick = ProgramPair(original=sleeping(0), variant=sleeping(0))
+    slow = ProgramPair(original=sleeping(0), variant=sleeping(5))
     with alarm_scope():
         for _ in range(5):
             evaluate_pair(quick, equivalence_relation(), case_for(()), budget=0.05)
@@ -420,19 +404,19 @@ def test_later_evaluation_over_budget_is_stopped(gap):
         started = time.monotonic()
         outcome = evaluate_pair(slow, equivalence_relation(), case_for(()), budget=0.05)
         elapsed = time.monotonic() - started
-    assert outcome.error_detail == "variant: execution budget of 0.05s exceeded"
+    assert outcome.error_detail == OVERRUN
     assert elapsed < 1.0
 
 
 def test_shorter_budget_after_a_longer_one_is_stopped_at_its_own_deadline():
-    quick = ProgramPair(original=sleeping(0), variant=sleeping(0), descriptor=plain_descriptor())
-    slow = ProgramPair(original=sleeping(5), variant=sleeping(0), descriptor=plain_descriptor())
+    quick = ProgramPair(original=sleeping(0), variant=sleeping(0))
+    slow = ProgramPair(original=sleeping(5), variant=sleeping(0))
     with alarm_scope():
         evaluate_pair(quick, equivalence_relation(), case_for(()), budget=5.0)
         started = time.monotonic()
         outcome = evaluate_pair(slow, equivalence_relation(), case_for(()), budget=0.05)
         elapsed = time.monotonic() - started
-    assert outcome.error_detail == "original: execution budget of 0.05s exceeded"
+    assert outcome.error_detail == OVERRUN
     assert elapsed < 1.0
 
 
@@ -441,25 +425,23 @@ def test_program_that_disarms_the_alarm_loses_the_budget_until_it_was_due():
         signal.setitimer(signal.ITIMER_REAL, 0)
         return []
 
-    disarm = ProgramPair(original=disarming, variant=sleeping(0), descriptor=plain_descriptor())
+    disarm = ProgramPair(original=disarming, variant=sleeping(0))
     with alarm_scope():
         evaluate_pair(disarm, equivalence_relation(), case_for(()), budget=0.1)
         # the documented limit: this evaluation starts before the lost alarm
         # was due, so nothing stops it at its own deadline; it is counted as
         # an overrun once it returns
-        late = ProgramPair(original=sleeping(0.3), variant=sleeping(0),
-                           descriptor=plain_descriptor())
+        late = ProgramPair(original=sleeping(0.3), variant=sleeping(0))
         started = time.monotonic()
         outcome = evaluate_pair(late, equivalence_relation(), case_for(()), budget=0.1)
         assert time.monotonic() - started >= 0.3
         assert outcome.error_detail == "execution budget of 0.1s exceeded"
         # this one starts after the lost alarm was due, and arms the timer again
-        slow = ProgramPair(original=sleeping(5), variant=sleeping(0),
-                           descriptor=plain_descriptor())
+        slow = ProgramPair(original=sleeping(5), variant=sleeping(0))
         started = time.monotonic()
         outcome = evaluate_pair(slow, equivalence_relation(), case_for(()), budget=0.1)
         elapsed = time.monotonic() - started
-    assert outcome.error_detail == "original: execution budget of 0.1s exceeded"
+    assert outcome.error_detail == "execution budget of 0.1s exceeded"
     assert elapsed < 1.0
 
 
@@ -532,9 +514,8 @@ class Replay:
         return value
 
 
-def scripted_pair(original_values, variant_values, false_alarms=True):
-    return ProgramPair(original=Replay(original_values), variant=Replay(variant_values),
-                       descriptor=plain_descriptor(false_alarms=false_alarms))
+def scripted_pair(original_values, variant_values):
+    return ProgramPair(original=Replay(original_values), variant=Replay(variant_values))
 
 
 def at_most(a, b):
@@ -566,8 +547,7 @@ def test_statistical_failures_name_the_trial_or_become_errors():
 
         return program
 
-    pair = ProgramPair(original=failing_on_second_call(), variant=Replay([2.0]),
-                       descriptor=plain_descriptor(false_alarms=True))
+    pair = ProgramPair(original=failing_on_second_call(), variant=Replay([2.0]))
     outcome = evaluate_pair(pair, median_relation(3), case_for(None))
     assert outcome.error_detail == "original trial 1: RuntimeError: second trial"
 
@@ -608,14 +588,6 @@ def test_statistical_violation_carries_medians():
     assert relation.check(outcome.original_output, outcome.variant_output) is False
 
 
-def off_main_thread(evaluate):
-    box = {}
-    worker = threading.Thread(target=lambda: box.setdefault("outcome", evaluate()))
-    worker.start()
-    worker.join(10)
-    return box["outcome"]
-
-
 def raising_on_call(failing_call):
     """A program that returns 2.0, except on call ``failing_call`` (from 1)."""
     calls = []
@@ -635,8 +607,7 @@ def raising_on_call(failing_call):
     (lambda: scripted_pair([9.0, 1.0, 5.0], [7.0, 4.0, 2.0]),
      (RelationStatus.VIOLATED, 5.0, 4.0, None)),
     # variant trial 0 passes, so trial 1 runs and raises
-    (lambda: ProgramPair(original=Replay([1.0]), variant=raising_on_call(2),
-                         descriptor=plain_descriptor(false_alarms=True)),
+    (lambda: ProgramPair(original=Replay([1.0]), variant=raising_on_call(2)),
      (RelationStatus.EXECUTION_ERROR, None, None, "variant trial 1: RuntimeError: trial failed")),
 ], ids=["holds", "violated", "variant-trial-raises"])
 def test_median_of_k_under_a_budget_judges_alike_on_and_off_the_main_thread(make_pair,
@@ -648,16 +619,13 @@ def test_median_of_k_under_a_budget_judges_alike_on_and_off_the_main_thread(make
     assert tuple(off_main_thread(evaluate)) == expected
 
 
-def test_median_of_k_trial_past_the_budget_is_an_overrun_on_and_off_the_main_thread():
+@on_and_off_the_main_thread
+def test_median_of_k_trial_past_the_budget_is_an_overrun_on_and_off_the_main_thread(run_on):
     def evaluate():
-        pair = ProgramPair(original=Replay([1.0]), variant=sleeping(1),
-                           descriptor=plain_descriptor(false_alarms=True))
+        pair = ProgramPair(original=Replay([1.0]), variant=sleeping(1))
         return evaluate_pair(pair, median_relation(3), case_for(None), budget=0.05)
 
-    # the alarm stops the sleeping trial, which labels it; off the main
-    # thread the worker running the trials is abandoned, unlabelled
-    assert evaluate().error_detail == "variant trial 0: execution budget of 0.05s exceeded"
-    assert off_main_thread(evaluate).error_detail == "execution budget of 0.05s exceeded"
+    assert run_on(evaluate).error_detail == OVERRUN
 
 
 def scripted_trials(k):
@@ -697,7 +665,7 @@ def test_statistical_program_calls(k):
 def test_statistical_k1_matches_single_run_verdict(first, second):
     aggregated = evaluate_pair(scripted_pair([first], [second]),
                                median_relation(1), case_for(None))
-    plain = evaluate_pair(scripted_pair([first], [second], false_alarms=False),
+    plain = evaluate_pair(scripted_pair([first], [second]),
                           IntramorphicRelation("le", lambda o, v: o <= v),
                           case_for(None))
     assert aggregated.status is plain.status
@@ -718,18 +686,6 @@ def test_relation_validates_repetitions():
             IntramorphicRelation("le", lambda a, b: a <= b, repetitions=repetitions)
 
 
-def test_mismatched_statistical_config_is_rejected():
-    # descriptor says false alarms are possible, so a bare relation is an
-    # error, and so is a statistical relation on a pair that declares none
-    pair = scripted_pair([1.0], [2.0])
-    with pytest.raises(ConfigurationError):
-        evaluate_pair(pair, IntramorphicRelation("le", lambda o, v: o <= v),
-                      case_for(None))
-    with pytest.raises(ConfigurationError):
-        evaluate_pair(scripted_pair([1.0], [2.0], false_alarms=False), median_relation(1),
-                      case_for(None))
-
-
 def test_descriptor_requires_all_fields():
     with pytest.raises(ValueError):
         TransformationDescriptor(
@@ -738,3 +694,48 @@ def test_descriptor_requires_all_fields():
             automation=Automation.MANUAL,
             relation_complete=True,
             false_alarm_possible=False)
+
+
+# --- an overrun is never labelled, wherever its alarm lands -------------------
+
+def swallowing_once_then_spinning(*args):
+    """Swallows the budget's first alarm in a 0.2 s sleep, then spins until
+    0.5 s have passed outside any ``try``, where the alarm that the handler
+    re-armed escapes; returns its first argument if nothing stops it."""
+    until = time.monotonic() + 0.5
+    try:
+        time.sleep(0.2)
+    except BaseException:   # the budget's own exception included
+        pass
+    while time.monotonic() < until:
+        pass
+    return args[0]
+
+
+def single_run_original():
+    pair = ProgramPair(original=swallowing_once_then_spinning, variant=sleeping(0))
+    return evaluate_pair(pair, equivalence_relation(), case_for((2, 1)), budget=0.05)
+
+
+def median_of_k_variant_trial():
+    pair = ProgramPair(original=Replay([1.0]), variant=swallowing_once_then_spinning)
+    return evaluate_pair(pair, median_relation(3), case_for(None), budget=0.05)
+
+
+def differential_baseline_sort():
+    algorithms = {"ascending sort": swallowing_once_then_spinning,
+                  "merge sort": sorting.merge_sort}
+    evaluate = core.guarded_evaluator(
+        0.05, lambda case: differential_oracle(algorithms, case.payload))
+    return evaluate(case_for((2, 1)))
+
+
+@pytest.mark.parametrize("evaluate", [single_run_original, median_of_k_variant_trial,
+                                      differential_baseline_sort],
+                         ids=["single-run-original", "median-of-k-variant-trial",
+                              "differential-baseline-sort"])
+@on_and_off_the_main_thread
+def test_overrun_whose_rearmed_alarm_escapes_the_program_is_unlabelled(evaluate, run_on):
+    outcome = run_on(evaluate)
+    assert tuple(outcome) == (RelationStatus.EXECUTION_ERROR, None, None, OVERRUN)
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)

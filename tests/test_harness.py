@@ -376,10 +376,10 @@ BROKEN_PROGRAMS = ((raising, 5.0), (returning_none, 5.0), (sleeping_past_the_bud
                    (ignoring_the_alarm, 0.01), (returning_unrenderable, 5.0))
 # the failure is raised inside the broken program's call, which labels it; a
 # None answer fails where its side checks for a list or takes pi's distance
-RAISED_INSIDE_THE_CALL = (raising, returning_none, sleeping_past_the_budget, exiting,
-                          recursing)
-# the program answers correctly, so its only failure is the overrun it hid
-HIDDEN_OVERRUNS = (swallowing_the_alarm, ignoring_the_alarm)
+RAISED_INSIDE_THE_CALL = (raising, returning_none, exiting, recursing)
+# the program overruns its budget, whether the alarm stops it or it hides the
+# alarm and answers correctly; its cause is the budget, so no side labels it
+OVERRUNS = (sleeping_past_the_budget, swallowing_the_alarm, ignoring_the_alarm)
 
 
 @settings(max_examples=25, deadline=None)
@@ -423,9 +423,7 @@ def test_failing_program_is_a_counted_execution_error_in_every_style(target, bro
                 # every oracle style checks a sort's answer for a list
                 assert outcome.error_detail == (
                     f"{label}: TypeError: sort returned NoneType, not a list")
-            if broken is sleeping_past_the_budget:
-                assert outcome.error_detail.endswith(f"budget of {budget}s exceeded")
-            if broken in HIDDEN_OVERRUNS:
+            if broken in OVERRUNS:
                 assert outcome.error_detail == f"execution budget of {budget}s exceeded"
             if broken is exiting:
                 assert outcome.error_detail.endswith("SystemExit: 3")
@@ -450,7 +448,10 @@ def test_failing_program_is_a_counted_execution_error_in_every_style(target, bro
 # pair body, _evaluate_single (or the median-of-k _evaluate_statistical) and
 # _run_program per side. That composition is kept here as the reference,
 # installed through the registry's module global guarded_evaluator, and the
-# two must give the same outcomes, error details byte for byte. The
+# two must give the same outcomes, error details byte for byte. Both keep the
+# one overrun rule: a side's label wraps only what its program raises
+# (core.EXECUTION_FAILURES), and an overrun, caught by the guard or found
+# past the deadline, is layered_overrun's unlabelled detail. The
 # comparisons run on the main thread, so the reference leaves out the
 # daemon-worker path.
 
@@ -461,12 +462,14 @@ def layered_run_program(label, fn, *args):
         raise core.ProgramFailed(label) from exc
 
 
-def layered_describe(exc, budget):
+def layered_describe(exc):
     if isinstance(exc, core.ProgramFailed):
-        return f"{exc}: {layered_describe(exc.__cause__, budget)}"
-    if isinstance(exc, core._BudgetExpired):
-        return f"execution budget of {budget}s exceeded"
+        return f"{exc}: {layered_describe(exc.__cause__)}"
     return f"{type(exc).__name__}: {exc}"
+
+
+def layered_overrun(budget):
+    return RelationOutcome.execution_error(f"execution budget of {budget}s exceeded")
 
 
 def layered_timed(body, case, budget):
@@ -481,7 +484,7 @@ def layered_timed(body, case, budget):
     finally:
         core._deadline = None
     if time.monotonic() >= deadline:
-        raise core._BudgetExpired()
+        return layered_overrun(budget)
     return outcome
 
 
@@ -493,8 +496,10 @@ def layered_guarded_evaluation(body, case, budget):
             return layered_timed(body, case, budget)
         with core.alarm_scope():
             return layered_timed(body, case, budget)
+    except core._BudgetExpired:
+        return layered_overrun(budget)
     except core.EXECUTION_FAILURES as exc:
-        return RelationOutcome.execution_error(layered_describe(exc, budget))
+        return RelationOutcome.execution_error(layered_describe(exc))
 
 
 def trial_source(case, salt, trial):
@@ -535,8 +540,6 @@ def layered_evaluate_statistical(pair, relation, case):
 def layered_evaluator(budget, body=None, *, pair=None, relation=None):
     """Reference for ``registry.guarded_evaluator``, with its signature."""
     if pair is not None:
-        if (relation.repetitions is not None) != pair.descriptor.false_alarm_possible:
-            raise ConfigurationError("statistical repetitions and descriptor disagree")
         if relation.repetitions is None:
             body = lambda case: layered_evaluate_single(pair, relation, case)
         else:
@@ -731,7 +734,7 @@ def test_shrink_candidate_that_overruns_is_an_error_within_the_budget():
     outcomes = [outcome for _, outcome in evaluations]
     errors = [outcome for outcome in outcomes if outcome.status is RelationStatus.EXECUTION_ERROR]
     assert [outcome.error_detail for outcome in errors] == [
-        "variant: execution budget of 0.05s exceeded"]
+        "execution budget of 0.05s exceeded"]
     assert outcomes.index(errors[0]) == first
     assert report.first_violation_iteration == first
     assert report.counterexample is not None
