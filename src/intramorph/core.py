@@ -222,8 +222,8 @@ class ProgramFailed(Exception):
     """A baseline oracle's sort call failed; carries its label, chains the cause."""
 
 
-# what a program may raise itself, counted as an execution error labelled
-# with its side; an overrun is never labelled, and a KeyboardInterrupt stops the run
+# what program code may raise, caught by the evaluator's closure (an error labelled with its
+# side), baselines._sort_copy and report._render_output; an overrun or a KeyboardInterrupt is not
 EXECUTION_FAILURES = (Exception, SystemExit)
 
 
@@ -290,16 +290,14 @@ def alarm_scope() -> Iterator[None]:
 
 
 def check_budget(budget: Optional[float]) -> None:
-    """Reject a budget that is not None or a positive finite number of
-    seconds: a zero budget would disarm the timer and run unbounded, and an
-    infinite or nan one would fail every evaluation."""
-    if budget is None:
-        return
+    """Reject a budget that is not None or in seconds above 0 (0 would disarm the timer)
+    and below ``threading.TIMEOUT_MAX``, the largest ``setitimer`` and the worker's
+    ``join`` accept. ``guarded_evaluator`` calls it once, as it builds an evaluator."""
     # True would run as 1 s, and a string fails the comparison with a TypeError
-    if (isinstance(budget, bool) or not isinstance(budget, (int, float))
-            or not 0 < budget < math.inf):   # false for nan as well
-        raise ConfigurationError(
-            f"budget must be None or a positive finite number of seconds, got {budget!r}")
+    if budget is not None and (isinstance(budget, bool) or not isinstance(budget, (int, float))
+                               or not 0 < budget < threading.TIMEOUT_MAX):   # false for nan too
+        raise ConfigurationError(f"budget must be None or a number of seconds above 0 "
+                                 f"and below {threading.TIMEOUT_MAX}, got {budget!r}")
 
 
 def _describe(exc: BaseException) -> str:
@@ -326,22 +324,24 @@ def guarded_evaluator(budget: Optional[float], body: Optional[Evaluator] = None,
     ``IntramorphicRelation``): a holding outcome carries no variant output,
     and a violation runs every trial and carries both medians.
 
-    The budget covers the whole evaluation. An exception the evaluation
-    raises, or its ``sys.exit()``, becomes EXECUTION_ERROR with a detail,
-    prefixed with the side (``original``, or ``variant trial 2`` under
-    median-of-k) for a program's failure; a KeyboardInterrupt still stops
-    the caller. An overrun is never labelled, since its cause is the budget:
-    its detail is ``execution budget of {budget}s exceeded`` on either
-    thread, wherever the alarm lands, and when the evaluation ends past its
-    deadline unstopped, as when its program swallowed ``_BudgetExpired``,
-    set SIGALRM to ``SIG_IGN`` or disarmed the timer. On the main thread the
-    budget is a deadline that a SIGALRM timer enforces, inside the caller's
-    ``alarm_scope`` or a scope of its own, armed only when no alarm is due
-    by the deadline (else the handler re-arms the pending alarm for the time
-    left); the deadline is set first, so an alarm that lands in between
-    finds the evaluation running. Off it, the evaluation runs in a daemon
-    worker that can be abandoned, not killed.
+    The budget, which ``check_budget`` bounds by ``threading.TIMEOUT_MAX``
+    when the evaluator is built, covers the whole evaluation. An exception the
+    evaluation raises, or its ``sys.exit()``, becomes EXECUTION_ERROR with a
+    detail, prefixed with the side (``original``, or ``variant trial 2`` under
+    median-of-k) for a program's failure; a KeyboardInterrupt still stops the
+    caller. An overrun is never labelled, since its cause is the budget: its
+    detail is ``execution budget of {budget}s exceeded`` on either thread,
+    wherever the alarm lands, and when the evaluation ends past its deadline
+    unstopped, as when its program swallowed ``_BudgetExpired``, set SIGALRM
+    to ``SIG_IGN`` or disarmed the timer. On the main thread the budget is a
+    deadline that a SIGALRM timer enforces, inside the caller's
+    ``alarm_scope`` or a scope of its own, armed only when no alarm is due by
+    the deadline (else the handler re-arms the pending alarm for the time
+    left); the deadline is set first, so an alarm that lands in between finds
+    the evaluation running. Off it, the evaluation runs in a daemon worker
+    that can be abandoned, not killed.
     """
+    check_budget(budget)
     if pair is not None:
         original, variant, check = pair.original, pair.variant, relation.check
         k = relation.repetitions
@@ -358,14 +358,14 @@ def guarded_evaluator(budget: Optional[float], body: Optional[Evaluator] = None,
                               case, budget)
         side = None   # the running program, whose failure it labels
         try:
-            if budget is not None:
-                _budget = budget
-                now = monotonic()
-                _deadline = deadline = now + budget
-                if not now < _alarm_due <= deadline:
-                    signal.setitimer(signal.ITIMER_REAL, budget)
-                    _alarm_due = deadline
-            try:
+            try:   # arming inside it, so a timer that fails to arm leaves no deadline
+                if budget is not None:
+                    _budget = budget
+                    now = monotonic()
+                    _deadline = deadline = now + budget
+                    if not now < _alarm_due <= deadline:
+                        signal.setitimer(signal.ITIMER_REAL, budget)
+                        _alarm_due = deadline
                 if body is not None:
                     outcome = body(case)
                 elif k is not None:
@@ -439,8 +439,9 @@ def _in_worker(unbounded: Evaluator, case: InputCase, budget: float) -> Relation
 def evaluate_pair(pair: ProgramPair, relation: IntramorphicRelation, case: InputCase,
                   *, budget: Optional[float] = DEFAULT_BUDGET_SECONDS) -> RelationOutcome:
     """Judge the relation on one case, at its k if it has one, through the
-    guarded evaluation path, where an overrun names no side."""
-    check_budget(budget)
+    guarded evaluation path, where an overrun names no side. A budget other
+    than None or seconds above 0 and below ``threading.TIMEOUT_MAX`` raises
+    as that path's evaluator is built, before either program runs."""
     return guarded_evaluator(budget, pair=pair, relation=relation)(case)
 
 

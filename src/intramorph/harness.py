@@ -13,7 +13,7 @@ from typing import Any, Mapping, Optional
 
 from .campaign import Campaign, Evaluator
 from .core import (ConfigurationError, InputCase, Provenance, RelationStatus,
-                   DEFAULT_BUDGET_SECONDS, alarm_scope, check_budget, generation_sources)
+                   DEFAULT_BUDGET_SECONDS, alarm_scope, generation_sources)
 from .registry import default_registry, get_campaign
 
 __all__ = [
@@ -64,8 +64,7 @@ def _validate_config(config: CampaignConfig, campaign: Campaign) -> None:
         raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {config.seed!r}")
     if type(config.iterations) is not int or config.iterations < 1:
         raise ConfigurationError(f"iterations must be an integer >= 1, got {config.iterations!r}")
-    check_budget(config.budget_seconds)
-    # an even or non-positive k is rejected where the relation is built
+    # the budget is checked as the evaluator is built, an even or negative k as the relation is
     if config.statistical_repetitions is not None and not campaign.stochastic:
         raise ConfigurationError(
             f"campaign {campaign.name!r} is deterministic; "

@@ -18,6 +18,7 @@ from dataclasses import fields
 from typing import Any, Optional
 
 from .campaign import Campaign
+from .core import EXECUTION_FAILURES
 from .harness import CampaignReport, Counterexample, MatrixCell, MatrixReport
 
 SCHEMA_VERSION = "1"
@@ -51,12 +52,11 @@ def _document(record: Any, names: tuple[str, ...], /, **values: Any) -> dict:
 
 
 def _render_output(campaign: Campaign, output: Any) -> str:
-    """The campaign's rendering of a program's output, or a placeholder that
-    names what rendering raised: an output can be any object, even one
-    whose ``repr`` fails."""
+    """The campaign's rendering of a program's output, or a placeholder naming what
+    rendering raised: an output can be any object, even one whose ``repr`` raises or exits."""
     try:
         return campaign.render_output(output)
-    except Exception as exc:
+    except EXECUTION_FAILURES as exc:
         return f"<unrenderable output: {type(exc).__name__}: {exc}>"
 
 

@@ -3,6 +3,9 @@
 import csv
 import dataclasses
 import json
+import sys
+
+import pytest
 
 from intramorph import registry
 from intramorph.cli import main
@@ -115,24 +118,42 @@ class Unprintable:
         raise RuntimeError("no repr")
 
 
-def test_unrenderable_output_is_reported_as_a_placeholder(capsys, monkeypatch):
-    # the original sort returns an object whose repr raises: the run finds a
-    # violation, and its report must still be printed
+class Exiting:
+    def __repr__(self):
+        sys.exit(3)
+
+
+def run_cli_to_a_report(capsys, *argv):
+    """``run_cli``, failing the test with no traceback if a SystemExit escapes,
+    since pytest would render the traceback's locals and call the repr again."""
+    try:
+        return run_cli(capsys, *argv)
+    except SystemExit as exc:
+        pytest.fail(f"SystemExit({exc.code}) escaped the command", pytrace=False)
+
+
+@pytest.mark.parametrize("output, placeholder", [
+    (Unprintable, "<unrenderable output: RuntimeError: no repr>"),
+    (Exiting, "<unrenderable output: SystemExit: 3>"),
+], ids=["raises", "exits"])
+def test_unrenderable_output_is_reported_as_a_placeholder(output, placeholder, capsys,
+                                                          monkeypatch):
+    # the original sort returns an object whose repr raises or exits: the run
+    # finds a violation, and its report must still be printed
     campaign = get_campaign("sorting-intramorphic")
     unprintable = dataclasses.replace(campaign, components={
-        **campaign.components, "ascending": lambda *args: [Unprintable()]})
+        **campaign.components, "ascending": lambda *args: [output()]})
     # the default registry is read-only, so the CLI looks campaigns up in a copy
     monkeypatch.setattr(registry, "_REGISTRY", {**default_registry(), campaign.name: unprintable})
     argv = ["run", "--campaign", "sorting-intramorphic", "--seed", "1", "--iterations", "5"]
-    placeholder = "<unrenderable output: RuntimeError: no repr>"
 
-    code, out, _ = run_cli(capsys, *argv)
+    code, out, _ = run_cli_to_a_report(capsys, *argv)
     assert code == 1
     counterexample = json.loads(out)["counterexample"]
     assert counterexample["output_original"] == placeholder
     assert counterexample["output_variant"] == "[]"
 
-    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    code, out, _ = run_cli_to_a_report(capsys, *argv, "--format", "csv")
     assert code == 1
     row = next(csv.DictReader(out.splitlines()))
     assert row["counterexample_output_original"] == placeholder

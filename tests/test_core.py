@@ -50,15 +50,29 @@ def on_main_thread(evaluate):
 
 
 def off_main_thread(evaluate):
+    """``evaluate()`` on a runner thread; what it raises is raised here."""
     box = {}
-    worker = threading.Thread(target=lambda: box.setdefault("outcome", evaluate()))
+
+    def run():
+        try:
+            box["outcome"] = evaluate()
+        except BaseException as exc:
+            box["error"] = exc
+
+    worker = threading.Thread(target=run)
     worker.start()
     worker.join(10)
+    if "error" in box:
+        raise box["error"]
     return box["outcome"]
 
 
 on_and_off_the_main_thread = pytest.mark.parametrize(
     "run_on", [on_main_thread, off_main_thread], ids=["main-thread", "off-main-thread"])
+
+# budgets that check_budget rejects; 1e10 is past what setitimer (a platform
+# time_t) and the worker's join accept, and threading.TIMEOUT_MAX is the bound
+REJECTED_BUDGETS = [0.0, -1.0, math.nan, math.inf, True, "5", 1e10, threading.TIMEOUT_MAX]
 
 
 def test_reverse_pair_holds_on_example():
@@ -217,15 +231,19 @@ def test_guard_restores_the_alarm_handler(monkeypatch):
     outcome = evaluate_pair(sort_pair(), REVERSE, case_for((2, 1)), budget=0.05)
     assert outcome.error_detail == "OSError: setitimer failed"
     assert signal.getsignal(signal.SIGALRM) is before
+    # the deadline is set inside the try that clears it, so none is left behind
+    assert core._deadline is None
 
 
-@pytest.mark.parametrize("budget", [0.0, -1.0, math.nan, math.inf, True, "5"])
-def test_evaluate_pair_rejects_a_budget_that_is_not_positive_and_finite(budget):
+@pytest.mark.parametrize("budget", REJECTED_BUDGETS)
+@on_and_off_the_main_thread
+def test_evaluate_pair_rejects_a_budget_that_is_not_positive_and_finite(budget, run_on):
     calls = []
     pair = ProgramPair(original=lambda payload, src: calls.append(payload) or [],
                        variant=lambda payload, src: [])
     with pytest.raises(ConfigurationError, match=f"got {budget!r}$"):
-        evaluate_pair(pair, equivalence_relation(), case_for(()), budget=budget)
+        run_on(lambda: evaluate_pair(pair, equivalence_relation(), case_for(()),
+                                     budget=budget))
     assert calls == []
 
 

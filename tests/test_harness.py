@@ -28,6 +28,7 @@ from intramorph.harness import (CampaignConfig, Counterexample, run_campaign,
 from intramorph.registry import default_registry, get_campaign
 from intramorph.report import campaign_report_csv, campaign_report_document, to_json
 from intramorph.seeds import DerivedSource
+from test_core import REJECTED_BUDGETS, on_and_off_the_main_thread
 
 
 def replacing(name, **programs):
@@ -158,15 +159,53 @@ def test_non_integer_seed_and_iterations_are_rejected_before_any_iteration(field
     assert calls == []
 
 
-@pytest.mark.parametrize("budget", [0.0, -1.0, math.nan, math.inf, True, "5"])
-def test_budget_must_be_positive_and_finite(budget):
+@pytest.mark.parametrize("budget", REJECTED_BUDGETS)
+@on_and_off_the_main_thread
+def test_budget_must_be_positive_and_finite(budget, run_on):
     calls = []
     campaign = replacing("sorting-unit", ascending=lambda arr: calls.append(arr) or arr)
     with pytest.raises(ConfigurationError, match=f"got {budget!r}$"):
-        run_campaign(CampaignConfig(campaign=campaign.name, seed=1, iterations=2,
-                                    budget_seconds=budget),
-                     registry={campaign.name: campaign})
+        run_on(lambda: run_campaign(CampaignConfig(campaign=campaign.name, seed=1,
+                                                   iterations=2, budget_seconds=budget),
+                                    registry={campaign.name: campaign}))
     assert calls == []   # rejected before any evaluation ran
+    assert core._deadline is None
+
+
+# one campaign of each oracle style, the stochastic pair campaign included
+EVALUATOR_STYLES = ("sorting-unit", "sorting-differential", "sorting-metamorphic",
+                    "sorting-intramorphic", "montecarlo-convergence")
+
+
+@pytest.mark.parametrize("name", EVALUATOR_STYLES)
+def test_an_evaluator_built_with_a_rejected_budget_raises_and_leaves_no_alarm(name):
+    # build_evaluator is the guarded path's own entry, so it checks the
+    # budget whether or not run_campaign called it
+    def previous(signum, frame):
+        pass
+
+    campaign = get_campaign(name)
+    programs = campaign.programs(None)
+    original = signal.signal(signal.SIGALRM, previous)
+    try:
+        for budget in REJECTED_BUDGETS:
+            with pytest.raises(ConfigurationError, match=f"got {budget!r}$"):
+                campaign.build_evaluator(programs, campaign.default_repetitions, budget)
+            assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+            assert signal.getsignal(signal.SIGALRM) is previous
+            assert core._deadline is None
+    finally:
+        signal.signal(signal.SIGALRM, original)
+
+
+@on_and_off_the_main_thread
+def test_largest_accepted_budget_still_runs(run_on):
+    largest = math.nextafter(threading.TIMEOUT_MAX, 0)
+    report = run_on(lambda: run_campaign(CampaignConfig(
+        campaign="sorting-intramorphic", seed=1, iterations=20, budget_seconds=largest)))
+    assert (report.iterations_run, report.violations, report.execution_errors) == (20, 0, 0)
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    assert core._deadline is None
 
 
 def test_no_budget_still_runs():
@@ -600,14 +639,21 @@ def test_flat_evaluator_matches_the_layered_one_on_broken_programs(name, compone
         assert_flat_equals_layered(campaign, run_budget, 2)
 
 
-def test_keyboard_interrupt_in_a_program_stops_the_run():
+@on_and_off_the_main_thread
+def test_keyboard_interrupt_in_a_program_stops_the_run(run_on):
+    # off the main thread the program runs in the budget's worker, which
+    # hands the interrupt back to the thread that called the evaluator
+    calls = []
+
     def interrupted(*args):
+        calls.append(args)
         raise KeyboardInterrupt
 
     campaign = replacing("sorting-intramorphic", ascending=interrupted)
     with pytest.raises(KeyboardInterrupt):
-        run_campaign(CampaignConfig(campaign=campaign.name, seed=1, iterations=3),
-                     registry={campaign.name: campaign})
+        run_on(lambda: run_campaign(CampaignConfig(campaign=campaign.name, seed=1, iterations=3),
+                                    registry={campaign.name: campaign}))
+    assert len(calls) == 1
     assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
 
