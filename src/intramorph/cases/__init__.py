@@ -12,7 +12,7 @@ def derive(fn: Callable, name: str, doc: str, *edits: tuple[str, str]) -> Callab
     """``fn``'s def recompiled as ``name`` at its file and lines, with docstring
     ``doc``, recursive calls to ``name``, and each ``(old, new)`` edit made: the
     one expression that parses like ``old`` becomes ``new``. The def is compiled
-    after its module's imports, so ``np.count_nonzero(...)`` compiles as there.
+    after its module's top-level imports, so the names they bind compile as there.
 
     Raises ``ValueError`` when ``old`` occurs other than once, or when ``fn`` is
     not the def at its own lines: a derived function's lines are its origin's."""

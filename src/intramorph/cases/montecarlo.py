@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from ..core import ConfigurationError
 from ..seeds import UNIT_BLOCK_CHUNK, SeededSource
 from . import derive
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,7 @@ def pi_approximation(n: int, source: SeededSource) -> float:
     """Estimate pi as 4 * (fraction of uniform points inside the unit circle)."""
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
+    import numpy as np   # here: building the registry imports this module, not numpy
     hits = sum(int(np.count_nonzero(xx + yy <= 1.0)) for xx, yy in _squared_points(n, source))
     return 4 * hits / n
 

@@ -7,14 +7,18 @@ in the test suite depend on this algorithm staying fixed.
 The scalar finalizer ``_mix`` on Python ints is the reference. ``_mix_array``
 applies the same arithmetic in place to numpy ``uint64`` arrays, and serves
 both ``SeededSource.unit_block`` and ``premixed_sources``, which derives a
-block of sibling streams and mixes their first draws in one batch.
+block of sibling streams and mixes their first draws in one batch. numpy and
+the tables those blocks read are built by ``_numpy`` on the first block, so a
+process that draws none never imports numpy.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, TypeVar
+import functools
+from typing import TYPE_CHECKING, Sequence, TypeVar
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 ALGORITHM_ID = "splitmix64"
 
@@ -24,7 +28,7 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
 # Elements per pass of SeededSource.unit_block: its uint64 working buffer,
-# the step table below, and a result of one chunk take 64 KiB each. That
+# _numpy's step table, and a result of one chunk take 64 KiB each. That
 # keeps them under glibc's default 128 KiB mmap threshold, so they come from
 # the heap and are reused across calls instead of being mapped (and
 # page-faulted) afresh on every call.
@@ -37,24 +41,23 @@ UNIT_BLOCK_CHUNK = 8_192
 # and the rest mix their later draws one by one.
 PREMIXED_DRAWS = 16
 
-# _GAMMA_STEPS[i] == (i + 1) * gamma mod 2**64: the offsets of a stream's
-# next UNIT_BLOCK_CHUNK states from its current one. Read-only, because it is
-# shared by every caller in the process, threads included.
-_GAMMA_STEPS = np.arange(1, UNIT_BLOCK_CHUNK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-_GAMMA_STEPS.flags.writeable = False
 
+@functools.cache
+def _numpy():
+    """numpy and the read-only tables the blocks share, built on the first block:
+    ``(np, steps, mix_a, mix_b, shift_30, shift_27, shift_31, shift_11)``.
+    ``steps[i] == (i + 1) * gamma mod 2**64``. The rest are 0-d ``uint64``
+    arrays, which keep ``uint64`` operations ``uint64`` under numpy 1.x and 2.x
+    promotion alike and are faster ufunc operands than numpy scalars. Each is
+    finished and read-only before any caller, in any thread, can see it."""
+    import numpy as np
 
-def _uint64_constant(value: int) -> np.ndarray:
-    """Read-only 0-d ``uint64`` array: operations on a ``uint64`` array stay
-    ``uint64`` under numpy 1.x and 2.x promotion alike, and a ufunc takes a
-    0-d array operand faster than a numpy scalar."""
-    constant = np.array(value, dtype=np.uint64)
-    constant.flags.writeable = False
-    return constant
+    steps = np.arange(1, UNIT_BLOCK_CHUNK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    constants = [np.array(value, dtype=np.uint64) for value in (_MIX_A, _MIX_B, 30, 27, 31, 11)]
+    for table in (steps, *constants):
+        table.flags.writeable = False
+    return (np, steps, *constants)
 
-
-_U64_MIX_A, _U64_MIX_B, _U64_30, _U64_27, _U64_31, _U64_11 = (
-    _uint64_constant(value) for value in (_MIX_A, _MIX_B, 30, 27, 31, 11))
 
 T = TypeVar("T")
 
@@ -72,13 +75,14 @@ def _mix_array(z: np.ndarray, scratch: np.ndarray) -> None:
     written to; its contents are overwritten. Both are the caller's own
     buffers, so concurrent callers share nothing.
     """
-    np.right_shift(z, _U64_30, out=scratch)
+    np, _, mix_a, mix_b, shift_30, shift_27, shift_31, _ = _numpy()
+    np.right_shift(z, shift_30, out=scratch)
     z ^= scratch
-    z *= _U64_MIX_A
-    np.right_shift(z, _U64_27, out=scratch)
+    z *= mix_a
+    np.right_shift(z, shift_27, out=scratch)
     z ^= scratch
-    z *= _U64_MIX_B
-    np.right_shift(z, _U64_31, out=scratch)
+    z *= mix_b
+    np.right_shift(z, shift_31, out=scratch)
     z ^= scratch
 
 
@@ -137,8 +141,8 @@ class SeededSource:
         splitmix64's state is an arithmetic progression, so the block is
         computed from ``state + i * gamma`` directly. The work runs in place
         over chunks of :data:`UNIT_BLOCK_CHUNK` elements: one ``uint64``
-        buffer receives the chunk's states (the current state plus the
-        shared read-only table of gamma multiples) and is mixed in place,
+        buffer receives the chunk's states (the current state plus
+        :func:`_numpy`'s read-only step table) and is mixed in place,
         and the chunk's slice of the preallocated ``float64`` result serves
         as scratch until the finished draws are written into it. A chunk's
         buffers take 64 KiB, under glibc's default 128 KiB mmap threshold,
@@ -150,6 +154,7 @@ class SeededSource:
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
+        np, steps, *_, shift_11 = _numpy()
         out = np.empty(count, dtype=np.float64)
         z = np.empty(min(count, UNIT_BLOCK_CHUNK), dtype=np.uint64)
         state = self._state
@@ -157,10 +162,10 @@ class SeededSource:
             n = min(UNIT_BLOCK_CHUNK, count - start)
             zc = z[:n]
             dest = out[start:start + n]
-            np.add(_GAMMA_STEPS[:n], np.uint64(state), out=zc)
+            np.add(steps[:n], np.uint64(state), out=zc)
             # the result slice doubles as the scratch buffer until it is written
             _mix_array(zc, dest.view(np.uint64))
-            zc >>= _U64_11
+            zc >>= shift_11
             # the values are below 2**53, so int64 converts them exactly (and
             # faster than uint64 does)
             np.multiply(zc.view(np.int64), 2.0 ** -53, out=dest)
@@ -232,16 +237,17 @@ def premixed_sources(base: int, first: int, count: int, salt: int) -> list[Premi
     multiples, so every seed is derived at once, and each stream's first
     :data:`PREMIXED_DRAWS` states (its seed plus the gamma multiples) are
     mixed in one more batch. ``count`` must not exceed
-    :data:`UNIT_BLOCK_CHUNK`, the length of the step table. Bit-identical to
-    the scalar derivation, which the test suite keeps as the reference.
+    :data:`UNIT_BLOCK_CHUNK`, the length of :func:`_numpy`'s step table.
+    Bit-identical to the scalar derivation, which the tests keep as reference.
     """
+    np, steps, *_ = _numpy()
     # (first + k + 1) * gamma, the spread form of the salt first + k
-    seeds = np.add(_GAMMA_STEPS[:count], np.uint64((first * _GAMMA) & _MASK64))
+    seeds = np.add(steps[:count], np.uint64((first * _GAMMA) & _MASK64))
     scratch = np.empty_like(seeds)
     seeds ^= np.uint64(base & _MASK64)
     _mix_array(seeds, scratch)
     seeds ^= np.uint64(((salt + 1) * _GAMMA) & _MASK64)
     _mix_array(seeds, scratch)
-    draws = np.add(seeds[:, np.newaxis], _GAMMA_STEPS[:PREMIXED_DRAWS])
+    draws = np.add(seeds[:, np.newaxis], steps[:PREMIXED_DRAWS])
     _mix_array(draws, np.empty_like(draws))
     return [PremixedSource(seed, row) for seed, row in zip(seeds.tolist(), draws.tolist())]

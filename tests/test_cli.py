@@ -3,10 +3,13 @@
 import csv
 import dataclasses
 import json
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import intramorph
 from intramorph import registry
 from intramorph.cli import main
 from intramorph.registry import default_registry, get_campaign
@@ -227,3 +230,40 @@ def test_montecarlo_counterexample_input_does_not_name_a_k(capsys):
     document = json.loads(out)
     assert document["statistical_repetitions"] == 3
     assert document["counterexample"]["input"] == "n_small=10, n_large=100000"
+
+
+# Runs argv[2] in a fresh interpreter with the package's parent directory,
+# argv[1], first on the path, then prints whether numpy was imported and how
+# many threads the process has (None where /proc/self/task does not exist).
+PROBE = """
+import contextlib, io, os, sys
+sys.path.insert(0, sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    exec(sys.argv[2])
+tasks = "/proc/self/task"
+print("numpy" in sys.modules, len(os.listdir(tasks)) if os.path.isdir(tasks) else None)
+"""
+CLI = "from intramorph.cli import main; main({})"
+
+
+@pytest.mark.parametrize("step, imports_numpy", [
+    ("import intramorph", False),
+    ("import intramorph.cli", False),
+    ("import intramorph; intramorph.default_registry()", False),
+    (CLI.format(["list"]), False),
+    (CLI.format(["mutants", "--campaign", "sorting-intramorphic"]), False),
+    # finds its bug within the iterations whose inputs are drawn one by one
+    (CLI.format(["run", "--campaign", "sorting-intramorphic", "--mutant", "swap-index-i",
+                 "--seed", "42"]), False),
+    # runs past them, so its inputs come from premixed_sources' batches
+    (CLI.format(["run", "--campaign", "knapsack-optimality", "--seed", "42",
+                 "--iterations", "100"]), True),
+])
+def test_numpy_is_imported_only_by_a_process_that_draws_a_block(step, imports_numpy):
+    package_parent = str(Path(intramorph.__file__).resolve().parents[1])
+    probe = subprocess.run([sys.executable, "-c", PROBE, package_parent, step],
+                           capture_output=True, text=True, check=True, timeout=60)
+    numpy_imported, threads = probe.stdout.split()
+    assert numpy_imported == str(imports_numpy)
+    if not imports_numpy and threads != "None":
+        assert threads == "1"

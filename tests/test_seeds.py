@@ -236,12 +236,17 @@ def test_generation_sources_build_each_block_only_when_reached(monkeypatch):
 
 
 def test_module_level_arrays_are_read_only():
-    tables = [value for value in vars(seeds_module).values() if isinstance(value, np.ndarray)]
-    assert any(table is seeds_module._GAMMA_STEPS for table in tables)
-    for table in tables:
+    SeededSource(1).unit_block(3)
+    numpy, steps, *constants = seeds_module._numpy()
+    assert numpy is np and len(steps) == UNIT_BLOCK_CHUNK and len(constants) == 6
+    for table in (steps, *constants):
+        assert isinstance(table, np.ndarray)
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[...] = 0
+    # after a block, the module holds no array that a caller could write to
+    assert not [value for value in vars(seeds_module).values()
+                if isinstance(value, np.ndarray) and value.flags.writeable]
 
 
 def test_two_threads_share_the_kernel():

@@ -8,7 +8,6 @@ import sys
 import types
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -212,22 +211,28 @@ def hand_written_greedy_capacity_off_by_one(instance):
 
 
 def hand_written_pi_wrong_scale(n, source):
+    """Seeded bug: scale factor 2 instead of 4; converges to pi/2."""
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
+    import numpy as np
     hits = sum(int(np.count_nonzero(xx + yy <= 1.0)) for xx, yy in _squared_points(n, source))
     return 2 * hits / n
 
 
 def hand_written_pi_boundary_strict(n, source):
+    """Seeded bug: strict circle test."""
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
+    import numpy as np
     hits = sum(int(np.count_nonzero(xx + yy < 1.0)) for xx, yy in _squared_points(n, source))
     return 4 * hits / n
 
 
 def hand_written_pi_one_coordinate(n, source):
+    """Seeded bug: only x is tested, so every sample hits and the estimate is 4."""
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
+    import numpy as np
     hits = sum(int(np.count_nonzero(xx <= 1.0)) for xx, _ in _squared_points(n, source))
     return 4 * hits / n
 
