@@ -19,12 +19,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterator, NamedTuple, Optional
 
-from .seeds import DerivedSource, SeededSource, derive_seed, premixed_sources
+from .seeds import SeededSource, derive_seed, premixed_sources
 
 DEFAULT_BUDGET_SECONDS = 5.0
 
-# Salt layout under (seed, iteration): keeps generation, the two program
-# executions, and auxiliary picks on disjoint substreams.
+# Salt layout under (seed, iteration): keeps generation, the programs'
+# median-of-k trials (the only readers of the two program salts), and
+# auxiliary picks on disjoint substreams.
 _SALT_GENERATE = 0
 _SALT_ORIGINAL = 1
 _SALT_VARIANT = 2
@@ -128,29 +129,31 @@ class InputCase(NamedTuple):
 
 @dataclass(frozen=True)
 class ProgramPair:
-    """Original and variant as pure functions of (payload, source); how the
-    variant was derived is its campaign's descriptor, not the pair's. Both
-    callables must be deterministic given their arguments; stochastic
-    programs draw all randomness from the explicit source. Payloads are
-    immutable values, so neither side can disturb the other.
+    """Original and variant as pure functions; how the variant was derived is
+    its campaign's descriptor, not the pair's. Judged without k, each is
+    called on the payload alone. Under a median-of-k relation each trial is
+    called as ``program(payload, source)``, and a stochastic program draws
+    all its randomness from that source. Payloads are immutable values, so
+    neither side can disturb the other.
     """
 
-    original: Callable[[Any, SeededSource], Any]
-    variant: Callable[[Any, SeededSource], Any]
+    original: Callable[..., Any]
+    variant: Callable[..., Any]
 
 
 @dataclass(frozen=True)
 class IntramorphicRelation:
     """Total predicate over (original output, variant output).
 
-    With ``repetitions`` k set, the relation is median-of-k: each side runs
-    k times and ``check`` judges the two sides' median outputs. For every
-    fixed ``m``, the outputs ``v`` with ``check(m, v)`` must form a
-    down-set or an up-set of the outputs' order (as they do for
-    ``operator.ge`` or ``operator.le``). Then, for odd k, ``check(m,
-    median(V))`` holds exactly when ``check(m, v)`` holds for at least
-    (k+1)/2 elements v of V, which is what lets the evaluation stop once
-    that many variant trials pass.
+    Without k each side runs once, on its payload alone. With
+    ``repetitions`` k set, the relation is median-of-k: each side runs k
+    times, each trial on its own seeded source, and ``check`` judges the two
+    sides' median outputs. For every fixed ``m``, the outputs ``v`` with
+    ``check(m, v)`` must form a down-set or an up-set of the outputs' order
+    (as they do for ``operator.ge`` or ``operator.le``). Then, for odd k,
+    ``check(m, median(V))`` holds exactly when ``check(m, v)`` holds for at
+    least (k+1)/2 elements v of V, which is what lets the evaluation stop
+    once that many variant trials pass.
     """
 
     name: str
@@ -209,7 +212,7 @@ def generation_sources(seed: int, iterations: int) -> Iterator[SeededSource]:
 
 
 def picker_source(provenance: Provenance) -> SeededSource:
-    return DerivedSource(provenance.seed, provenance.iteration, _SALT_PICKER)
+    return SeededSource(derive_seed(provenance.seed, provenance.iteration, _SALT_PICKER))
 
 
 class _BudgetExpired(BaseException):
@@ -316,11 +319,13 @@ def guarded_evaluator(budget: Optional[float], body: Optional[Evaluator] = None,
     """The one evaluation path: the evaluator of one run, built once for it.
 
     It judges a case by ``body(case)``, or by running both programs of
-    ``pair`` (which carries no descriptor), each on a source derived from
-    the case's provenance, and judging ``relation`` at whatever k it has.
-    With ``relation.repetitions`` k set, the k original trials run first,
-    then the variant trials until (k+1)/2 of them satisfy ``check`` against
-    the original median, which settles the median-of-k verdict (see
+    ``pair`` (which carries no descriptor) and judging ``relation`` at
+    whatever k it has. Without k, each program is called on the payload
+    alone. With ``relation.repetitions`` k set, each trial is called on the
+    payload and a source derived from the case's provenance, its side's salt
+    and the trial. The k original trials run first, then the variant trials
+    until (k+1)/2 of them satisfy ``check`` against the original median,
+    which settles the median-of-k verdict (see
     ``IntramorphicRelation``): a holding outcome carries no variant output,
     and a violation runs every trial and carries both medians.
 
@@ -373,14 +378,14 @@ def guarded_evaluator(budget: Optional[float], body: Optional[Evaluator] = None,
                     outputs = []
                     # side spans the program's call only, not its source or output
                     for trial in range(k):
-                        source = DerivedSource(seed, iteration, _SALT_ORIGINAL, trial)
+                        source = SeededSource(derive_seed(seed, iteration, _SALT_ORIGINAL, trial))
                         side = f"original trial {trial}"
                         outputs.append(original(payload, source))
                         side = None
                     median = statistics.median(outputs)
                     outputs, passes_needed = [], (k + 1) // 2
                     for trial in range(k):
-                        source = DerivedSource(seed, iteration, _SALT_VARIANT, trial)
+                        source = SeededSource(derive_seed(seed, iteration, _SALT_VARIANT, trial))
                         side = f"variant trial {trial}"
                         outputs.append(variant(payload, source))
                         side = None
@@ -392,11 +397,11 @@ def guarded_evaluator(budget: Optional[float], body: Optional[Evaluator] = None,
                     else:
                         outcome = RelationOutcome(violated, median, statistics.median(outputs))
                 else:
-                    payload, (seed, iteration) = case
+                    payload = case[0]
                     side = "original"
-                    first = original(payload, DerivedSource(seed, iteration, _SALT_ORIGINAL, 0))
+                    first = original(payload)
                     side = "variant"
-                    second = variant(payload, DerivedSource(seed, iteration, _SALT_VARIANT, 0))
+                    second = variant(payload)
                     side = None
                     outcome = new(RelationOutcome, (holds if check(first, second) else violated,
                                                     first, second, None))
@@ -439,9 +444,10 @@ def _in_worker(unbounded: Evaluator, case: InputCase, budget: float) -> Relation
 def evaluate_pair(pair: ProgramPair, relation: IntramorphicRelation, case: InputCase,
                   *, budget: Optional[float] = DEFAULT_BUDGET_SECONDS) -> RelationOutcome:
     """Judge the relation on one case, at its k if it has one, through the
-    guarded evaluation path, where an overrun names no side. A budget other
-    than None or seconds above 0 and below ``threading.TIMEOUT_MAX`` raises
-    as that path's evaluator is built, before either program runs."""
+    guarded evaluation path: without k each program gets the payload alone,
+    and an overrun names no side. A budget other than None or seconds above
+    0 and below ``threading.TIMEOUT_MAX`` raises as that path's evaluator is
+    built, before either program runs."""
     return guarded_evaluator(budget, pair=pair, relation=relation)(case)
 
 

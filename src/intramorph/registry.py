@@ -24,6 +24,7 @@ from .core import (ApplicationMode, Automation, Granularity, IntramorphicRelatio
 from .generators import (random_array, random_knapsack_instance, random_tree,
                          shrink_array, shrink_knapsack, shrink_tree)
 
+# operator.itemgetter(name) is the side that runs the named component as it is
 Side = Callable[[Mapping[str, Callable]], Callable]
 
 UNIT_CASE = UnitCase(values=(3, 1, 2), expected=(1, 2, 3))
@@ -43,9 +44,10 @@ DEFAULT_BUDGETS = montecarlo.SampleBudgetPair()
 def _pair_campaign(relation: IntramorphicRelation, original: Side, variant: Side,
                    **fields) -> Campaign:
     """A campaign that judges ``relation`` on a program pair; ``original``
-    and ``variant`` turn the resolved programs into the two (payload,
-    source) programs. The relation's k is the campaign's default, and a run
-    with another k judges a copy that has it."""
+    and ``variant`` turn the resolved programs into the pair's two programs,
+    each called on the payload alone, or on the payload and a trial's source
+    when the relation has a k. The relation's k is the campaign's default,
+    and a run with another k judges a copy that has it."""
     def build_evaluator(programs, repetitions, budget):
         pair = ProgramPair(original(programs), variant(programs))
         judged = (relation if repetitions == relation.repetitions
@@ -62,7 +64,7 @@ def _sorts(name: str) -> Side:
     def side(programs):
         sort = programs[name]
 
-        def run(payload, src):
+        def run(payload):
             output = sort(list(payload))
             if not isinstance(output, list):
                 raise not_a_list(output)
@@ -73,18 +75,9 @@ def _sorts(name: str) -> Side:
     return side
 
 
-def _applies(name: str) -> Side:
-    """Side that applies the named component to the payload."""
-    def side(programs):
-        program = programs[name]
-        return lambda payload, src: program(payload)
-
-    return side
-
-
 def _prefix_and_postfix(programs):
     prefix, postfix = programs["prefix"], programs["postfix"]
-    return lambda tree, src: (prefix(tree), postfix(tree))
+    return lambda tree: (prefix(tree), postfix(tree))
 
 
 def _distance_from_pi(name: str, sample_count: str) -> Side:
@@ -186,7 +179,7 @@ def _campaign_table() -> tuple[Campaign, ...]:
         _pair_campaign(
             IntramorphicRelation("token-multiset", lambda infix_text, pp: (
                 ast_printing.token_texts_match(infix_text, pp[0], pp[1]))),
-            _applies("infix"), _prefix_and_postfix,
+            operator.itemgetter("infix"), _prefix_and_postfix,
             name="ast-token-multiset", case_study="ast", oracle_style="intramorphic",
             components={"infix": ast_printing.as_string_infix,
                         "prefix": ast_printing.as_string_prefix,
@@ -237,7 +230,7 @@ def _campaign_table() -> tuple[Campaign, ...]:
             )),
         _pair_campaign(
             IntramorphicRelation("replacement-at-least-as-good", _knapsack_check),
-            _applies("greedy"), _applies("exhaustive"),
+            operator.itemgetter("greedy"), operator.itemgetter("exhaustive"),
             name="knapsack-optimality", case_study="knapsack", oracle_style="intramorphic",
             components={"greedy": knapsack.knapsack_greedy,
                         "exhaustive": knapsack.knapsack_exhaustive},

@@ -103,8 +103,8 @@ class SeededSource:
     """Single-consumer splitmix64 stream.
 
     Campaigns that need several independent streams derive one per purpose,
-    as a :class:`DerivedSource` of the seed and a salt path, rather than
-    sharing a source across consumers.
+    as ``SeededSource(derive_seed(seed, *salts))`` for a salt path, rather
+    than sharing a source across consumers.
     """
 
     algorithm_id = ALGORITHM_ID
@@ -175,25 +175,6 @@ class SeededSource:
 
     def choice(self, items: Sequence[T]) -> T:
         return items[self.below(len(items))]
-
-
-class DerivedSource(SeededSource):
-    """``SeededSource(derive_seed(base, *salts))``, derived when first read.
-
-    Same seed and stream; a program that never reads its source
-    never pays for the derivation.
-    """
-
-    def __init__(self, base: int, *salts: int):
-        self._path = (base, salts)
-
-    def __getattr__(self, name: str):
-        # reached only until seed and _state are set
-        if name not in ("seed", "_state"):
-            raise AttributeError(name)
-        base, salts = self._path
-        SeededSource.__init__(self, derive_seed(base, *salts))
-        return self.__dict__[name]
 
 
 class PremixedSource(SeededSource):

@@ -18,7 +18,7 @@ from intramorph.core import InputCase, Provenance, RelationStatus
 from intramorph.generators import random_knapsack_instance
 from intramorph.harness import CampaignConfig, run_campaign, run_detection_matrix
 from intramorph.registry import all_campaigns, get_campaign
-from intramorph.seeds import DerivedSource, SeededSource
+from intramorph.seeds import SeededSource, derive_seed
 from test_knapsack import dp_reference
 
 SEED = 42
@@ -115,7 +115,7 @@ def test_criterion_5_knapsack_oracle_equivalence_and_strictness_witness():
     """Exhaustive == table reference and >= greedy over 10,000 instances."""
     strict_seen = 0
     for iteration in range(1, 10_001):
-        source = DerivedSource(SEED, iteration)
+        source = SeededSource(derive_seed(SEED, iteration))
         instance = random_knapsack_instance(source)
         exhaustive = knapsack_exhaustive(instance)
         greedy = knapsack_greedy(instance)

@@ -32,8 +32,8 @@ REVERSE = IntramorphicRelation("reverse-order", sorting.reverse_relation)
 
 def sort_pair(forward=sorting.bubble_sort, reverse=sorting.bubble_sort_reverse):
     return ProgramPair(
-        original=lambda payload, src: forward(list(payload)),
-        variant=lambda payload, src: reverse(list(payload)))
+        original=lambda payload: forward(list(payload)),
+        variant=lambda payload: reverse(list(payload)))
 
 
 def case_for(payload, seed=0, iteration=1):
@@ -96,8 +96,8 @@ def test_buggy_original_violates_reverse_relation():
 
 def test_equivalence_holds_for_interchangeable_sorts():
     pair = ProgramPair(
-        original=lambda payload, src: sorting.bubble_sort(list(payload)),
-        variant=lambda payload, src: sorting.merge_sort(list(payload)))
+        original=lambda payload: sorting.bubble_sort(list(payload)),
+        variant=lambda payload: sorting.merge_sort(list(payload)))
     outcome = evaluate_pair(pair, equivalence_relation(), case_for((3, 1, 2)))
     assert outcome.status is RelationStatus.HOLDS
     assert outcome.original_output == outcome.variant_output == [1, 2, 3]
@@ -105,8 +105,8 @@ def test_equivalence_holds_for_interchangeable_sorts():
 
 def test_equivalence_flags_buggy_side():
     pair = ProgramPair(
-        original=lambda payload, src: sorting.bubble_sort_swap_index(list(payload)),
-        variant=lambda payload, src: sorting.merge_sort(list(payload)))
+        original=lambda payload: sorting.bubble_sort_swap_index(list(payload)),
+        variant=lambda payload: sorting.merge_sort(list(payload)))
     outcome = evaluate_pair(pair, equivalence_relation(), case_for((3, 1, 2)))
     assert outcome.status is RelationStatus.VIOLATED
     assert outcome.original_output == [1, 2, 1]
@@ -116,8 +116,8 @@ def test_equivalence_flags_buggy_side():
 @given(st.lists(st.integers(min_value=0, max_value=9), max_size=8))
 def test_variant_equal_to_original_always_holds(values):
     pair = ProgramPair(
-        original=lambda payload, src: sorting.bubble_sort(list(payload)),
-        variant=lambda payload, src: sorting.bubble_sort(list(payload)))
+        original=lambda payload: sorting.bubble_sort(list(payload)),
+        variant=lambda payload: sorting.bubble_sort(list(payload)))
     outcome = evaluate_pair(pair, equivalence_relation(), case_for(tuple(values)))
     assert outcome.status is RelationStatus.HOLDS
 
@@ -143,25 +143,44 @@ def test_violated_outputs_are_self_certifying():
 
 
 def test_crash_becomes_execution_error():
-    def exploding(payload, src):
+    def exploding(payload):
         raise RuntimeError("boom")
 
     pair = ProgramPair(original=exploding,
-                       variant=lambda payload, src: list(payload))
+                       variant=lambda payload: list(payload))
     outcome = evaluate_pair(pair, equivalence_relation(), case_for((1,)))
     assert outcome.status is RelationStatus.EXECUTION_ERROR
     assert "RuntimeError" in outcome.error_detail
     assert outcome.original_output is None
 
 
+def test_program_that_wants_a_source_without_k_is_a_counted_execution_error():
+    # judged without k, a program is called on its payload alone
+    def wanting_a_source(payload, source):
+        return list(payload)
+
+    pair = ProgramPair(original=wanting_a_source, variant=lambda payload: list(payload))
+    outcome = evaluate_pair(pair, equivalence_relation(), case_for((1,)))
+    assert outcome.status is RelationStatus.EXECUTION_ERROR
+    # the rest of the message differs between Python versions
+    assert outcome.error_detail.startswith("original: TypeError")
+
+    campaign = get_campaign("knapsack-optimality")
+    broken = dataclasses.replace(
+        campaign, components={**campaign.components, "greedy": wanting_a_source})
+    report = run_campaign(CampaignConfig(campaign=campaign.name, seed=3, iterations=5),
+                          registry={campaign.name: broken})
+    assert (report.execution_errors, report.violations, report.iterations_run) == (5, 0, 5)
+
+
 @on_and_off_the_main_thread
 def test_divergence_hits_the_budget(run_on):
-    def sleepy(payload, src):
+    def sleepy(payload):
         time.sleep(5)
         return []
 
     pair = ProgramPair(original=sleepy,
-                       variant=lambda payload, src: list(payload))
+                       variant=lambda payload: list(payload))
     started = time.monotonic()
     outcome = run_on(lambda: evaluate_pair(pair, equivalence_relation(), case_for((1,)),
                                            budget=0.05))
@@ -186,7 +205,8 @@ def test_relation_failure_becomes_execution_error():
 
 
 def sleeping(seconds):
-    def program(payload, src):
+    """A program that sleeps, at a k or, since its source has a default, without."""
+    def program(payload, source=None):
         time.sleep(seconds)
         return []
 
@@ -239,8 +259,8 @@ def test_guard_restores_the_alarm_handler(monkeypatch):
 @on_and_off_the_main_thread
 def test_evaluate_pair_rejects_a_budget_that_is_not_positive_and_finite(budget, run_on):
     calls = []
-    pair = ProgramPair(original=lambda payload, src: calls.append(payload) or [],
-                       variant=lambda payload, src: [])
+    pair = ProgramPair(original=lambda payload: calls.append(payload) or [],
+                       variant=lambda payload: [])
     with pytest.raises(ConfigurationError, match=f"got {budget!r}$"):
         run_on(lambda: evaluate_pair(pair, equivalence_relation(), case_for(()),
                                      budget=budget))
@@ -310,7 +330,7 @@ def test_stray_alarm_inside_a_scope_is_ignored():
 
 
 def test_program_cannot_swallow_the_budget():
-    def stubborn(payload, src):
+    def stubborn(payload):
         for _ in range(3):
             try:
                 time.sleep(1)
@@ -318,7 +338,7 @@ def test_program_cannot_swallow_the_budget():
                 pass
         return []
 
-    pair = ProgramPair(original=stubborn, variant=lambda payload, src: [])
+    pair = ProgramPair(original=stubborn, variant=lambda payload: [])
     started = time.monotonic()
     outcome = evaluate_pair(pair, equivalence_relation(), case_for(()), budget=0.05)
     assert outcome.error_detail == OVERRUN
@@ -326,14 +346,14 @@ def test_program_cannot_swallow_the_budget():
 
 
 def test_overrun_that_a_program_swallows_as_a_base_exception_is_still_counted():
-    def swallowing(payload, src):
+    def swallowing(payload):
         try:
             time.sleep(1)
         except BaseException:   # catches the budget's own exception too
             pass
         return []
 
-    pair = ProgramPair(original=swallowing, variant=lambda payload, src: [])
+    pair = ProgramPair(original=swallowing, variant=lambda payload: [])
     started = time.monotonic()
     outcome = evaluate_pair(pair, equivalence_relation(), case_for(()), budget=0.05)
     assert outcome.error_detail == OVERRUN
@@ -341,13 +361,13 @@ def test_overrun_that_a_program_swallows_as_a_base_exception_is_still_counted():
 
 
 def test_overrun_of_a_program_that_ignores_the_alarm_is_still_counted():
-    def ignoring(payload, src):
+    def ignoring(payload):
         signal.signal(signal.SIGALRM, signal.SIG_IGN)
         time.sleep(0.1)
         return []
 
     before = signal.getsignal(signal.SIGALRM)
-    pair = ProgramPair(original=ignoring, variant=lambda payload, src: [])
+    pair = ProgramPair(original=ignoring, variant=lambda payload: [])
     outcome = evaluate_pair(pair, equivalence_relation(), case_for(()), budget=0.05)
     assert outcome.error_detail == OVERRUN
     assert signal.getsignal(signal.SIGALRM) is before
@@ -439,7 +459,7 @@ def test_shorter_budget_after_a_longer_one_is_stopped_at_its_own_deadline():
 
 
 def test_program_that_disarms_the_alarm_loses_the_budget_until_it_was_due():
-    def disarming(payload, src):
+    def disarming(payload):
         signal.setitimer(signal.ITIMER_REAL, 0)
         return []
 
@@ -480,7 +500,9 @@ def test_evaluation_records_are_immutable_tuples_with_the_same_fields():
                 setattr(record, field, None)
 
 
-def test_sorting_pair_derives_only_the_generation_source(monkeypatch):
+@pytest.mark.parametrize("name", ["sorting-intramorphic", "ast-token-multiset",
+                                  "knapsack-optimality"])
+def test_sorting_pair_derives_only_the_generation_source(name, monkeypatch):
     calls = []
     real = seeds.derive_seed
 
@@ -490,7 +512,7 @@ def test_sorting_pair_derives_only_the_generation_source(monkeypatch):
 
     monkeypatch.setattr(core, "derive_seed", counting)
     monkeypatch.setattr(seeds, "derive_seed", counting)
-    campaign = get_campaign("sorting-intramorphic")
+    campaign = get_campaign(name)
     evaluate = campaign.build_evaluator(campaign.programs(None), None, 5.0)
     payload = campaign.generate(core.generation_source(7, 3))
     assert evaluate(case_for(payload, seed=7, iteration=3)).status is RelationStatus.HOLDS
@@ -509,8 +531,7 @@ def test_sorting_pair_derives_only_the_generation_source(monkeypatch):
         return campaign.generate(source)
 
     recorded = dataclasses.replace(campaign, generate=recording)
-    report = run_campaign(CampaignConfig(campaign="sorting-intramorphic", seed=7,
-                                         iterations=20),
+    report = run_campaign(CampaignConfig(campaign=name, seed=7, iterations=20),
                           registry={campaign.name: recorded})
     assert report.violations == 0 and report.iterations_run == 20
     assert calls and all(call[0] == 7 and call[2:] == (0,) for call in calls)
@@ -520,13 +541,14 @@ def test_sorting_pair_derives_only_the_generation_source(monkeypatch):
 # --- statistical aggregation ---------------------------------------------------
 
 class Replay:
-    """Program stub that replays scripted outputs in call order."""
+    """Program stub that replays scripted outputs in call order, at a k or,
+    since its source has a default, without."""
 
     def __init__(self, values):
         self.values = list(values)
         self.calls = 0
 
-    def __call__(self, payload, src):
+    def __call__(self, payload, source=None):
         value = self.values[self.calls % len(self.values)]
         self.calls += 1
         return value

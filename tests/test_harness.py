@@ -27,7 +27,7 @@ from intramorph.harness import (CampaignConfig, Counterexample, run_campaign,
                                 run_detection_matrix)
 from intramorph.registry import default_registry, get_campaign
 from intramorph.report import campaign_report_csv, campaign_report_document, to_json
-from intramorph.seeds import DerivedSource
+from intramorph.seeds import SeededSource, derive_seed
 from test_core import REJECTED_BUDGETS, on_and_off_the_main_thread
 
 
@@ -487,12 +487,13 @@ def test_failing_program_is_a_counted_execution_error_in_every_style(target, bro
 # pair body, _evaluate_single (or the median-of-k _evaluate_statistical) and
 # _run_program per side. That composition is kept here as the reference,
 # installed through the registry's module global guarded_evaluator, and the
-# two must give the same outcomes, error details byte for byte. Both keep the
-# one overrun rule: a side's label wraps only what its program raises
-# (core.EXECUTION_FAILURES), and an overrun, caught by the guard or found
-# past the deadline, is layered_overrun's unlabelled detail. The
-# comparisons run on the main thread, so the reference leaves out the
-# daemon-worker path.
+# two must give the same outcomes, error details byte for byte. Both call a
+# single run's programs on the payload alone, and give each median-of-k trial
+# its own source. Both keep the one overrun rule: a side's label wraps only
+# what its program raises (core.EXECUTION_FAILURES), and an overrun, caught
+# by the guard or found past the deadline, is layered_overrun's unlabelled
+# detail. The comparisons run on the main thread, so the reference leaves
+# out the daemon-worker path.
 
 def layered_run_program(label, fn, *args):
     try:
@@ -542,14 +543,12 @@ def layered_guarded_evaluation(body, case, budget):
 
 
 def trial_source(case, salt, trial):
-    return DerivedSource(case.provenance.seed, case.provenance.iteration, salt, trial)
+    return SeededSource(derive_seed(case.provenance.seed, case.provenance.iteration, salt, trial))
 
 
 def layered_evaluate_single(pair, relation, case):
-    original_out = layered_run_program("original", pair.original, case.payload,
-                                       trial_source(case, core._SALT_ORIGINAL, 0))
-    variant_out = layered_run_program("variant", pair.variant, case.payload,
-                                      trial_source(case, core._SALT_VARIANT, 0))
+    original_out = layered_run_program("original", pair.original, case.payload)
+    variant_out = layered_run_program("variant", pair.variant, case.payload)
     return RelationOutcome.from_check(relation.check(original_out, variant_out),
                                       original_out, variant_out)
 

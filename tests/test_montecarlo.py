@@ -20,7 +20,7 @@ from intramorph.core import (DEFAULT_BUDGET_SECONDS, ConfigurationError, InputCa
                              generation_sources)
 from intramorph.harness import CampaignConfig, run_campaign
 from intramorph.registry import get_campaign
-from intramorph.seeds import UNIT_BLOCK_CHUNK, DerivedSource, SeededSource
+from intramorph.seeds import UNIT_BLOCK_CHUNK, SeededSource, derive_seed
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -131,12 +131,11 @@ def test_chunked_estimator_matches_the_whole_block_reference(estimator, referenc
     p = POINTS_PER_CHUNK
     for n in (1, 2, 10, p - 1, p, p + 1, 2 * p + 3, 100_000, 100_001):
         for seed in range(20):
-            for make in (lambda: SeededSource(seed), lambda: DerivedSource(seed, n, 7)):
-                chunked, whole = make(), make()
-                estimate, expected = estimator(n, chunked), reference(n, whole)
-                assert estimate.hex() == expected.hex(), (n, seed, type(chunked))
-                # the estimator drew exactly 2 * n values from the stream
-                assert chunked.next_u64() == whole.next_u64(), (n, seed, type(chunked))
+            chunked, whole = SeededSource(seed), SeededSource(seed)
+            estimate, expected = estimator(n, chunked), reference(n, whole)
+            assert estimate.hex() == expected.hex(), (n, seed)
+            # the estimator drew exactly 2 * n values from the stream
+            assert chunked.next_u64() == whole.next_u64(), (n, seed)
 
 
 # --- mutants -----------------------------------------------------------------
@@ -189,9 +188,9 @@ def test_estimator_sides_return_their_distance_from_pi():
     outcome = convergence_evaluator(1, "wrong-scale")(InputCase(budgets, provenance))
     assert outcome.status is RelationStatus.VIOLATED
     assert outcome.original_output == error_from_pi(
-        pi_approximation(10, DerivedSource(*provenance, core._SALT_ORIGINAL, 0)))
+        pi_approximation(10, SeededSource(derive_seed(*provenance, core._SALT_ORIGINAL, 0))))
     assert outcome.variant_output == error_from_pi(
-        pi_wrong_scale(1000, DerivedSource(*provenance, core._SALT_VARIANT, 0)))
+        pi_wrong_scale(1000, SeededSource(derive_seed(*provenance, core._SALT_VARIANT, 0))))
 
 
 def test_estimator_that_returns_no_number_fails_its_labelled_trial():
@@ -221,7 +220,8 @@ def test_convergence_outcome_carries_median_errors():
 
 def run_trial(label, program, case, salt, trial):
     """``program`` on its trial's source, with a failure labelled ``label``."""
-    source = DerivedSource(case.provenance.seed, case.provenance.iteration, salt, trial)
+    source = SeededSource(derive_seed(case.provenance.seed, case.provenance.iteration, salt,
+                                      trial))
     try:
         return program(case.payload, source)
     except core.EXECUTION_FAILURES as exc:

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import intramorph.seeds as seeds_module
 from intramorph import core
 from intramorph.registry import default_registry
-from intramorph.seeds import (PREMIXED_DRAWS, UNIT_BLOCK_CHUNK, DerivedSource,
-                              PremixedSource, SeededSource, derive_seed, premixed_sources)
+from intramorph.seeds import (PREMIXED_DRAWS, UNIT_BLOCK_CHUNK, PremixedSource, SeededSource,
+                              derive_seed, premixed_sources)
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -50,13 +50,12 @@ def test_below_respects_bound(seed, bound):
 
 
 def test_below_rejects_nonpositive_bound():
-    for make in (lambda: SeededSource(1), lambda: DerivedSource(1, 2, 3)):
-        for bound in (0, -1):
-            source, reference = make(), make()
-            with pytest.raises(ValueError):
-                source.below(bound)
-            # the rejected call drew nothing
-            assert source.next_u64() == reference.next_u64()
+    for bound in (0, -1):
+        source, reference = SeededSource(1), SeededSource(1)
+        with pytest.raises(ValueError):
+            source.below(bound)
+        # the rejected call drew nothing
+        assert source.next_u64() == reference.next_u64()
 
 
 @given(seeds, st.integers(min_value=0, max_value=500))
@@ -108,8 +107,8 @@ def test_derive_is_deterministic_and_salt_sensitive(seed):
 
 @given(seeds)
 def test_derived_streams_differ_between_iterations(seed):
-    first = DerivedSource(seed, 1)
-    second = DerivedSource(seed, 2)
+    first = SeededSource(derive_seed(seed, 1))
+    second = SeededSource(derive_seed(seed, 2))
     assert [first.next_u64() for _ in range(4)] != [second.next_u64() for _ in range(4)]
 
 
@@ -120,45 +119,6 @@ def test_seed_is_masked_to_64_bits():
 @given(seeds, st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=5))
 def test_choice_picks_members(seed, items):
     assert SeededSource(seed).choice(items) in items
-
-
-def stream(source):
-    """The source's next draws through every drawing method, and a child."""
-    return ([source.next_u64(), source.below(7), source.unit(), source.choice("abc")],
-            list(source.unit_block(5)), source.next_u64(),
-            DerivedSource(source.seed, 4).next_u64())
-
-
-salt_paths = st.lists(st.integers(min_value=0, max_value=2**20), max_size=4)
-
-
-@given(seeds, salt_paths)
-def test_derived_source_first_read_by_a_draw_matches_the_eager_source(base, salts):
-    lazy = DerivedSource(base, *salts)
-    eager = SeededSource(derive_seed(base, *salts))
-    assert stream(lazy) == stream(eager)
-    assert (lazy.seed, repr(lazy)) == (eager.seed, repr(eager))
-
-
-@given(seeds, salt_paths)
-def test_derived_source_first_read_by_its_seed_matches_the_eager_source(base, salts):
-    lazy = DerivedSource(base, *salts)
-    eager = SeededSource(derive_seed(base, *salts))
-    assert lazy.seed == eager.seed
-    assert repr(lazy) == repr(eager)
-    assert stream(lazy) == stream(eager)
-
-
-def test_derived_source_derives_once_and_only_when_read(monkeypatch):
-    calls = []
-    monkeypatch.setattr("intramorph.seeds.derive_seed",
-                        lambda *args: calls.append(args) or derive_seed(*args))
-    source = DerivedSource(9, 1, 2)
-    assert calls == []
-    source.below(3)
-    source.seed
-    source.unit()
-    assert calls == [(9, 1, 2)]
 
 
 # --- batched streams ----------------------------------------------------------
@@ -172,8 +132,9 @@ def after_partial_read(source, reads):
     """A partial read, then a block, a pick, a child and more draws."""
     head = draws(source, reads)
     block = source.unit_block(3).view(np.uint64).tolist()
-    return (head, block, source.choice("abcdefg"), DerivedSource(source.seed, 5).next_u64(),
-            draws(source, 20), source.unit())
+    child = SeededSource(derive_seed(source.seed, 5))
+    return (head, block, source.choice("abcdefg"), child.next_u64(), draws(source, 20),
+            source.unit())
 
 
 @given(seeds, st.integers(min_value=-5, max_value=2**40), st.integers(min_value=0, max_value=40),
