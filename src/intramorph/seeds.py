@@ -28,11 +28,13 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
 # Elements per pass of SeededSource.unit_block: its uint64 working buffer,
-# _numpy's step table, and a result of one chunk take 64 KiB each. That
-# keeps them under glibc's default 128 KiB mmap threshold, so they come from
-# the heap and are reused across calls instead of being mapped (and
-# page-faulted) afresh on every call.
-UNIT_BLOCK_CHUNK = 8_192
+# _numpy's step table, and a result of one chunk take 125 KiB each. With
+# malloc's 16-byte chunk header that is still under glibc's default 128 KiB
+# mmap threshold, so they come from the heap and are reused across calls
+# instead of being mapped (and page-faulted) afresh on every call. Within
+# that limit the chunk is large, to spread numpy's fixed cost per ufunc call
+# over more draws, and even, so that a Monte Carlo chunk holds whole points.
+UNIT_BLOCK_CHUNK = 16_000
 
 # Draws of each stream that premixed_sources mixes in its batch. Measured
 # over the generation sources of 5,000 seeds: an array input takes at most 9
@@ -145,12 +147,12 @@ class SeededSource:
         :func:`_numpy`'s read-only step table) and is mixed in place,
         and the chunk's slice of the preallocated ``float64`` result serves
         as scratch until the finished draws are written into it. A chunk's
-        buffers take 64 KiB, under glibc's default 128 KiB mmap threshold,
-        so callers that draw at most one chunk per call allocate from the
-        heap only. Bit-identical to calling ``unit()`` ``count`` times, and
-        consecutive calls continue one stream; the scalar loop is the
-        reference and the test suite pins the equivalence, across chunk
-        boundaries too.
+        buffers take 125 KiB each, which with malloc's header is still under
+        glibc's default 128 KiB mmap threshold, so callers that draw at most
+        one chunk per call allocate from the heap only. Bit-identical to
+        calling ``unit()`` ``count`` times, and consecutive calls continue
+        one stream; the scalar loop is the reference and the test suite pins
+        the equivalence, across chunk boundaries too.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
@@ -217,10 +219,12 @@ def premixed_sources(base: int, first: int, count: int, salt: int) -> list[Premi
     The salts ``first + k`` spread to an arithmetic progression of gamma
     multiples, so every seed is derived at once, and each stream's first
     :data:`PREMIXED_DRAWS` states (its seed plus the gamma multiples) are
-    mixed in one more batch. ``count`` must not exceed
-    :data:`UNIT_BLOCK_CHUNK`, the length of :func:`_numpy`'s step table.
+    mixed in one more batch. ``count`` must be in ``0..UNIT_BLOCK_CHUNK``,
+    the length of :func:`_numpy`'s step table, else ``ValueError``.
     Bit-identical to the scalar derivation, which the tests keep as reference.
     """
+    if not 0 <= count <= UNIT_BLOCK_CHUNK:
+        raise ValueError(f"count must be in 0..{UNIT_BLOCK_CHUNK}, got {count}")
     np, steps, *_ = _numpy()
     # (first + k + 1) * gamma, the spread form of the salt first + k
     seeds = np.add(steps[:count], np.uint64((first * _GAMMA) & _MASK64))

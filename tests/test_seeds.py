@@ -98,6 +98,20 @@ def test_consecutive_unit_blocks_continue_one_stream():
             assert split.next_u64() == whole.next_u64(), (a, b, seed)
 
 
+# glibc's default M_MMAP_THRESHOLD and the header malloc puts before a chunk
+# on 64-bit systems (mallopt(3))
+GLIBC_MMAP_THRESHOLD = 128 * 1024
+MALLOC_CHUNK_HEADER = 16
+
+
+def test_unit_block_chunk_keeps_the_heap_rule():
+    assert UNIT_BLOCK_CHUNK % 2 == 0, (
+        "UNIT_BLOCK_CHUNK must be even: a Monte Carlo chunk holds whole (x, y) points")
+    assert UNIT_BLOCK_CHUNK * 8 + MALLOC_CHUNK_HEADER < GLIBC_MMAP_THRESHOLD, (
+        "UNIT_BLOCK_CHUNK's 8-byte buffers plus malloc's header must stay under glibc's "
+        "128 KiB mmap threshold, so that every unit_block chunk comes from the heap")
+
+
 @given(seeds)
 def test_derive_is_deterministic_and_salt_sensitive(seed):
     assert derive_seed(seed, 3, 7) == derive_seed(seed, 3, 7)
@@ -147,6 +161,17 @@ def test_premixed_sources_match_the_scalar_derivation(base, first, count, salt):
         reference = SeededSource(derive_seed(base, first + k, salt))
         assert (source.seed, repr(source)) == (reference.seed, repr(reference))
         assert draws(source, PREMIXED_DRAWS + 8) == draws(reference, PREMIXED_DRAWS + 8)
+
+
+def test_premixed_sources_take_up_to_one_step_table_of_streams():
+    assert premixed_sources(1, 9, 0, 0) == []
+    batch = premixed_sources(1, 9, UNIT_BLOCK_CHUNK, 0)
+    assert len(batch) == UNIT_BLOCK_CHUNK
+    last = SeededSource(derive_seed(1, 9 + UNIT_BLOCK_CHUNK - 1, 0))
+    assert draws(batch[-1], PREMIXED_DRAWS + 1) == draws(last, PREMIXED_DRAWS + 1)
+    for count in (-1, UNIT_BLOCK_CHUNK + 1, UNIT_BLOCK_CHUNK + 100):
+        with pytest.raises(ValueError, match=f"count must be in 0..{UNIT_BLOCK_CHUNK}"):
+            premixed_sources(1, 9, count, 0)
 
 
 BATCHED_RUN = 600   # the scalar prefix, every block size and several capped blocks
