@@ -1,15 +1,16 @@
 """Black-box comparison oracles: unit, differential, and metamorphic removal.
 
 These are the standard alternatives the harness runs side by side with the
-program-pair oracles. They return the same outcome type and raise when a
-sort fails, labelled by which sort call it was, as a program pair's failure
-is labelled by its side; the registry guards them like every other oracle.
+program-pair oracles; ``sort_copy`` is the one rule for running a sort, for
+them and for the registry's sorting pairs. They return the same outcome type
+and raise when a sort fails, labelled by which sort call it was, as a pair's
+failure is labelled by its side; the registry guards them like any oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .core import EXECUTION_FAILURES, ProgramFailed, RelationOutcome
 from .seeds import SeededSource
@@ -17,21 +18,20 @@ from .seeds import SeededSource
 SortFunction = Callable[[list], list]
 
 
-def not_a_list(output: Any) -> TypeError:
-    """The failure of a sort that returned ``output`` where a list was due."""
-    return TypeError(f"sort returned {type(output).__name__}, not a list")
+def sort_copy(sort_fn: SortFunction, values: Sequence[int]) -> list:
+    """Sorts a private copy; a sort that returns no list failed, not answered: TypeError."""
+    output = sort_fn(list(values))
+    if not isinstance(output, list):
+        raise TypeError(f"sort returned {type(output).__name__}, not a list")
+    return output
 
 
 def _sort_copy(sort_fn: SortFunction, values: Sequence[int], label: str) -> list:
-    """Sorts a private copy; a sort that returns no list failed, not answered.
-    A failure of the sort is labelled with ``label``; an overrun is not."""
+    """``sort_copy``, with a failure of the sort labelled ``label``; an overrun is not."""
     try:
-        output = sort_fn(list(values))
+        return sort_copy(sort_fn, values)
     except EXECUTION_FAILURES as exc:
         raise ProgramFailed(label) from exc
-    if not isinstance(output, list):
-        raise ProgramFailed(label) from not_a_list(output)
-    return output
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import _signal
 import math
 import signal
-import statistics
 import threading
 import time
 from contextlib import contextmanager
@@ -382,7 +381,7 @@ def guarded_evaluator(budget: Optional[float], body: Optional[Evaluator] = None,
                         side = f"original trial {trial}"
                         outputs.append(original(payload, source))
                         side = None
-                    median = statistics.median(outputs)
+                    median = sorted(outputs)[k // 2]
                     outputs, passes_needed = [], (k + 1) // 2
                     for trial in range(k):
                         source = SeededSource(derive_seed(seed, iteration, _SALT_VARIANT, trial))
@@ -395,7 +394,7 @@ def guarded_evaluator(budget: Optional[float], body: Optional[Evaluator] = None,
                                 outcome = RelationOutcome(holds, median)
                                 break
                     else:
-                        outcome = RelationOutcome(violated, median, statistics.median(outputs))
+                        outcome = RelationOutcome(violated, median, sorted(outputs)[k // 2])
                 else:
                     payload = case[0]
                     side = "original"

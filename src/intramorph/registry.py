@@ -10,12 +10,13 @@ evaluator through this module's global ``guarded_evaluator``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import operator
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
 from .baselines import (UnitCase, differential_oracle, metamorphic_removal_oracle,
-                        not_a_list, unit_oracle)
+                        sort_copy, unit_oracle)
 from .campaign import Campaign, Mutant
 from .cases import ast_printing, knapsack, montecarlo, sorting
 from .core import (ApplicationMode, Automation, Granularity, IntramorphicRelation,
@@ -59,20 +60,9 @@ def _pair_campaign(relation: IntramorphicRelation, original: Side, variant: Side
 
 
 def _sorts(name: str) -> Side:
-    """Side that sorts a private copy of the payload with the named component;
-    a sort that returns no list fails, as it does in the baselines."""
-    def side(programs):
-        sort = programs[name]
-
-        def run(payload):
-            output = sort(list(payload))
-            if not isinstance(output, list):
-                raise not_a_list(output)
-            return output
-
-        return run
-
-    return side
+    """Side that runs the named component through the baselines' ``sort_copy``,
+    the one rule for running a sort."""
+    return lambda programs: functools.partial(sort_copy, programs[name])
 
 
 def _prefix_and_postfix(programs):

@@ -4,8 +4,8 @@ Each record is the one statement of its report's field order. A document
 holds ``schema_version`` and then the record's fields in declaration order,
 and it leaves out a field that is None. So two runs with the same
 configuration serialize byte-identically apart from ``wall_time_ms``, which
-every record declares last. A CSV row is its document read by the published
-column list, with an empty cell for a field the document left out.
+every record declares last. A CSV row is its document read by a column list
+built from the same fields, with an empty cell for a field the document left out.
 """
 
 from __future__ import annotations
@@ -23,22 +23,18 @@ from .harness import CampaignReport, Counterexample, MatrixCell, MatrixReport
 
 SCHEMA_VERSION = "1"
 
-CAMPAIGN_CSV_COLUMNS = [
-    "schema_version", "campaign", "seed", "mutant", "iterations_run", "violations",
-    "first_violation_iteration", "counterexample_input", "counterexample_output_original",
-    "counterexample_output_variant", "execution_errors", "statistical_repetitions",
-    "wall_time_ms",
-]
-
-MATRIX_CSV_COLUMNS = [
-    "schema_version", "seed", "iterations", "campaign", "mutant", "detected",
-    "first_violation_iteration", "violations", "iterations_run", "execution_errors",
-    "expected_detected",
-]
-
 _REPORT_FIELDS = tuple(field.name for field in fields(CampaignReport))
 _MATRIX_FIELDS = tuple(field.name for field in fields(MatrixReport))
 _CELL_FIELDS = tuple(field.name for field in fields(MatrixCell))
+_COUNTEREXAMPLE_KEYS = ("input", "output_original", "output_variant")
+
+CAMPAIGN_CSV_COLUMNS = ["schema_version", *(column for name in _REPORT_FIELDS for column in (
+    [f"{name}_{key}" for key in _COUNTEREXAMPLE_KEYS] if name == "counterexample" else [name]))]
+
+# a matrix row is one cell after its matrix's fields: the cells are the rows, and
+# the matrix's wall time is no cell's, so the matrix CSV repeats byte for byte
+MATRIX_CSV_COLUMNS = ["schema_version", *(
+    name for name in _MATRIX_FIELDS if name not in ("cells", "wall_time_ms")), *_CELL_FIELDS]
 
 
 def _document(record: Any, names: tuple[str, ...], /, **values: Any) -> dict:
@@ -64,9 +60,10 @@ def _counterexample(counterexample: Optional[Counterexample],
                     campaign: Campaign) -> Optional[dict]:
     if counterexample is None:
         return None
-    return {"input": campaign.render_payload(counterexample.payload),
-            "output_original": _render_output(campaign, counterexample.original_output),
-            "output_variant": _render_output(campaign, counterexample.variant_output)}
+    return dict(zip(_COUNTEREXAMPLE_KEYS, (
+        campaign.render_payload(counterexample.payload),
+        _render_output(campaign, counterexample.original_output),
+        _render_output(campaign, counterexample.variant_output))))
 
 
 def campaign_report_document(report: CampaignReport, campaign: Campaign) -> dict:

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -267,3 +268,24 @@ def test_numpy_is_imported_only_by_a_process_that_draws_a_block(step, imports_nu
     assert numpy_imported == str(imports_numpy)
     if not imports_numpy and threads != "None":
         assert threads == "1"
+
+
+def run_module(*argv):
+    """``python -m intramorph`` in a fresh interpreter that imports this package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(intramorph.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-m", "intramorph", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_module_entry_point_prints_the_golden_list():
+    result = run_module("list")
+    assert result.returncode == 0, result.stderr
+    golden = Path(__file__).resolve().parent / "golden" / "list.txt"
+    assert result.stdout == golden.read_text(encoding="utf-8")
+
+
+def test_module_entry_point_exits_1_when_the_run_finds_a_violation():
+    result = run_module("run", "--campaign", "sorting-intramorphic", "--mutant", "swap-index-i",
+                        "--seed", "42")
+    assert result.returncode == 1, result.stderr
+    assert json.loads(result.stdout)["violations"] >= 1
