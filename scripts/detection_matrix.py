@@ -6,7 +6,9 @@ many iterations it took; control rows double as the false-alarm check.
 """
 
 import argparse
+import sys
 
+from intramorph.core import ConfigurationError
 from intramorph.harness import run_detection_matrix
 
 
@@ -16,7 +18,11 @@ def main() -> int:
     parser.add_argument("--iterations", type=int, default=100)
     args = parser.parse_args()
 
-    matrix = run_detection_matrix(seed=args.seed, iterations=args.iterations)
+    try:
+        matrix = run_detection_matrix(seed=args.seed, iterations=args.iterations)
+    except ConfigurationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
     header = (f"{'campaign':<24} {'mutant':<28} {'detected':<9} "
               f"{'first-violation':<16} {'expectation'}")

@@ -12,7 +12,9 @@ over 200 and over 1,000 iterations.
 """
 
 import argparse
+import sys
 
+from intramorph.core import ConfigurationError
 from intramorph.harness import CampaignConfig, run_campaign
 
 
@@ -31,8 +33,13 @@ def main() -> int:
                         help="repetitions for the aggregated comparison run")
     args = parser.parse_args()
 
-    single = violation_rate(args.seed, args.iterations, repetitions=1)
-    aggregated = violation_rate(args.seed, args.iterations, repetitions=args.k)
+    try:
+        # the run at --k first, so that a refused k is reported at once
+        aggregated = violation_rate(args.seed, args.iterations, repetitions=args.k)
+        single = violation_rate(args.seed, args.iterations, repetitions=1)
+    except ConfigurationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     print(f"seed={args.seed} iterations={args.iterations}")
     print(f"single-trial (k=1) violation rate:  {single:.4%}")
     print(f"median-of-{args.k} violation rate:      {aggregated:.4%}")

@@ -32,11 +32,12 @@ _SALT_PICKER = 3
 
 # generation_sources: the first iterations of a run derive their sources one
 # by one, and the rest come in vectorized blocks that double from the first
-# size up to the largest. A block has a fixed cost of about 30 us, where the
-# scalar path spends about 2 us deriving a seed and 1 us per draw, and most
-# runs that find their bug stop within 8 iterations (all but 29 of the 1,100
-# runs of the benchmark's detect workload at one seed), before the first
-# block is built.
+# size up to the largest. A block has a fixed cost of about 25 us, plus 0.7
+# us per source and 0.1 us per premixed draw served, where the scalar path
+# spends about 1.5 us deriving a seed and 0.5 us per draw. Most runs that
+# find their bug stop within 8 iterations (all but 29 of the 1,100 runs of
+# the benchmark's detect workload at one seed), before the first block is
+# built.
 _SCALAR_ITERATIONS = 8
 _FIRST_BLOCK = 8
 _LARGEST_BLOCK = 256

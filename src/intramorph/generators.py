@@ -33,7 +33,7 @@ def random_array(source: SeededSource) -> tuple[int, ...]:
     """Length uniform in 0..ARRAY_MAX_LENGTH, elements uniform in the value range."""
     length = source.below(ARRAY_MAX_LENGTH + 1)
     span = ARRAY_VALUE_MAX - ARRAY_VALUE_MIN + 1
-    return tuple(ARRAY_VALUE_MIN + source.below(span) for _ in range(length))
+    return tuple([ARRAY_VALUE_MIN + source.below(span) for _ in range(length)])
 
 
 def random_tree(source: SeededSource, _depth: int = 0) -> ExprNode:
@@ -60,11 +60,11 @@ def random_knapsack_instance(source: SeededSource) -> KnapsackInstance:
     count = source.below(KNAPSACK_MAX_ITEMS + 1)
     value_span = KNAPSACK_VALUE_MAX - KNAPSACK_VALUE_MIN + 1
     weight_span = KNAPSACK_WEIGHT_MAX - KNAPSACK_WEIGHT_MIN + 1
-    items = tuple(
+    items = tuple([
         KnapsackItem(name=chr(ord("A") + index),
                      value=KNAPSACK_VALUE_MIN + source.below(value_span),
                      weight=KNAPSACK_WEIGHT_MIN + source.below(weight_span))
-        for index in range(count))
+        for index in range(count)])
     capacity_span = KNAPSACK_CAPACITY_MAX - KNAPSACK_CAPACITY_MIN + 1
     capacity = KNAPSACK_CAPACITY_MIN + source.below(capacity_span)
     return KnapsackInstance(items, capacity)

@@ -7,8 +7,10 @@ in the test suite depend on this algorithm staying fixed.
 The scalar finalizer ``_mix`` on Python ints is the reference. ``_mix_array``
 applies the same arithmetic in place to numpy ``uint64`` arrays, and serves
 both ``SeededSource.unit_block`` and ``premixed_sources``, which derives a
-block of sibling streams and mixes their first draws in one batch. numpy and
-the tables those blocks read are built by ``_numpy`` on the first block, so a
+block of sibling streams and mixes their first draws in one batch. A stream's
+state after i draws is ``seed + i * gamma``, so a block's ``PremixedSource``
+keeps only its position and serves its premixed draws by it. numpy and the
+tables those blocks read are built by ``_numpy`` on the first block, so a
 process that draws none never imports numpy.
 """
 
@@ -36,11 +38,12 @@ _MIX_B = 0x94D049BB133111EB
 # over more draws, and even, so that a Monte Carlo chunk holds whole points.
 UNIT_BLOCK_CHUNK = 16_000
 
-# Draws of each stream that premixed_sources mixes in its batch. Measured
-# over the generation sources of 5,000 seeds: an array input takes at most 9
-# draws and a knapsack instance at most 14. An expression tree takes 11.8 on
-# average (median 8, 99th percentile 45); 70% of trees need no more than 16,
-# and the rest mix their later draws one by one.
+# Draws of each stream that premixed_sources mixes in its batch, and that a
+# PremixedSource serves by position. Measured over the generation sources of
+# 5,000 seeds: an array input takes at most 9 draws and a knapsack instance
+# at most 14. An expression tree takes 11.8 on average (median 8, 99th
+# percentile 45); 70% of trees need no more than 16, and the rest mix their
+# later draws one by one, each from its position.
 PREMIXED_DRAWS = 16
 
 
@@ -183,33 +186,43 @@ class PremixedSource(SeededSource):
     """``SeededSource(seed)`` whose first :data:`PREMIXED_DRAWS` draws were
     mixed ahead of time, in a batch, by :func:`premixed_sources`.
 
-    ``below``, through which the generators draw (``choice`` included),
-    serves the premixed values while the stream has advanced through them
-    alone, and mixes the state itself once it is past them or has jumped.
-    ``next_u64``, ``unit`` and ``unit_block`` are the base class's: they
-    advance the state without serving a premixed draw. ``_state`` advances
-    exactly as in the base class, so every draw, block and child is the
-    base class's.
+    splitmix64's state after i draws is ``seed + i * gamma``, so the source
+    records only its position, the count of draws taken so far. ``below``
+    (``choice`` through it) and ``next_u64`` (``unit`` through it) serve the
+    premixed draw at that position while it is inside the premixed prefix,
+    with no 64-bit arithmetic, and mix the state from the position past it.
+    ``unit_block`` sets ``_state`` from the position and runs the base
+    class's. Every draw, block and child is the base class's.
     """
 
     def __init__(self, seed: int, draws: list[int]):
-        self.seed = self._state = seed
+        self.seed = seed
         self._draws = draws
-        self._served = 0                # premixed draws handed out so far
-        self._served_state = seed       # the state right after them
+        self._position = 0              # draws taken from the stream so far
+
+    def next_u64(self) -> int:
+        position = self._position
+        self._position = position + 1
+        if position < PREMIXED_DRAWS:
+            return self._draws[position]
+        return _mix((self.seed + (position + 1) * _GAMMA) & _MASK64)
 
     def below(self, bound: int) -> int:
         if bound <= 0:
             raise ValueError(f"bound must be positive, got {bound}")
-        state = self._state
-        self._state = next_state = (state + _GAMMA) & _MASK64
-        if state == self._served_state:
-            served = self._served
-            if served < PREMIXED_DRAWS:
-                self._served = served + 1
-                self._served_state = next_state
-                return self._draws[served] % bound
-        return _mix(next_state) % bound
+        position = self._position
+        self._position = position + 1
+        if position < PREMIXED_DRAWS:
+            return self._draws[position] % bound
+        return _mix((self.seed + (position + 1) * _GAMMA) & _MASK64) % bound
+
+    def unit_block(self, count: int) -> np.ndarray:
+        self._state = (self.seed + self._position * _GAMMA) & _MASK64
+        # looked up on the class at each call, so a wrapper installed there
+        # sees this call too
+        block = SeededSource.unit_block(self, count)
+        self._position += count
+        return block
 
 
 def premixed_sources(base: int, first: int, count: int, salt: int) -> list[PremixedSource]:

@@ -277,6 +277,19 @@ def run_module(*argv):
                           capture_output=True, text=True, timeout=60)
 
 
+@pytest.mark.parametrize("script, argv, message", [
+    ("false_alarm_rate.py", ["--k", "4"],
+     "statistical repetitions must be a positive odd integer, got 4"),
+    ("detection_matrix.py", ["--iterations", "0"], "iterations must be an integer >= 1, got 0"),
+])
+def test_scripts_report_a_bad_argument_in_one_line_and_exit_2(script, argv, message):
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    env = {**os.environ, "PYTHONPATH": str(Path(intramorph.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, str(scripts / script), *argv], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
+
+
 def test_module_entry_point_prints_the_golden_list():
     result = run_module("list")
     assert result.returncode == 0, result.stderr

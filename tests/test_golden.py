@@ -1,7 +1,7 @@
 """Golden CLI outputs: the campaign list, every mutant catalog, the detection
 matrix as CSV and as JSON, the JSON run report of every (campaign, mutant)
-pair, control included, a few run reports as CSV, and runs at a k other
-than their campaign's default.
+pair, control included, a few run reports as CSV, runs at a k other than
+their campaign's default, and runs whose bug is found on a block source.
 
 Each output is compared byte for byte with its file under ``tests/golden/``,
 without its wall time: JSON ``wall_time_ms`` lines are stripped, and so is
@@ -34,10 +34,16 @@ CSV_RUNS = (("sorting-intramorphic", "swap-index-i"),
 # (campaign, mutant, k) runs whose k replaces the campaign's default
 K_RUNS = (("montecarlo-convergence", "wrong-scale", 1),
           ("montecarlo-convergence", "wrong-scale", 3))
+# (campaign, mutant, seed) runs that find their bug past the scalar prefix
+# of core.generation_sources, so their counterexamples come from a premixed
+# block: at iteration 9, 9 and 19 (the second block)
+BLOCK_RUNS = (("sorting-intramorphic", "swap-index-i", 684),
+              ("knapsack-optimality", "greedy-capacity-off-by-one", 9),
+              ("ast-token-multiset", "paren-left-as-right", 5))
 
 
-def run_argv(campaign: str, mutant) -> list[str]:
-    argv = ["run", "--campaign", campaign, "--seed", SEED, "--iterations", ITERATIONS]
+def run_argv(campaign: str, mutant, seed: str = SEED) -> list[str]:
+    argv = ["run", "--campaign", campaign, "--seed", seed, "--iterations", ITERATIONS]
     return argv if mutant is None else argv + ["--mutant", mutant]
 
 
@@ -58,6 +64,9 @@ def golden_commands() -> dict[str, list[str]]:
     for campaign, mutant, k in K_RUNS:
         commands[f"k{k}/{campaign}--{mutant}.json"] = (
             run_argv(campaign, mutant) + ["--k", str(k)])
+    for campaign, mutant, seed in BLOCK_RUNS:
+        commands[f"block/{campaign}--{mutant}--seed{seed}.json"] = run_argv(
+            campaign, mutant, str(seed))
     return commands
 
 

@@ -163,6 +163,36 @@ def test_premixed_sources_match_the_scalar_derivation(base, first, count, salt):
         assert draws(source, PREMIXED_DRAWS + 8) == draws(reference, PREMIXED_DRAWS + 8)
 
 
+calls = st.one_of(st.tuples(st.just("below"), st.integers(min_value=1, max_value=1000)),
+                  st.tuples(st.sampled_from(["choice", "next_u64", "unit"])),
+                  st.tuples(st.just("unit_block"), st.integers(min_value=0, max_value=40)))
+
+
+def apply(source, call):
+    name, *args = call
+    if name == "choice":
+        return source.choice("abcdefg")
+    result = getattr(source, name)(*args)
+    return result.view(np.uint64).tolist() if name == "unit_block" else result
+
+
+@given(seeds, st.integers(min_value=0, max_value=2**40), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=2**20), st.lists(calls, max_size=40))
+@settings(max_examples=100)
+def test_premixed_sources_answer_every_call_sequence_as_the_scalar_source(
+        base, first, count, salt, sequence):
+    for k, source in enumerate(premixed_sources(base, first, count, salt)):
+        reference = SeededSource(derive_seed(base, first + k, salt))
+        for call in sequence:
+            # a nonpositive bound is refused at any position, and draws nothing
+            for bound in (0, -1):
+                with pytest.raises(ValueError):
+                    source.below(bound)
+            assert apply(source, call) == apply(reference, call), call
+        assert draws(source, 3) == draws(reference, 3)
+        assert (source.seed, repr(source)) == (reference.seed, repr(reference))
+
+
 def test_premixed_sources_take_up_to_one_step_table_of_streams():
     assert premixed_sources(1, 9, 0, 0) == []
     batch = premixed_sources(1, 9, UNIT_BLOCK_CHUNK, 0)
