@@ -5,35 +5,49 @@ multiplication; prefix and postfix need no parentheses at all, which is what
 makes them trustworthy companions. The token-multiset relation compares the
 three renderings after stripping the infix parentheses. Two bugs are derived
 from the infix printer by one edit each; the third is written out.
+
+The nodes are NamedTuples rather than frozen dataclasses: a campaign builds
+a tree on every iteration and every shrink candidate, and hashes each
+candidate, so construction and hashing dominate, and a tuple is about half
+the cost of a frozen dataclass for both. They keep a dataclass's value
+semantics and reprs. ``Operation``'s constructor checks the operator; the
+generators and shrinker, whose nodes are valid by construction, build them
+with ``tuple.__new__`` instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from . import derive
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Constant:
+class Constant(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class Operation:
+class _OperationFields(NamedTuple):
     operator: str
     left: "ExprNode"
     right: "ExprNode"
 
-    def __post_init__(self) -> None:
-        if self.operator not in ("+", "*"):
-            raise ValueError(f"unsupported operator {self.operator!r}")
+
+class Operation(_OperationFields):
+    __slots__ = ()
+
+    def __new__(cls, operator: str, left: "ExprNode", right: "ExprNode") -> "Operation":
+        if operator not in ("+", "*"):
+            raise ValueError(f"unsupported operator {operator!r}")
+        return tuple.__new__(cls, (operator, left, right))
+
+    @classmethod
+    def _make(cls, fields) -> "Operation":
+        # _replace builds through _make, which would otherwise skip the check
+        return cls(*fields)
 
 
 ExprNode = Union[Operation, Variable, Constant]

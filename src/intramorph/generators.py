@@ -28,6 +28,8 @@ KNAPSACK_VALUE_MIN, KNAPSACK_VALUE_MAX = 1, 20
 KNAPSACK_WEIGHT_MIN, KNAPSACK_WEIGHT_MAX = 1, 10
 KNAPSACK_CAPACITY_MIN, KNAPSACK_CAPACITY_MAX = 1, 50
 
+_new = tuple.__new__
+
 
 def random_array(source: SeededSource) -> tuple[int, ...]:
     """Length uniform in 0..ARRAY_MAX_LENGTH, elements uniform in the value range."""
@@ -40,18 +42,20 @@ def random_tree(source: SeededSource, _depth: int = 0) -> ExprNode:
     """Tree over {+, *} operations, variables, and constants, depth <= TREE_MAX_DEPTH.
 
     Draw order is fixed (branch flag, then kind/operator, then left before
-    right) so a seed always produces the same tree.
+    right) so a seed always produces the same tree. The nodes are valid by
+    construction, so they are built with ``tuple.__new__``, which skips the
+    constructors' frames and ``Operation``'s operator check.
     """
     branch = _depth < TREE_MAX_DEPTH and source.below(2) == 0
     if branch:
         operator = "+" if source.below(2) == 0 else "*"
         left = random_tree(source, _depth + 1)
         right = random_tree(source, _depth + 1)
-        return Operation(operator, left, right)
+        return _new(Operation, (operator, left, right))
     if source.below(2) == 0:
-        return Variable(source.choice(TREE_VARIABLES))
+        return _new(Variable, (source.choice(TREE_VARIABLES),))
     span = TREE_CONSTANT_MAX - TREE_CONSTANT_MIN + 1
-    return Constant(TREE_CONSTANT_MIN + source.below(span))
+    return _new(Constant, (TREE_CONSTANT_MIN + source.below(span),))
 
 
 def random_knapsack_instance(source: SeededSource) -> KnapsackInstance:
@@ -97,14 +101,17 @@ def _cuts(value: int) -> tuple[tuple[int], ...]:
 
 
 def shrink_tree(payload: ExprNode) -> list[ExprNode]:
-    """Replace any operation node by either of its children (one at a time)."""
+    """Replace any operation node by either of its children (one at a time).
+
+    A candidate keeps a valid operation's operator, so it is built unchecked."""
     if not isinstance(payload, Operation):
         return []
-    candidates: list[ExprNode] = [payload.left, payload.right]
-    for smaller_left in shrink_tree(payload.left):
-        candidates.append(Operation(payload.operator, smaller_left, payload.right))
-    for smaller_right in shrink_tree(payload.right):
-        candidates.append(Operation(payload.operator, payload.left, smaller_right))
+    operator, left, right = payload
+    candidates: list[ExprNode] = [left, right]
+    for smaller_left in shrink_tree(left):
+        candidates.append(_new(Operation, (operator, smaller_left, right)))
+    for smaller_right in shrink_tree(right):
+        candidates.append(_new(Operation, (operator, left, smaller_right)))
     return candidates
 
 

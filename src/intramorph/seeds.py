@@ -9,9 +9,10 @@ applies the same arithmetic in place to numpy ``uint64`` arrays, and serves
 both ``SeededSource.unit_block`` and ``premixed_sources``, which derives a
 block of sibling streams and mixes their first draws in one batch. A stream's
 state after i draws is ``seed + i * gamma``, so a block's ``PremixedSource``
-keeps only its position and serves its premixed draws by it. numpy and the
-tables those blocks read are built by ``_numpy`` on the first block, so a
-process that draws none never imports numpy.
+keeps only its position and serves its premixed draws by it, from a
+read-only memoryview row of the block. numpy and the tables those blocks
+read are built by ``_numpy`` on the first block, so a process that draws
+none never imports numpy.
 """
 
 from __future__ import annotations
@@ -39,12 +40,17 @@ _MIX_B = 0x94D049BB133111EB
 UNIT_BLOCK_CHUNK = 16_000
 
 # Draws of each stream that premixed_sources mixes in its batch, and that a
-# PremixedSource serves by position. Measured over the generation sources of
-# 5,000 seeds: an array input takes at most 9 draws and a knapsack instance
-# at most 14. An expression tree takes 11.8 on average (median 8, 99th
-# percentile 45); 70% of trees need no more than 16, and the rest mix their
-# later draws one by one, each from its position.
-PREMIXED_DRAWS = 16
+# PremixedSource serves by position: the most that any catalogued generator
+# takes, so no generated input mixes a draw in Python. A full expression
+# tree of depth 4 has 15 operations and 16 leaves at 2 draws each, 62 in
+# all; an array input takes at most 9 draws and a knapsack instance 14.
+# The block's draws are served through memoryview slices, so the draws an
+# input does not read become no Python ints. A 256-stream block then takes
+# 256 * 62 * 8 = 126,976 bytes, which with malloc's header stays under
+# glibc's default 128 KiB mmap threshold (as UNIT_BLOCK_CHUNK's buffers do),
+# so the block and its scratch buffer are allocated from the heap rather
+# than mapped afresh for every block.
+PREMIXED_DRAWS = 62
 
 
 @functools.cache
@@ -191,11 +197,14 @@ class PremixedSource(SeededSource):
     (``choice`` through it) and ``next_u64`` (``unit`` through it) serve the
     premixed draw at that position while it is inside the premixed prefix,
     with no 64-bit arithmetic, and mix the state from the position past it.
-    ``unit_block`` sets ``_state`` from the position and runs the base
-    class's. Every draw, block and child is the base class's.
+    The prefix is the source's row of its block, a read-only memoryview
+    slice that its sibling streams' rows share a buffer with; an item
+    becomes a Python int only when it is read. ``unit_block`` sets
+    ``_state`` from the position and runs the base class's. Every draw,
+    block and child is the base class's.
     """
 
-    def __init__(self, seed: int, draws: list[int]):
+    def __init__(self, seed: int, draws: memoryview):
         self.seed = seed
         self._draws = draws
         self._position = 0              # draws taken from the stream so far
@@ -232,7 +241,8 @@ def premixed_sources(base: int, first: int, count: int, salt: int) -> list[Premi
     The salts ``first + k`` spread to an arithmetic progression of gamma
     multiples, so every seed is derived at once, and each stream's first
     :data:`PREMIXED_DRAWS` states (its seed plus the gamma multiples) are
-    mixed in one more batch. ``count`` must be in ``0..UNIT_BLOCK_CHUNK``,
+    mixed in one more batch, which each source reads through a read-only
+    memoryview of its row. ``count`` must be in ``0..UNIT_BLOCK_CHUNK``,
     the length of :func:`_numpy`'s step table, else ``ValueError``.
     Bit-identical to the scalar derivation, which the tests keep as reference.
     """
@@ -248,4 +258,6 @@ def premixed_sources(base: int, first: int, count: int, salt: int) -> list[Premi
     _mix_array(seeds, scratch)
     draws = np.add(seeds[:, np.newaxis], steps[:PREMIXED_DRAWS])
     _mix_array(draws, np.empty_like(draws))
-    return [PremixedSource(seed, row) for seed, row in zip(seeds.tolist(), draws.tolist())]
+    rows = memoryview(draws.reshape(-1)).toreadonly()
+    return [PremixedSource(seed, rows[k * PREMIXED_DRAWS:(k + 1) * PREMIXED_DRAWS])
+            for k, seed in enumerate(seeds.tolist())]

@@ -11,7 +11,7 @@ from intramorph.cases.ast_printing import (Constant, Operation, Variable,
                                            infix_paren_missing, render_tree,
                                            token_texts_match)
 from intramorph.core import UnknownMutantError
-from intramorph.generators import random_tree
+from intramorph.generators import random_tree, shrink_tree
 from intramorph.registry import get_campaign
 from intramorph.seeds import SeededSource
 
@@ -140,3 +140,48 @@ def test_inject_ast_mutant_lookup():
 def test_render_tree_matches_constructor_shape():
     assert render_tree(EXAMPLE) == ("Operation('*', Operation('+', Variable('a'), "
                                     "Constant(3)), Constant(2))")
+
+
+# --- node value semantics ---------------------------------------------------------
+
+def rebuilt(node):
+    """``node`` rebuilt through the public constructors."""
+    if isinstance(node, Operation):
+        return Operation(node.operator, rebuilt(node.left), rebuilt(node.right))
+    if isinstance(node, Variable):
+        return Variable(node.name)
+    return Constant(node.value)
+
+
+def test_example_repr_is_pinned():
+    assert repr(EXAMPLE) == (
+        "Operation(operator='*', left=Operation(operator='+', left=Variable(name='a'), "
+        "right=Constant(value=3)), right=Constant(value=2))")
+
+
+@given(seeded_trees())
+def test_a_generated_tree_equals_its_constructor_built_twin(tree):
+    twin = rebuilt(tree)
+    assert tree == twin and hash(tree) == hash(twin)
+    assert type(tree) is type(twin) and repr(tree) == repr(twin)
+
+
+def test_nodes_are_immutable():
+    for node, field in ((EXAMPLE, "operator"), (EXAMPLE, "left"), (Variable("a"), "name"),
+                        (Constant(3), "value")):
+        with pytest.raises(AttributeError):
+            setattr(node, field, getattr(node, field))
+
+
+def test_an_operation_built_by_replace_is_checked_too():
+    with pytest.raises(ValueError):
+        EXAMPLE._replace(operator="-")
+    assert EXAMPLE._replace(operator="+") == Operation("+", EXAMPLE.left, EXAMPLE.right)
+
+
+def test_every_shrink_candidate_equals_its_constructor_built_twin():
+    for seed in range(200):
+        for candidate in shrink_tree(random_tree(SeededSource(seed))):
+            twin = rebuilt(candidate)
+            assert candidate == twin and hash(candidate) == hash(twin), seed
+            assert repr(candidate) == repr(twin), seed

@@ -15,7 +15,7 @@ from intramorph.generators import (random_array, random_knapsack_instance, rando
                                    shrink_array, shrink_knapsack, shrink_tree)
 from intramorph.harness import CampaignConfig, run_campaign
 from intramorph.registry import get_campaign
-from intramorph.seeds import SeededSource
+from intramorph.seeds import PREMIXED_DRAWS, SeededSource
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -143,6 +143,44 @@ def test_knapsack_instance_within_bounds(seed):
 def test_knapsack_determinism(seed):
     assert (random_knapsack_instance(SeededSource(seed))
             == random_knapsack_instance(SeededSource(seed)))
+
+
+# --- draws per input ------------------------------------------------------------
+
+class CountingSource:
+    """Answers every draw with ``answer(bound)`` and counts the draws."""
+
+    def __init__(self, answer):
+        self.answer = answer
+        self.draws = 0
+
+    def below(self, bound):
+        self.draws += 1
+        return self.answer(bound)
+
+    def choice(self, items):
+        return items[self.below(len(items))]
+
+
+def draws_taken(generate, answer):
+    source = CountingSource(answer)
+    generate(source)
+    return source.draws
+
+
+def test_no_generator_reads_past_the_premixed_prefix():
+    # 0 takes every branch down to TREE_MAX_DEPTH; bound - 1 gives the longest
+    # array and the most knapsack items
+    full_tree = draws_taken(random_tree, lambda bound: 0)
+    assert full_tree == 2 * (2 ** (generators.TREE_MAX_DEPTH + 1) - 1)
+    longest = {"array": draws_taken(random_array, lambda bound: bound - 1),
+               "tree": full_tree,
+               "knapsack": draws_taken(random_knapsack_instance, lambda bound: bound - 1)}
+    for name, count in longest.items():
+        assert count <= PREMIXED_DRAWS, (
+            f"the longest {name} input takes {count} draws, more than "
+            f"seeds.PREMIXED_DRAWS = {PREMIXED_DRAWS}: every draw of a generated input "
+            "must come from a block's premixed prefix")
 
 
 # --- shrinking ----------------------------------------------------------------

@@ -165,7 +165,10 @@ def test_premixed_sources_match_the_scalar_derivation(base, first, count, salt):
 
 calls = st.one_of(st.tuples(st.just("below"), st.integers(min_value=1, max_value=1000)),
                   st.tuples(st.sampled_from(["choice", "next_u64", "unit"])),
-                  st.tuples(st.just("unit_block"), st.integers(min_value=0, max_value=40)))
+                  # sizes past PREMIXED_DRAWS, here and in the call lists below, let
+                  # one block or a run of single draws cross the premixed prefix
+                  st.tuples(st.just("unit_block"),
+                            st.integers(min_value=0, max_value=PREMIXED_DRAWS + 10)))
 
 
 def apply(source, call):
@@ -177,7 +180,8 @@ def apply(source, call):
 
 
 @given(seeds, st.integers(min_value=0, max_value=2**40), st.integers(min_value=1, max_value=4),
-       st.integers(min_value=0, max_value=2**20), st.lists(calls, max_size=40))
+       st.integers(min_value=0, max_value=2**20),
+       st.lists(calls, max_size=PREMIXED_DRAWS + 10))
 @settings(max_examples=100)
 def test_premixed_sources_answer_every_call_sequence_as_the_scalar_source(
         base, first, count, salt, sequence):
@@ -202,6 +206,22 @@ def test_premixed_sources_take_up_to_one_step_table_of_streams():
     for count in (-1, UNIT_BLOCK_CHUNK + 1, UNIT_BLOCK_CHUNK + 100):
         with pytest.raises(ValueError, match=f"count must be in 0..{UNIT_BLOCK_CHUNK}"):
             premixed_sources(1, 9, count, 0)
+
+
+def test_a_premixed_row_is_read_only():
+    # sibling streams' rows share their block's buffer
+    for source in premixed_sources(5, 9, 2, 0):
+        row = source._draws
+        assert len(row) == PREMIXED_DRAWS and row.readonly
+        with pytest.raises(TypeError):
+            row[0] = 0
+
+
+def test_the_largest_generation_block_keeps_the_heap_rule():
+    assert core._LARGEST_BLOCK * PREMIXED_DRAWS * 8 + MALLOC_CHUNK_HEADER < GLIBC_MMAP_THRESHOLD, (
+        "the largest generation block's PREMIXED_DRAWS 8-byte draws per stream plus malloc's "
+        "header must stay under glibc's 128 KiB mmap threshold, so that every block and its "
+        "scratch buffer come from the heap")
 
 
 BATCHED_RUN = 600   # the scalar prefix, every block size and several capped blocks
