@@ -60,6 +60,14 @@ class Campaign:
     ``dataclasses.replace`` runs the ``components`` and ``mutants`` it holds.
     ``components`` is held as a read-only copy, so a registered campaign
     cannot be edited in place.
+
+    ``generate_block``, the block form of ``generate``, is optional. Called
+    as ``generate_block(seed, first, count)``, it must return exactly
+    ``[generate(generation_source(seed, first + k)) for k in range(count)]``,
+    and the harness then takes every iteration past the first few from it,
+    a block at a time. Without one, every iteration is generated from its
+    own ``generation_source``; so a copy that replaces ``generate`` must
+    replace or drop the block form too.
     """
 
     name: str
@@ -74,6 +82,7 @@ class Campaign:
     descriptor: Optional[TransformationDescriptor] = None
     mutants: tuple[Mutant, ...] = ()
     default_repetitions: Optional[int] = None
+    generate_block: Optional[Callable[[int, int, int], list]] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", MappingProxyType(dict(self.components)))

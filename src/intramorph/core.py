@@ -16,9 +16,12 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Optional
 
-from .seeds import SeededSource, derive_seed, premixed_sources
+from .seeds import SeededSource, derive_seed, premixed_draws
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_BUDGET_SECONDS = 5.0
 
@@ -30,16 +33,16 @@ _SALT_ORIGINAL = 1
 _SALT_VARIANT = 2
 _SALT_PICKER = 3
 
-# generation_sources: the first iterations of a run derive their sources one
-# by one, and the rest come in vectorized blocks that double from the first
-# size up to the largest. A block has a fixed cost of about 25 us, plus 0.6
-# us per source and 0.13 us per premixed draw served, where the scalar path
-# spends about 1.45 us deriving a seed and 0.55 us per draw (Python 3.11,
-# numpy 2.4, one core of a 2-CPU Xeon VM). Every draw of a generated input
-# is premixed (seeds.PREMIXED_DRAWS covers the longest). Most runs that
-# find their bug stop within 8 iterations (all but 29 of the 1,100 runs of
-# the benchmark's detect workload at one seed), before the first block is
-# built.
+# generated_payloads: the first iterations of a run generate their inputs
+# one by one, and the rest come from the campaign's block form in blocks
+# that double from the first size up to the largest. A block costs about
+# 22 to 35 us fixed (its numpy calls), plus 0.3 us per array, 2.9 us per
+# expression tree and 1.9 us per knapsack instance, where one by one an
+# input costs about 1.5 us to derive its source and 0.5 us per draw: 4.7,
+# 9.6 and 9.5 us for the three (Python 3.11, numpy 2.4, one core of a
+# 2-CPU Xeon VM). Most runs that find their bug stop within 8 iterations
+# (all but 29 of the 1,100 runs of the benchmark's detect workload at one
+# seed), before the first block is built.
 _SCALAR_ITERATIONS = 8
 _FIRST_BLOCK = 8
 _LARGEST_BLOCK = 256
@@ -193,22 +196,31 @@ def generation_source(seed: int, iteration: int) -> SeededSource:
     return SeededSource(derive_seed(seed, iteration, _SALT_GENERATE))
 
 
-def generation_sources(seed: int, iterations: int) -> Iterator[SeededSource]:
-    """``generation_source(seed, i)`` for i = 1..``iterations``, in order.
+def generation_draws(seed: int, first: int, count: int, width: int) -> np.ndarray:
+    """The first ``width`` draws of ``generation_source(seed, first + k)`` for
+    each k in ``range(count)``, as one read-only ``(count, width)`` ``uint64``
+    matrix (:func:`seeds.premixed_draws`): what a campaign's block form reads."""
+    return premixed_draws(seed, first, count, _SALT_GENERATE, width)
 
-    Equal bit for bit to the scalar sources. Past the first
-    ``_SCALAR_ITERATIONS``, each block of iterations derives its seeds and
-    mixes its streams' first draws in one batch
-    (:func:`seeds.premixed_sources`); a block is built only when the run
-    reaches it.
+
+def generated_payloads(generate: Callable[[SeededSource], Any],
+                       generate_block: Optional[Callable[[int, int, int], list]],
+                       seed: int, iterations: int) -> Iterator[Any]:
+    """The payloads of iterations 1..``iterations``, in order: each equals
+    ``generate(generation_source(seed, i))``.
+
+    Without a block form every payload is generated from its own source.
+    With one, past the first ``_SCALAR_ITERATIONS`` each block of iterations
+    comes from one ``generate_block(seed, first, count)`` call, made only
+    when the run reaches the block.
     """
-    scalar = min(iterations, _SCALAR_ITERATIONS)
+    scalar = iterations if generate_block is None else min(iterations, _SCALAR_ITERATIONS)
     for iteration in range(1, scalar + 1):
-        yield generation_source(seed, iteration)
+        yield generate(generation_source(seed, iteration))
     first, size = scalar + 1, _FIRST_BLOCK
     while first <= iterations:
         count = min(size, iterations - first + 1)
-        yield from premixed_sources(seed, first, count, _SALT_GENERATE)
+        yield from generate_block(seed, first, count)
         first += count
         size = min(2 * size, _LARGEST_BLOCK)
 

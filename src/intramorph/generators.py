@@ -5,14 +5,25 @@ the original and its twin always run on inputs drawn from it. The ranges
 are deliberately small (values 0..9, length <= 8) so repeated elements show
 up often; duplicates are where removal and reversal relations get
 interesting. All generators are pure functions of the source's seed.
+
+Each domain's scalar generator (``random_array``) has a block form
+(``random_arrays``) that returns ``[random_array(generation_source(seed,
+first + k)) for k in range(count)]`` from one matrix of the block's draws
+(``core.generation_draws``), ``*_DRAWS`` wide: the most draws the scalar
+generator can take. ``below(bound)`` is a draw modulo ``bound``, so the
+block forms reduce whole columns in numpy and read the rows back as small
+ints.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
+from typing import Callable
 
 from .cases.ast_printing import Constant, ExprNode, Operation, Variable
 from .cases.knapsack import KnapsackInstance, KnapsackItem
+from .core import generation_draws
 from .seeds import SeededSource
 
 ARRAY_MAX_LENGTH = 8
@@ -28,50 +39,102 @@ KNAPSACK_VALUE_MIN, KNAPSACK_VALUE_MAX = 1, 20
 KNAPSACK_WEIGHT_MIN, KNAPSACK_WEIGHT_MAX = 1, 10
 KNAPSACK_CAPACITY_MIN, KNAPSACK_CAPACITY_MAX = 1, 50
 
+# the most draws each scalar generator takes: a length and its values; a full
+# tree's 2 ** (depth + 1) - 1 nodes at 2 draws each; a count, two draws per
+# item and a capacity
+ARRAY_DRAWS = 1 + ARRAY_MAX_LENGTH
+TREE_DRAWS = 2 * (2 ** (TREE_MAX_DEPTH + 1) - 1)
+KNAPSACK_DRAWS = 2 + 2 * KNAPSACK_MAX_ITEMS
+
+_ARRAY_SPAN = ARRAY_VALUE_MAX - ARRAY_VALUE_MIN + 1
+_CONSTANT_SPAN = TREE_CONSTANT_MAX - TREE_CONSTANT_MIN + 1
+# a multiple of every bound a tree's draws are reduced by, so a draw reduced
+# by it still gives each of them
+_TREE_MODULUS = math.lcm(2, len(TREE_VARIABLES), _CONSTANT_SPAN)
+_VALUE_SPAN = KNAPSACK_VALUE_MAX - KNAPSACK_VALUE_MIN + 1
+_WEIGHT_SPAN = KNAPSACK_WEIGHT_MAX - KNAPSACK_WEIGHT_MIN + 1
+_CAPACITY_SPAN = KNAPSACK_CAPACITY_MAX - KNAPSACK_CAPACITY_MIN + 1
+_ITEM_NAMES = tuple(chr(ord("A") + index) for index in range(KNAPSACK_MAX_ITEMS))
+
 _new = tuple.__new__
 
 
 def random_array(source: SeededSource) -> tuple[int, ...]:
     """Length uniform in 0..ARRAY_MAX_LENGTH, elements uniform in the value range."""
     length = source.below(ARRAY_MAX_LENGTH + 1)
-    span = ARRAY_VALUE_MAX - ARRAY_VALUE_MIN + 1
-    return tuple([ARRAY_VALUE_MIN + source.below(span) for _ in range(length)])
+    return tuple([ARRAY_VALUE_MIN + source.below(_ARRAY_SPAN) for _ in range(length)])
 
 
-def random_tree(source: SeededSource, _depth: int = 0) -> ExprNode:
+def random_arrays(seed: int, first: int, count: int) -> list[tuple[int, ...]]:
+    """The block form of :func:`random_array`."""
+    draws = generation_draws(seed, first, count, ARRAY_DRAWS)
+    lengths = (draws[:, 0] % (ARRAY_MAX_LENGTH + 1)).tolist()
+    values = draws[:, 1:] % _ARRAY_SPAN
+    values += ARRAY_VALUE_MIN
+    return [tuple(row[:length]) for row, length in zip(values.tolist(), lengths)]
+
+
+def random_tree(source: SeededSource) -> ExprNode:
     """Tree over {+, *} operations, variables, and constants, depth <= TREE_MAX_DEPTH.
 
     Draw order is fixed (branch flag, then kind/operator, then left before
-    right) so a seed always produces the same tree. The nodes are valid by
-    construction, so they are built with ``tuple.__new__``, which skips the
-    constructors' frames and ``Operation``'s operator check.
-    """
-    branch = _depth < TREE_MAX_DEPTH and source.below(2) == 0
-    if branch:
-        operator = "+" if source.below(2) == 0 else "*"
-        left = random_tree(source, _depth + 1)
-        right = random_tree(source, _depth + 1)
-        return _new(Operation, (operator, left, right))
-    if source.below(2) == 0:
-        return _new(Variable, (source.choice(TREE_VARIABLES),))
-    span = TREE_CONSTANT_MAX - TREE_CONSTANT_MIN + 1
-    return _new(Constant, (TREE_CONSTANT_MIN + source.below(span),))
+    right) so a seed always produces the same tree."""
+    return _tree(source.next_u64, 0)
+
+
+def random_trees(seed: int, first: int, count: int) -> list[ExprNode]:
+    """The block form of :func:`random_tree`."""
+    rows = (generation_draws(seed, first, count, TREE_DRAWS) % _TREE_MODULUS).tolist()
+    return [_tree(iter(row).__next__, 0) for row in rows]
+
+
+def _tree(draw: Callable[[], int], depth: int) -> ExprNode:
+    """The tree whose draws ``draw()`` returns in turn, each reduced by its
+    bound. The nodes are valid by construction, so they are built with
+    ``tuple.__new__``, which skips the constructors' frames and
+    ``Operation``'s operator check."""
+    if depth < TREE_MAX_DEPTH and draw() % 2 == 0:
+        operator = "+" if draw() % 2 == 0 else "*"
+        left = _tree(draw, depth + 1)
+        return _new(Operation, (operator, left, _tree(draw, depth + 1)))
+    if draw() % 2 == 0:
+        return _new(Variable, (TREE_VARIABLES[draw() % len(TREE_VARIABLES)],))
+    return _new(Constant, (TREE_CONSTANT_MIN + draw() % _CONSTANT_SPAN,))
 
 
 def random_knapsack_instance(source: SeededSource) -> KnapsackInstance:
     """0..KNAPSACK_MAX_ITEMS uniquely named items plus a capacity, all uniform
     in range. ``KnapsackInstance`` still rejects a bad instance."""
     count = source.below(KNAPSACK_MAX_ITEMS + 1)
-    value_span = KNAPSACK_VALUE_MAX - KNAPSACK_VALUE_MIN + 1
-    weight_span = KNAPSACK_WEIGHT_MAX - KNAPSACK_WEIGHT_MIN + 1
     items = tuple([
-        KnapsackItem(name=chr(ord("A") + index),
-                     value=KNAPSACK_VALUE_MIN + source.below(value_span),
-                     weight=KNAPSACK_WEIGHT_MIN + source.below(weight_span))
+        KnapsackItem(name=_ITEM_NAMES[index],
+                     value=KNAPSACK_VALUE_MIN + source.below(_VALUE_SPAN),
+                     weight=KNAPSACK_WEIGHT_MIN + source.below(_WEIGHT_SPAN))
         for index in range(count)])
-    capacity_span = KNAPSACK_CAPACITY_MAX - KNAPSACK_CAPACITY_MIN + 1
-    capacity = KNAPSACK_CAPACITY_MIN + source.below(capacity_span)
+    capacity = KNAPSACK_CAPACITY_MIN + source.below(_CAPACITY_SPAN)
     return KnapsackInstance(items, capacity)
+
+
+def random_knapsack_instances(seed: int, first: int, count: int) -> list[KnapsackInstance]:
+    """The block form of :func:`random_knapsack_instance`. Item i's value and
+    weight are columns 1 + 2i and 2 + 2i, and the capacity is the column
+    after the last item's. The instances are valid by construction, so they
+    are built unchecked; the tests compare them with the scalar form's
+    checked ones."""
+    draws = generation_draws(seed, first, count, KNAPSACK_DRAWS)
+    counts = draws[:, 0] % (KNAPSACK_MAX_ITEMS + 1)
+    capacities = draws[range(count), 1 + 2 * counts] % _CAPACITY_SPAN
+    capacities += KNAPSACK_CAPACITY_MIN
+    values = draws[:, 1::2] % _VALUE_SPAN
+    values += KNAPSACK_VALUE_MIN
+    weights = draws[:, 2::2] % _WEIGHT_SPAN
+    weights += KNAPSACK_WEIGHT_MIN
+    unchecked = KnapsackInstance._unchecked
+    return [unchecked(tuple([_new(KnapsackItem, item)
+                             for item in zip(_ITEM_NAMES[:items], value_row, weight_row)]),
+                      capacity)
+            for items, value_row, weight_row, capacity
+            in zip(counts.tolist(), values.tolist(), weights.tolist(), capacities.tolist())]
 
 
 def shrink_array(payload: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -1,8 +1,9 @@
 """Bounded random-testing loop: generate, evaluate, shrink violations, report.
 
-Reports are a pure function of the configuration (wall time aside): inputs
-come from per-iteration sources derived as (seed, iteration), and every
-evaluation draws its randomness from the input's provenance.
+Reports are a pure function of the configuration (wall time aside): each
+input is the one generated from a source derived as (seed, iteration),
+whether alone or in a block, and every evaluation draws its randomness from
+the input's provenance.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Any, Mapping, Optional
 
 from .campaign import Campaign, Evaluator
 from .core import (ConfigurationError, InputCase, Provenance, RelationStatus,
-                   DEFAULT_BUDGET_SECONDS, alarm_scope, generation_sources)
+                   DEFAULT_BUDGET_SECONDS, alarm_scope, generated_payloads)
 from .registry import default_registry, get_campaign
 
 __all__ = [
@@ -131,15 +132,16 @@ def run_campaign(config: CampaignConfig, registry: Optional[Mapping[str, Campaig
     counterexample: Optional[Counterexample] = None
     iterations_run = 0
 
-    generate, seed, new = campaign.generate, config.seed, tuple.__new__
+    seed, new = config.seed, tuple.__new__
+    payloads = generated_payloads(campaign.generate, campaign.generate_block, seed,
+                                  config.iterations)
     failed, violated = RelationStatus.EXECUTION_ERROR, RelationStatus.VIOLATED
     # one SIGALRM handler for the whole run, shrinking included; evaluations
     # set deadlines and arm the timer only when no alarm is due by theirs
     with alarm_scope():
-        for iteration, source in enumerate(generation_sources(seed, config.iterations),
-                                           start=1):
+        for iteration, payload in enumerate(payloads, start=1):
             iterations_run = iteration
-            case = new(InputCase, (generate(source), new(Provenance, (seed, iteration))))
+            case = new(InputCase, (payload, new(Provenance, (seed, iteration))))
             outcome = evaluator(case)
             status = outcome.status
             if status is failed:

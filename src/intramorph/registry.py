@@ -22,8 +22,9 @@ from .cases import ast_printing, knapsack, montecarlo, sorting
 from .core import (ApplicationMode, Automation, Granularity, IntramorphicRelation,
                    ProgramPair, TransformationDescriptor, UnknownCampaignError,
                    equivalence_relation, guarded_evaluator, picker_source)
-from .generators import (random_array, random_knapsack_instance, random_tree,
-                         shrink_array, shrink_knapsack, shrink_tree)
+from .generators import (random_array, random_arrays, random_knapsack_instance,
+                         random_knapsack_instances, random_tree, random_trees, shrink_array,
+                         shrink_knapsack, shrink_tree)
 
 # operator.itemgetter(name) is the side that runs the named component as it is
 Side = Callable[[Mapping[str, Callable]], Callable]
@@ -40,6 +41,13 @@ def _added_alongside(granularity: Granularity) -> TransformationDescriptor:
 
 
 DEFAULT_BUDGETS = montecarlo.SampleBudgetPair()
+
+
+def _constant(payload) -> dict:
+    """The ``generate`` and ``generate_block`` of a campaign whose every input
+    is ``payload``: neither draws, so no block is ever mixed."""
+    return dict(generate=lambda source: payload,
+                generate_block=lambda seed, first, count: [payload] * count)
 
 
 def _pair_campaign(relation: IntramorphicRelation, original: Side, variant: Side,
@@ -116,14 +124,14 @@ def _campaign_table() -> tuple[Campaign, ...]:
                         "ascending sort's swap reads the outer index i instead of j",
                         {"ascending": sorting.bubble_sort_swap_index})
     array_fields = dict(case_study="sorting",
-                        generate=random_array,
+                        generate=random_array, generate_block=random_arrays,
                         render_payload=_render_array, shrink_payload=shrink_array)
     return (
         Campaign(
             name="sorting-unit", case_study="sorting", oracle_style="unit",
             build_evaluator=_unit_evaluator,
             components={"ascending": sorting.bubble_sort},
-            generate=lambda src: UNIT_CASE,   # a unit test re-checks its fixed case
+            **_constant(UNIT_CASE),   # a unit test re-checks its fixed case
             render_payload=lambda case: (f"sort({list(case.values)}) "
                                          f"== {list(case.expected)}"),
             shrink_payload=lambda payload: [],
@@ -174,7 +182,7 @@ def _campaign_table() -> tuple[Campaign, ...]:
             components={"infix": ast_printing.as_string_infix,
                         "prefix": ast_printing.as_string_prefix,
                         "postfix": ast_printing.as_string_postfix},
-            generate=random_tree,
+            generate=random_tree, generate_block=random_trees,
             render_payload=ast_printing.render_tree, shrink_payload=shrink_tree,
             descriptor=_added_alongside(Granularity.FUNCTION_ADDED),
             mutants=(
@@ -199,7 +207,7 @@ def _campaign_table() -> tuple[Campaign, ...]:
             # iteration 1 and one-coordinate on none; boundary-strict is blind either way
             components={"small": montecarlo.pi_approximation,
                         "large": montecarlo.pi_approximation},
-            generate=lambda src: DEFAULT_BUDGETS,   # entropy comes from provenance
+            **_constant(DEFAULT_BUDGETS),   # entropy comes from provenance
             render_payload=lambda budgets: (f"n_small={budgets.n_small}, "
                                             f"n_large={budgets.n_large}"),
             shrink_payload=lambda payload: [],
@@ -224,7 +232,7 @@ def _campaign_table() -> tuple[Campaign, ...]:
             name="knapsack-optimality", case_study="knapsack", oracle_style="intramorphic",
             components={"greedy": knapsack.knapsack_greedy,
                         "exhaustive": knapsack.knapsack_exhaustive},
-            generate=random_knapsack_instance,
+            generate=random_knapsack_instance, generate_block=random_knapsack_instances,
             render_payload=knapsack.render_instance, shrink_payload=shrink_knapsack,
             render_output=knapsack.render_solution,
             descriptor=_added_alongside(Granularity.ALGORITHM_REPLACED),

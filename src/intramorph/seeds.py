@@ -6,13 +6,12 @@ in the test suite depend on this algorithm staying fixed.
 
 The scalar finalizer ``_mix`` on Python ints is the reference. ``_mix_array``
 applies the same arithmetic in place to numpy ``uint64`` arrays, and serves
-both ``SeededSource.unit_block`` and ``premixed_sources``, which derives a
-block of sibling streams and mixes their first draws in one batch. A stream's
-state after i draws is ``seed + i * gamma``, so a block's ``PremixedSource``
-keeps only its position and serves its premixed draws by it, from a
-read-only memoryview row of the block. numpy and the tables those blocks
-read are built by ``_numpy`` on the first block, so a process that draws
-none never imports numpy.
+both ``SeededSource.unit_block`` and ``premixed_draws``, which derives a
+block of sibling streams and mixes their first draws in one batch: a
+stream's state after i draws is ``seed + i * gamma``, so every draw of
+every stream in the block is one element of a matrix. numpy and the tables
+those blocks read are built by ``_numpy`` on the first block, so a process
+that draws none never imports numpy.
 """
 
 from __future__ import annotations
@@ -38,19 +37,6 @@ _MIX_B = 0x94D049BB133111EB
 # that limit the chunk is large, to spread numpy's fixed cost per ufunc call
 # over more draws, and even, so that a Monte Carlo chunk holds whole points.
 UNIT_BLOCK_CHUNK = 16_000
-
-# Draws of each stream that premixed_sources mixes in its batch, and that a
-# PremixedSource serves by position: the most that any catalogued generator
-# takes, so no generated input mixes a draw in Python. A full expression
-# tree of depth 4 has 15 operations and 16 leaves at 2 draws each, 62 in
-# all; an array input takes at most 9 draws and a knapsack instance 14.
-# The block's draws are served through memoryview slices, so the draws an
-# input does not read become no Python ints. A 256-stream block then takes
-# 256 * 62 * 8 = 126,976 bytes, which with malloc's header stays under
-# glibc's default 128 KiB mmap threshold (as UNIT_BLOCK_CHUNK's buffers do),
-# so the block and its scratch buffer are allocated from the heap rather
-# than mapped afresh for every block.
-PREMIXED_DRAWS = 62
 
 
 @functools.cache
@@ -188,66 +174,22 @@ class SeededSource:
         return items[self.below(len(items))]
 
 
-class PremixedSource(SeededSource):
-    """``SeededSource(seed)`` whose first :data:`PREMIXED_DRAWS` draws were
-    mixed ahead of time, in a batch, by :func:`premixed_sources`.
-
-    splitmix64's state after i draws is ``seed + i * gamma``, so the source
-    records only its position, the count of draws taken so far. ``below``
-    (``choice`` through it) and ``next_u64`` (``unit`` through it) serve the
-    premixed draw at that position while it is inside the premixed prefix,
-    with no 64-bit arithmetic, and mix the state from the position past it.
-    The prefix is the source's row of its block, a read-only memoryview
-    slice that its sibling streams' rows share a buffer with; an item
-    becomes a Python int only when it is read. ``unit_block`` sets
-    ``_state`` from the position and runs the base class's. Every draw,
-    block and child is the base class's.
-    """
-
-    def __init__(self, seed: int, draws: memoryview):
-        self.seed = seed
-        self._draws = draws
-        self._position = 0              # draws taken from the stream so far
-
-    def next_u64(self) -> int:
-        position = self._position
-        self._position = position + 1
-        if position < PREMIXED_DRAWS:
-            return self._draws[position]
-        return _mix((self.seed + (position + 1) * _GAMMA) & _MASK64)
-
-    def below(self, bound: int) -> int:
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
-        position = self._position
-        self._position = position + 1
-        if position < PREMIXED_DRAWS:
-            return self._draws[position] % bound
-        return _mix((self.seed + (position + 1) * _GAMMA) & _MASK64) % bound
-
-    def unit_block(self, count: int) -> np.ndarray:
-        self._state = (self.seed + self._position * _GAMMA) & _MASK64
-        # looked up on the class at each call, so a wrapper installed there
-        # sees this call too
-        block = SeededSource.unit_block(self, count)
-        self._position += count
-        return block
-
-
-def premixed_sources(base: int, first: int, count: int, salt: int) -> list[PremixedSource]:
-    """``SeededSource(derive_seed(base, first + k, salt))`` for each k in
-    ``range(count)``, computed as one vectorized batch.
+def premixed_draws(base: int, first: int, count: int, salt: int, width: int) -> np.ndarray:
+    """The first ``width`` draws of ``SeededSource(derive_seed(base, first + k, salt))``
+    for each k in ``range(count)``, as one read-only ``(count, width)`` ``uint64``
+    matrix whose row k holds stream k's draws in order: ``next_u64`` values,
+    of which ``below(bound)`` is the remainder modulo ``bound``.
 
     The salts ``first + k`` spread to an arithmetic progression of gamma
-    multiples, so every seed is derived at once, and each stream's first
-    :data:`PREMIXED_DRAWS` states (its seed plus the gamma multiples) are
-    mixed in one more batch, which each source reads through a read-only
-    memoryview of its row. ``count`` must be in ``0..UNIT_BLOCK_CHUNK``,
+    multiples, so every seed is derived in one batch, and since a stream's
+    state after i draws is its seed plus i gammas, every draw is mixed in
+    one more. ``count`` and ``width`` must be in ``0..UNIT_BLOCK_CHUNK``,
     the length of :func:`_numpy`'s step table, else ``ValueError``.
     Bit-identical to the scalar derivation, which the tests keep as reference.
     """
-    if not 0 <= count <= UNIT_BLOCK_CHUNK:
-        raise ValueError(f"count must be in 0..{UNIT_BLOCK_CHUNK}, got {count}")
+    for name, value in (("count", count), ("width", width)):
+        if not 0 <= value <= UNIT_BLOCK_CHUNK:
+            raise ValueError(f"{name} must be in 0..{UNIT_BLOCK_CHUNK}, got {value}")
     np, steps, *_ = _numpy()
     # (first + k + 1) * gamma, the spread form of the salt first + k
     seeds = np.add(steps[:count], np.uint64((first * _GAMMA) & _MASK64))
@@ -256,8 +198,7 @@ def premixed_sources(base: int, first: int, count: int, salt: int) -> list[Premi
     _mix_array(seeds, scratch)
     seeds ^= np.uint64(((salt + 1) * _GAMMA) & _MASK64)
     _mix_array(seeds, scratch)
-    draws = np.add(seeds[:, np.newaxis], steps[:PREMIXED_DRAWS])
+    draws = np.add(seeds[:, np.newaxis], steps[:width])
     _mix_array(draws, np.empty_like(draws))
-    rows = memoryview(draws.reshape(-1)).toreadonly()
-    return [PremixedSource(seed, rows[k * PREMIXED_DRAWS:(k + 1) * PREMIXED_DRAWS])
-            for k, seed in enumerate(seeds.tolist())]
+    draws.flags.writeable = False
+    return draws

@@ -256,9 +256,13 @@ CLI = "from intramorph.cli import main; main({})"
     # finds its bug within the iterations whose inputs are drawn one by one
     (CLI.format(["run", "--campaign", "sorting-intramorphic", "--mutant", "swap-index-i",
                  "--seed", "42"]), False),
-    # runs past them, so its inputs come from premixed_sources' batches
+    # runs past them, so its inputs come from its block form's batches of draws
     (CLI.format(["run", "--campaign", "knapsack-optimality", "--seed", "42",
                  "--iterations", "100"]), True),
+    # runs past them too, but its block form repeats its one fixed case and
+    # mixes no draws
+    (CLI.format(["run", "--campaign", "sorting-unit", "--seed", "42",
+                 "--iterations", "1000"]), False),
 ])
 def test_numpy_is_imported_only_by_a_process_that_draws_a_block(step, imports_numpy):
     package_parent = str(Path(intramorph.__file__).resolve().parents[1])

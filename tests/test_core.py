@@ -519,10 +519,9 @@ def test_sorting_pair_derives_only_the_generation_source(name, monkeypatch):
     assert calls == [(7, 3, 0)]
 
     # a whole run derives only generation sources: no original, variant or
-    # picker source (salts 1, 2, 3) is derived, and each iteration's input
-    # is drawn from derive_seed(7, iteration, 0). The batched blocks past the
-    # first iterations derive their seeds without calling derive_seed, so the
-    # seeds are read off the sources that generate() receives.
+    # picker source (salts 1, 2, 3) is derived. The recording copy replaces
+    # generate and drops the block form, so every iteration's input is drawn
+    # from its own source, derive_seed(7, iteration, 0).
     calls.clear()
     generated = []
 
@@ -530,11 +529,11 @@ def test_sorting_pair_derives_only_the_generation_source(name, monkeypatch):
         generated.append(source.seed)
         return campaign.generate(source)
 
-    recorded = dataclasses.replace(campaign, generate=recording)
+    recorded = dataclasses.replace(campaign, generate=recording, generate_block=None)
     report = run_campaign(CampaignConfig(campaign=name, seed=7, iterations=20),
                           registry={campaign.name: recorded})
     assert report.violations == 0 and report.iterations_run == 20
-    assert calls and all(call[0] == 7 and call[2:] == (0,) for call in calls)
+    assert calls == [(7, iteration, 0) for iteration in range(1, 21)]
     assert generated == [real(7, iteration, 0) for iteration in range(1, 21)]
 
 

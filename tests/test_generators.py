@@ -1,21 +1,24 @@
-"""Generator determinism, range discipline, and shrink well-foundedness."""
+"""Generator determinism, range discipline, block forms, and shrink well-foundedness."""
 
 import dataclasses
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_seeds import GLIBC_MMAP_THRESHOLD, MALLOC_CHUNK_HEADER
 
-from intramorph import generators
+from intramorph import core, generators
 from intramorph.cases.ast_printing import Constant, Operation, Variable
 from intramorph.cases.knapsack import KnapsackInstance, KnapsackItem
-from intramorph.core import Provenance
-from intramorph.generators import (random_array, random_knapsack_instance, random_tree,
+from intramorph.core import Provenance, generation_source
+from intramorph.generators import (random_array, random_arrays, random_knapsack_instance,
+                                   random_knapsack_instances, random_tree, random_trees,
                                    shrink_array, shrink_knapsack, shrink_tree)
 from intramorph.harness import CampaignConfig, run_campaign
 from intramorph.registry import get_campaign
-from intramorph.seeds import PREMIXED_DRAWS, SeededSource
+from intramorph.seeds import UNIT_BLOCK_CHUNK, SeededSource
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -145,10 +148,11 @@ def test_knapsack_determinism(seed):
             == random_knapsack_instance(SeededSource(seed)))
 
 
-# --- draws per input ------------------------------------------------------------
+# --- draws per input and block forms ---------------------------------------------
 
 class CountingSource:
-    """Answers every draw with ``answer(bound)`` and counts the draws."""
+    """Answers every draw with ``answer(bound)`` and counts the draws; a raw
+    ``next_u64`` draw has the bound 2**64."""
 
     def __init__(self, answer):
         self.answer = answer
@@ -157,6 +161,9 @@ class CountingSource:
     def below(self, bound):
         self.draws += 1
         return self.answer(bound)
+
+    def next_u64(self):
+        return self.below(2**64)
 
     def choice(self, items):
         return items[self.below(len(items))]
@@ -168,19 +175,111 @@ def draws_taken(generate, answer):
     return source.draws
 
 
-def test_no_generator_reads_past_the_premixed_prefix():
+class CountedSource(SeededSource):
+    """A scalar source that counts its draws."""
+
+    draws = 0
+
+    def next_u64(self):
+        self.draws += 1
+        return super().next_u64()
+
+    def below(self, bound):
+        self.draws += 1
+        return super().below(bound)
+
+
+# (scalar generator, block form, width of the block form's draws)
+DOMAINS = [pytest.param(random_array, random_arrays, generators.ARRAY_DRAWS, id="array"),
+           pytest.param(random_tree, random_trees, generators.TREE_DRAWS, id="tree"),
+           pytest.param(random_knapsack_instance, random_knapsack_instances,
+                        generators.KNAPSACK_DRAWS, id="knapsack")]
+
+
+def test_each_width_is_the_most_draws_its_generator_takes():
     # 0 takes every branch down to TREE_MAX_DEPTH; bound - 1 gives the longest
     # array and the most knapsack items
-    full_tree = draws_taken(random_tree, lambda bound: 0)
-    assert full_tree == 2 * (2 ** (generators.TREE_MAX_DEPTH + 1) - 1)
-    longest = {"array": draws_taken(random_array, lambda bound: bound - 1),
-               "tree": full_tree,
-               "knapsack": draws_taken(random_knapsack_instance, lambda bound: bound - 1)}
-    for name, count in longest.items():
-        assert count <= PREMIXED_DRAWS, (
-            f"the longest {name} input takes {count} draws, more than "
-            f"seeds.PREMIXED_DRAWS = {PREMIXED_DRAWS}: every draw of a generated input "
-            "must come from a block's premixed prefix")
+    assert generators.ARRAY_DRAWS == 1 + generators.ARRAY_MAX_LENGTH == draws_taken(
+        random_array, lambda bound: bound - 1)
+    assert generators.TREE_DRAWS == 2 * (2 ** (generators.TREE_MAX_DEPTH + 1) - 1) == (
+        draws_taken(random_tree, lambda bound: 0))
+    assert generators.KNAPSACK_DRAWS == 2 + 2 * generators.KNAPSACK_MAX_ITEMS == draws_taken(
+        random_knapsack_instance, lambda bound: bound - 1)
+
+
+@pytest.mark.parametrize("generate, generate_block, width", DOMAINS)
+@given(seeds)
+def test_no_generated_input_takes_more_draws_than_its_width(generate, generate_block, width,
+                                                            seed):
+    source = CountedSource(seed)
+    generate(source)
+    assert source.draws <= width
+
+
+def scalar_block(generate, seed, first, count):
+    return [generate(generation_source(seed, first + k)) for k in range(count)]
+
+
+@pytest.mark.parametrize("generate, generate_block, width", DOMAINS)
+@given(seeds, st.integers(min_value=0, max_value=2**40), st.sampled_from([0, 1, 8, 256]))
+@settings(max_examples=25)
+def test_block_forms_equal_the_scalar_generators(generate, generate_block, width, seed,
+                                                 first, count):
+    block = generate_block(seed, first, count)
+    # equal reprs too: an int that numpy left as a numpy integer would compare equal
+    assert repr(block) == repr(scalar_block(generate, seed, first, count))
+    assert block == scalar_block(generate, seed, first, count)
+
+
+@pytest.mark.parametrize("generate, generate_block, width", DOMAINS)
+@given(seeds, st.integers(min_value=0, max_value=2**40))
+@settings(max_examples=2, deadline=None)
+def test_block_forms_equal_the_scalar_generators_over_one_step_table(generate, generate_block,
+                                                                      width, seed, first):
+    block = generate_block(seed, first, UNIT_BLOCK_CHUNK)
+    assert repr(block) == repr(scalar_block(generate, seed, first, UNIT_BLOCK_CHUNK))
+
+
+def test_the_largest_generation_block_keeps_the_heap_rule():
+    widest = max(generators.ARRAY_DRAWS, generators.TREE_DRAWS, generators.KNAPSACK_DRAWS)
+    assert core._LARGEST_BLOCK * widest * 8 + MALLOC_CHUNK_HEADER < GLIBC_MMAP_THRESHOLD, (
+        "the largest generation block's draws, 8 bytes each at the widest block form's "
+        "width, plus malloc's header must stay under glibc's 128 KiB mmap threshold, so "
+        "that every block's matrix, its reduced copy and its scratch buffer come from "
+        "the heap")
+
+
+def test_generated_payloads_build_each_block_only_when_reached():
+    blocks = []
+
+    def recording(seed, first, count):
+        blocks.append((first, count))
+        return random_arrays(seed, first, count)
+
+    payloads = core.generated_payloads(random_array, recording, 3, 1000)
+    scalar = [next(payloads) for _ in range(core._SCALAR_ITERATIONS)]
+    assert blocks == []
+    payloads_from_blocks = [next(payloads)]
+    assert blocks == [(core._SCALAR_ITERATIONS + 1, core._FIRST_BLOCK)]
+    payloads_from_blocks += payloads
+    # doubling blocks up to the cap, clamped to the run's last iteration, each
+    # starting where the last one ended
+    assert [count for _, count in blocks] == [8, 16, 32, 64, 128, 256, 256, 232]
+    assert [first for first, _ in blocks] == list(
+        itertools.accumulate([9] + [count for _, count in blocks[:-1]]))
+    assert scalar + payloads_from_blocks == scalar_block(random_array, 3, 1, 1000)
+
+
+def test_generated_payloads_without_a_block_form_generate_each_from_its_source():
+    sources = []
+
+    def recording(source):
+        sources.append(source.seed)
+        return random_array(source)
+
+    payloads = list(core.generated_payloads(recording, None, 3, 300))
+    assert sources == [generation_source(3, iteration).seed for iteration in range(1, 301)]
+    assert payloads == scalar_block(random_array, 3, 1, 300)
 
 
 # --- shrinking ----------------------------------------------------------------

@@ -34,9 +34,9 @@ CSV_RUNS = (("sorting-intramorphic", "swap-index-i"),
 # (campaign, mutant, k) runs whose k replaces the campaign's default
 K_RUNS = (("montecarlo-convergence", "wrong-scale", 1),
           ("montecarlo-convergence", "wrong-scale", 3))
-# (campaign, mutant, seed) runs that find their bug past the scalar prefix
-# of core.generation_sources, so their counterexamples come from a premixed
-# block: at iteration 9, 9 and 19 (the second block)
+# (campaign, mutant, seed) runs that find their bug past the iterations that
+# core.generated_payloads generates one by one, so their counterexamples come
+# from a block form: at iteration 9, 9 and 19 (the second block)
 BLOCK_RUNS = (("sorting-intramorphic", "swap-index-i", 684),
               ("knapsack-optimality", "greedy-capacity-off-by-one", 9),
               ("ast-token-multiset", "paren-left-as-right", 5))

@@ -21,8 +21,7 @@ import intramorph.core as core
 import intramorph.registry as registry
 from intramorph.core import (DEFAULT_BUDGET_SECONDS, ConfigurationError, InputCase,
                              Provenance, RelationOutcome, RelationStatus,
-                             UnknownCampaignError, UnknownMutantError, generation_source,
-                             generation_sources)
+                             UnknownCampaignError, UnknownMutantError, generation_source)
 from intramorph.harness import (CampaignConfig, Counterexample, run_campaign,
                                 run_detection_matrix)
 from intramorph.registry import default_registry, get_campaign
@@ -221,6 +220,33 @@ def test_replay_reproduces_the_report():
     second = run_campaign(config)
     assert (dataclasses.replace(first, wall_time_ms=0)
             == dataclasses.replace(second, wall_time_ms=0))
+
+
+@pytest.mark.parametrize("name", [campaign.name for campaign in default_registry().values()])
+def test_a_copy_without_a_block_form_gives_the_same_report(name):
+    # the copy generates every iteration from its own source, the original
+    # each block past the first iterations from its block form
+    campaign = get_campaign(name)
+    config = CampaignConfig(campaign=name, seed=2718, iterations=600)
+    scalar = run_campaign(config, registry={name: dataclasses.replace(campaign,
+                                                                      generate_block=None)})
+    assert (dataclasses.replace(run_campaign(config), wall_time_ms=0)
+            == dataclasses.replace(scalar, wall_time_ms=0))
+    assert scalar.iterations_run == 600
+
+
+@pytest.mark.parametrize("name", [campaign.name for campaign in default_registry().values()])
+@pytest.mark.parametrize("seed", [0, 2718])
+def test_each_campaigns_block_form_generates_its_scalar_payloads(name, seed):
+    # 600 iterations cover the scalar ones, every block size up to the
+    # largest and a last partial block; a report alone could not show a
+    # payload that differs but still holds
+    campaign = get_campaign(name)
+    blocks = list(core.generated_payloads(campaign.generate, campaign.generate_block, seed, 600))
+    scalar = list(core.generated_payloads(campaign.generate, None, seed, 600))
+    # equal reprs too: an int that numpy left as a numpy integer would compare equal
+    assert repr(blocks) == repr(scalar)
+    assert blocks == scalar
 
 
 def test_generated_payloads_are_reproducible_from_provenance():
@@ -592,8 +618,9 @@ def assert_flat_equals_layered(campaign, budget, iterations, seed=11, scoped=Tru
     flat = campaign.build_evaluator(programs, campaign.default_repetitions, budget)
     with mock.patch.object(registry, "guarded_evaluator", layered_evaluator):
         layered = campaign.build_evaluator(programs, campaign.default_repetitions, budget)
-    cases = [InputCase(campaign.generate(source), Provenance(seed, iteration))
-             for iteration, source in enumerate(generation_sources(seed, iterations), start=1)]
+    cases = [InputCase(campaign.generate(generation_source(seed, iteration)),
+                       Provenance(seed, iteration))
+             for iteration in range(1, iterations + 1)]
     with core.alarm_scope() if scoped else contextlib.nullcontext():
         pairs = [(flat(case), layered(case)) for case in cases]
     for iteration, (got, expected) in enumerate(pairs, start=1):
@@ -736,7 +763,8 @@ def test_handler_is_restored_when_generate_raises():
 
     campaign = get_campaign("sorting-intramorphic")
     generated = []
-    registry = {campaign.name: dataclasses.replace(campaign, generate=failing_generate)}
+    registry = {campaign.name: dataclasses.replace(campaign, generate=failing_generate,
+                                                   generate_block=None)}
     original = signal.signal(signal.SIGALRM, previous)
     try:
         with pytest.raises(RuntimeError, match="generator failed"):
@@ -796,7 +824,8 @@ def test_stray_alarm_between_evaluations_leaves_the_report_unchanged(mutant):
     config = CampaignConfig(campaign=campaign.name, seed=42, iterations=200, mutant=mutant)
     expected = run_campaign(config)
     report = run_campaign(config, registry={
-        campaign.name: dataclasses.replace(campaign, generate=alarming_generate)})
+        campaign.name: dataclasses.replace(campaign, generate=alarming_generate,
+                                           generate_block=None)})
     assert (dataclasses.replace(report, wall_time_ms=0)
             == dataclasses.replace(expected, wall_time_ms=0))
 
@@ -890,7 +919,7 @@ def test_shrink_finds_the_memo_free_counterexample(campaign_name, mutant):
 def test_unhashable_payloads_still_shrink():
     campaign = get_campaign("sorting-intramorphic")
     as_lists = dataclasses.replace(
-        campaign, generate=lambda src: list(campaign.generate(src)),
+        campaign, generate=lambda src: list(campaign.generate(src)), generate_block=None,
         shrink_payload=lambda payload: [list(c) for c in campaign.shrink_payload(tuple(payload))])
     expected, _ = shrink_evaluations(campaign, "swap-index-i", 7)
     report, cases = shrink_evaluations(as_lists, "swap-index-i", 7)

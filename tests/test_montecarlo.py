@@ -17,7 +17,7 @@ import intramorph.core as core
 import intramorph.registry as registry
 from intramorph.core import (DEFAULT_BUDGET_SECONDS, ConfigurationError, InputCase,
                              Provenance, RelationOutcome, RelationStatus, UnknownMutantError,
-                             generation_sources)
+                             generation_source)
 from intramorph.harness import CampaignConfig, run_campaign
 from intramorph.registry import get_campaign
 from intramorph.seeds import UNIT_BLOCK_CHUNK, SeededSource, derive_seed
@@ -259,8 +259,9 @@ def test_early_stop_matches_the_all_trials_reference(mutant, repetitions):
     with mock.patch.object(registry, "guarded_evaluator", all_trials_evaluator):
         reference = campaign.build_evaluator(programs, repetitions, None)
     seed = 2024
-    for iteration, source in enumerate(generation_sources(seed, 30), start=1):
-        case = InputCase(campaign.generate(source), Provenance(seed, iteration))
+    for iteration in range(1, 31):
+        case = InputCase(campaign.generate(generation_source(seed, iteration)),
+                         Provenance(seed, iteration))
         outcome = evaluator(case)
         expected = reference(case)
         assert outcome.status is expected.status, iteration

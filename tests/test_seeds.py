@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 import intramorph.seeds as seeds_module
 from intramorph import core
-from intramorph.registry import default_registry
-from intramorph.seeds import (PREMIXED_DRAWS, UNIT_BLOCK_CHUNK, PremixedSource, SeededSource,
-                              derive_seed, premixed_sources)
+from intramorph.seeds import UNIT_BLOCK_CHUNK, SeededSource, derive_seed, premixed_draws
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -138,137 +136,41 @@ def test_choice_picks_members(seed, items):
 # --- batched streams ----------------------------------------------------------
 
 def draws(source, count):
-    """``count`` draws alternating next_u64 and below, as the generators mix them."""
-    return [source.below(1000) if k % 2 else source.next_u64() for k in range(count)]
-
-
-def after_partial_read(source, reads):
-    """A partial read, then a block, a pick, a child and more draws."""
-    head = draws(source, reads)
-    block = source.unit_block(3).view(np.uint64).tolist()
-    child = SeededSource(derive_seed(source.seed, 5))
-    return (head, block, source.choice("abcdefg"), child.next_u64(), draws(source, 20),
-            source.unit())
+    """``count`` raw draws of ``source``."""
+    return [source.next_u64() for _ in range(count)]
 
 
 @given(seeds, st.integers(min_value=-5, max_value=2**40), st.integers(min_value=0, max_value=40),
-       st.integers(min_value=0, max_value=2**20))
+       st.integers(min_value=0, max_value=2**20), st.integers(min_value=0, max_value=70))
 @settings(max_examples=50)
-def test_premixed_sources_match_the_scalar_derivation(base, first, count, salt):
-    batch = premixed_sources(base, first, count, salt)
-    assert len(batch) == count
-    for k, source in enumerate(batch):
-        reference = SeededSource(derive_seed(base, first + k, salt))
-        assert (source.seed, repr(source)) == (reference.seed, repr(reference))
-        assert draws(source, PREMIXED_DRAWS + 8) == draws(reference, PREMIXED_DRAWS + 8)
+def test_premixed_draws_match_the_scalar_streams(base, first, count, salt, width):
+    block = premixed_draws(base, first, count, salt, width)
+    assert block.shape == (count, width) and block.dtype == np.uint64
+    for k, row in enumerate(block.tolist()):
+        assert row == draws(SeededSource(derive_seed(base, first + k, salt)), width), k
 
 
-calls = st.one_of(st.tuples(st.just("below"), st.integers(min_value=1, max_value=1000)),
-                  st.tuples(st.sampled_from(["choice", "next_u64", "unit"])),
-                  # sizes past PREMIXED_DRAWS, here and in the call lists below, let
-                  # one block or a run of single draws cross the premixed prefix
-                  st.tuples(st.just("unit_block"),
-                            st.integers(min_value=0, max_value=PREMIXED_DRAWS + 10)))
-
-
-def apply(source, call):
-    name, *args = call
-    if name == "choice":
-        return source.choice("abcdefg")
-    result = getattr(source, name)(*args)
-    return result.view(np.uint64).tolist() if name == "unit_block" else result
-
-
-@given(seeds, st.integers(min_value=0, max_value=2**40), st.integers(min_value=1, max_value=4),
-       st.integers(min_value=0, max_value=2**20),
-       st.lists(calls, max_size=PREMIXED_DRAWS + 10))
-@settings(max_examples=100)
-def test_premixed_sources_answer_every_call_sequence_as_the_scalar_source(
-        base, first, count, salt, sequence):
-    for k, source in enumerate(premixed_sources(base, first, count, salt)):
-        reference = SeededSource(derive_seed(base, first + k, salt))
-        for call in sequence:
-            # a nonpositive bound is refused at any position, and draws nothing
-            for bound in (0, -1):
-                with pytest.raises(ValueError):
-                    source.below(bound)
-            assert apply(source, call) == apply(reference, call), call
-        assert draws(source, 3) == draws(reference, 3)
-        assert (source.seed, repr(source)) == (reference.seed, repr(reference))
-
-
-def test_premixed_sources_take_up_to_one_step_table_of_streams():
-    assert premixed_sources(1, 9, 0, 0) == []
-    batch = premixed_sources(1, 9, UNIT_BLOCK_CHUNK, 0)
-    assert len(batch) == UNIT_BLOCK_CHUNK
+def test_premixed_draws_take_up_to_one_step_table_of_streams_and_draws():
+    assert premixed_draws(1, 9, 0, 0, 5).shape == (0, 5)
+    assert premixed_draws(1, 9, 5, 0, 0).shape == (5, 0)
+    block = premixed_draws(1, 9, UNIT_BLOCK_CHUNK, 0, 3)
     last = SeededSource(derive_seed(1, 9 + UNIT_BLOCK_CHUNK - 1, 0))
-    assert draws(batch[-1], PREMIXED_DRAWS + 1) == draws(last, PREMIXED_DRAWS + 1)
+    assert block[-1].tolist() == draws(last, 3)
+    wide = premixed_draws(1, 9, 1, 0, UNIT_BLOCK_CHUNK)
+    assert wide[0, -1] == draws(SeededSource(derive_seed(1, 9, 0)), UNIT_BLOCK_CHUNK)[-1]
     for count in (-1, UNIT_BLOCK_CHUNK + 1, UNIT_BLOCK_CHUNK + 100):
         with pytest.raises(ValueError, match=f"count must be in 0..{UNIT_BLOCK_CHUNK}"):
-            premixed_sources(1, 9, count, 0)
+            premixed_draws(1, 9, count, 0, 3)
+        with pytest.raises(ValueError, match=f"width must be in 0..{UNIT_BLOCK_CHUNK}"):
+            premixed_draws(1, 9, 3, 0, count)
 
 
-def test_a_premixed_row_is_read_only():
-    # sibling streams' rows share their block's buffer
-    for source in premixed_sources(5, 9, 2, 0):
-        row = source._draws
-        assert len(row) == PREMIXED_DRAWS and row.readonly
-        with pytest.raises(TypeError):
-            row[0] = 0
-
-
-def test_the_largest_generation_block_keeps_the_heap_rule():
-    assert core._LARGEST_BLOCK * PREMIXED_DRAWS * 8 + MALLOC_CHUNK_HEADER < GLIBC_MMAP_THRESHOLD, (
-        "the largest generation block's PREMIXED_DRAWS 8-byte draws per stream plus malloc's "
-        "header must stay under glibc's 128 KiB mmap threshold, so that every block and its "
-        "scratch buffer come from the heap")
-
-
-BATCHED_RUN = 600   # the scalar prefix, every block size and several capped blocks
-
-
-@pytest.mark.parametrize("seed", [0, 1, 42, 2**64 - 1])
-def test_generation_sources_match_the_scalar_sources(seed):
-    batched = list(core.generation_sources(seed, BATCHED_RUN))
-    assert len(batched) == BATCHED_RUN
-    # the batched path really serves every iteration past the scalar prefix
-    assert sum(isinstance(source, PremixedSource) for source in batched) == (
-        BATCHED_RUN - core._SCALAR_ITERATIONS)
-    read_counts = (0, 5, PREMIXED_DRAWS, PREMIXED_DRAWS + 3)
-    # one unread run per partial read
-    unread = [list(core.generation_sources(seed, BATCHED_RUN)) for _ in read_counts]
-    for iteration, (source, *fresh) in enumerate(zip(batched, *unread), start=1):
-        def reference():
-            return core.generation_source(seed, iteration)
-
-        assert source.seed == reference().seed, iteration
-        assert draws(source, 64) == draws(reference(), 64), iteration
-        for reads, batched_source in zip(read_counts, fresh):
-            assert (after_partial_read(batched_source, reads)
-                    == after_partial_read(reference(), reads)), (iteration, reads)
-    for campaign in default_registry().values():
-        generated = [campaign.generate(source)
-                     for source in core.generation_sources(seed, BATCHED_RUN)]
-        expected = [campaign.generate(core.generation_source(seed, iteration))
-                    for iteration in range(1, BATCHED_RUN + 1)]
-        assert generated == expected, campaign.name
-
-
-def test_generation_sources_build_each_block_only_when_reached(monkeypatch):
-    blocks = []
-    monkeypatch.setattr(core, "premixed_sources",
-                        lambda *args: blocks.append(args) or premixed_sources(*args))
-    sources = core.generation_sources(3, 1000)
-    for _ in range(core._SCALAR_ITERATIONS):
-        next(sources)
-    assert blocks == []
-    next(sources)
-    assert len(blocks) == 1
-    list(sources)
-    # doubling blocks up to the cap, clamped to the run's last iteration
-    sizes = [count for _, _, count, _ in blocks]
-    assert sizes == [8, 16, 32, 64, 128, 256, 256, 232]
-    assert sum(sizes) == 1000 - core._SCALAR_ITERATIONS
+def test_premixed_draws_are_read_only():
+    # a block form reduces the matrix into a copy and never writes into it
+    block = premixed_draws(5, 9, 2, 0, 4)
+    assert not block.flags.writeable
+    with pytest.raises(ValueError):
+        block[0, 0] = 0
 
 
 def test_module_level_arrays_are_read_only():
@@ -293,8 +195,7 @@ def test_two_threads_share_the_kernel():
     for seed in (11, 2**64 - 3):
         scalar = SeededSource(seed)
         block = np.array([scalar.unit() for _ in range(block_size)]).view(np.uint64).tolist()
-        streams = [(source.seed, draws(source, 20)) for source in
-                   (core.generation_source(seed, i) for i in range(1, run + 1))]
+        streams = [draws(core.generation_source(seed, i), 20) for i in range(1, run + 1)]
         references[seed] = (block, streams)
 
     start = threading.Barrier(2, timeout=10)
@@ -306,8 +207,7 @@ def test_two_threads_share_the_kernel():
             start.wait()
             for _ in range(5):
                 block = SeededSource(seed).unit_block(block_size).view(np.uint64).tolist()
-                streams = [(source.seed, draws(source, 20))
-                           for source in core.generation_sources(seed, run)]
+                streams = core.generation_draws(seed, 1, run, 20).tolist()
                 if (block, streams) != references[seed]:
                     failures.append(seed)
                 rounds.append(seed)
